@@ -17,9 +17,7 @@ from remlab.engine import (
     energy_at,
     energy_block,
     exceedance_count,
-    exceedance_positions,
     free_energy,
-    log_sum_exp_stream,
     rate_estimate,
     run_replica,
 )
@@ -78,13 +76,11 @@ __all__ = [
     "energy_at",
     "energy_block",
     "exceedance_count",
-    "exceedance_positions",
     "free_energy",
     "free_energy_limit",
     "ks_one_sample",
     "ks_two_sample",
     "l1_distance",
-    "log_sum_exp_stream",
     "poisson_count_pmf",
     "rate_estimate",
     "rate_function",

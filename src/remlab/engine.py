@@ -5,16 +5,18 @@ drawn from an :class:`~remlab.environment.Environment` through a keyed
 counter-based stream, so any index range can be regenerated on demand
 and never needs to be held in memory at once.
 
-``run_replica`` makes two deterministic passes over the configuration
-space in fixed chunks.  The first pass collects every quantity that does
-not depend on the inverse temperature: the ground state energy, interval
-hit counts for the empirical energy-per-site measure, exceedance counts
-of the shifted extremes, and the ``top_m`` lowest energies.  The second
-pass accumulates, per beta, the partition function and the spin-block
-marginals with all exponentials shifted by the ground state, so nothing
-overflows at any beta.  Chunk boundaries and accumulation order are
-fixed by the ``ReplicaSpec`` fields alone, which makes results
-bit-identical no matter how replicas are scheduled across processes.
+``run_replica`` makes one deterministic pass over the configuration
+space in fixed chunks.  Each chunk's energies are generated once and
+update every measured quantity: the ground state energy, interval hit
+counts for the empirical energy-per-site measure, the positions of the
+shifted extremes above each threshold, the ``top_m`` lowest energies,
+and, per beta, the partition function and the spin-block marginals.
+The per-beta sums are kept relative to the running minimum, so nothing
+overflows at any beta; when a chunk lowers the minimum, the sums of the
+earlier chunks are rescaled to it first.  Chunk boundaries and
+accumulation order are fixed by the ``ReplicaSpec`` fields alone, which
+makes results bit-identical no matter how replicas are scheduled across
+processes.
 
 Configuration index convention: bit ``j`` of the index is spin ``j``,
 with bit value 1 for spin +1.  A marginal block of size ``k`` is the low
@@ -42,10 +44,12 @@ class ReplicaSpec:
     """Complete description of one replica and everything to measure on it.
 
     ``betas`` may include 0 (infinite temperature), where the partition
-    function is exactly 2**n.  ``intervals`` are open intervals on the
-    energy-per-site scale.  ``b_levels`` are thresholds for the shifted
-    extreme-value counts.  The pair (master_seed, replica_id) keys the
-    energy stream; distinct pairs give statistically independent replicas.
+    function is exactly 2**n; with no betas the per-beta sums and the
+    ``top_m`` pool (which only feeds the spectra) are skipped.
+    ``intervals`` are open intervals on the energy-per-site scale.
+    ``b_levels`` are thresholds for the shifted extreme-value positions.
+    The pair (master_seed, replica_id) keys the energy stream; distinct
+    pairs give statistically independent replicas.
     """
 
     env: Environment
@@ -63,8 +67,6 @@ class ReplicaSpec:
         if self.env.n > MAX_N:
             raise ValueError(f"n = {self.env.n} exceeds the streaming budget (n <= {MAX_N})")
         betas = tuple(float(b) for b in self.betas)
-        if not betas:
-            raise ValueError("betas must be nonempty")
         for b in betas:
             if not math.isfinite(b) or b < 0.0:
                 raise ValueError(f"betas must be finite and >= 0, got {b!r}")
@@ -120,7 +122,11 @@ class GibbsSpectrum:
 
 @dataclass(frozen=True)
 class ReplicaResult:
-    """Everything measured on one replica; per-beta maps are keyed by beta."""
+    """Everything measured on one replica; per-beta maps are keyed by beta.
+
+    ``exceedance`` maps each b level to the shifted positions
+    ``-(H + shift_constant(n)) >= b`` in configuration-index order.
+    """
 
     n: int
     replica_id: int
@@ -129,7 +135,7 @@ class ReplicaResult:
     spectrum: dict[float, GibbsSpectrum]
     marginal: dict[float, np.ndarray]
     interval_hits: dict[tuple[float, float], int] = field(default_factory=dict)
-    exceedance: dict[float, int] = field(default_factory=dict)
+    exceedance: dict[float, np.ndarray] = field(default_factory=dict)
 
 
 def energy_block(spec: ReplicaSpec, lo: int, hi: int) -> np.ndarray:
@@ -151,103 +157,75 @@ def energy_at(spec: ReplicaSpec, index: int) -> float:
     return float(energy_block(spec, index, index + 1)[0])
 
 
-class StreamingLogSumExp:
-    """Online log-sum-exp with a running maximum; safe at any magnitude."""
-
-    def __init__(self) -> None:
-        self._max = -math.inf
-        self._sum = 0.0
-        self._count = 0
-
-    def update(self, values) -> None:
-        values = np.asarray(values, dtype=float)
-        if values.size == 0:
-            return
-        m = float(values.max())
-        if m > self._max:
-            # rescale the accumulated sum to the new reference point
-            self._sum *= math.exp(self._max - m) if self._count else 0.0
-            self._max = m
-        self._sum += float(np.exp(values - self._max).sum())
-        self._count += values.size
-
-    def result(self) -> float:
-        if self._count == 0:
-            raise ValueError("log-sum-exp of an empty stream")
-        return self._max + math.log(self._sum)
-
-
-def log_sum_exp_stream(values, batch: int = 4096) -> float:
-    """``log(sum(exp(v)))`` over an iterable, streamed in batches."""
-    acc = StreamingLogSumExp()
-    buf: list[float] = []
-    for v in values:
-        buf.append(float(v))
-        if len(buf) >= batch:
-            acc.update(buf)
-            buf.clear()
-    if buf:
-        acc.update(buf)
-    return acc.result()
-
-
-def _chunks(size: int):
-    for lo in range(0, size, CHUNK):
-        yield lo, min(lo + CHUNK, size)
-
-
 def run_replica(spec: ReplicaSpec, energy_fn=None) -> ReplicaResult:
     """Measure one replica exhaustively; see the module docstring.
 
     ``energy_fn(lo, hi)`` overrides the keyed energy stream (used by
-    tests to pin energies); it must be deterministic across the two
-    passes.
+    tests to pin energies); it is called once per chunk, in index order.
     """
     if energy_fn is None:
         energy_fn = lambda lo, hi: energy_block(spec, lo, hi)
     n = spec.n
     size = spec.size
     shift = shift_constant(n)
-
-    # pass A: beta-independent statistics
-    min_energy = math.inf
-    hits = [0] * len(spec.intervals)
-    exceed = [0] * len(spec.b_levels)
+    betas = spec.betas
+    mask = (1 << spec.k_marginal) - 1
+    patterns = 1 << spec.k_marginal
     keep = min(spec.top_m, size)
+
+    min_energy = math.inf  # running minimum; the per-beta sums are relative to it
+    hits = [0] * len(spec.intervals)
+    positions = [[] for _ in spec.b_levels]
     best = np.empty(0, dtype=float)
-    for lo, hi in _chunks(size):
+    z_total = {beta: 0.0 for beta in betas}
+    y = {beta: np.zeros(patterns, dtype=float) for beta in betas}
+    # one Gibbs-factor buffer for every chunk and beta: writing into it
+    # in place avoids faulting in fresh pages for each temporary
+    z_buffer = np.empty(min(CHUNK, size) if betas else 0, dtype=float)
+    for lo in range(0, size, CHUNK):
+        hi = min(lo + CHUNK, size)
         e = np.asarray(energy_fn(lo, hi), dtype=float)
         if e.shape != (hi - lo,):
             raise ValueError(f"energy_fn returned shape {e.shape} for [{lo}, {hi})")
-        min_energy = min(min_energy, float(e.min()))
         for j, (a, b) in enumerate(spec.intervals):
             hits[j] += int(np.count_nonzero((e > a * n) & (e < b * n)))
-        for j, b in enumerate(spec.b_levels):
-            exceed[j] += int(np.count_nonzero(e <= -(shift + b)))
+        if spec.b_levels:
+            shifted_extremes = -(e + shift)
+            for j, b in enumerate(spec.b_levels):
+                positions[j].append(shifted_extremes[shifted_extremes >= b])
+        chunk_min = float(e.min())
+        if chunk_min < min_energy:
+            # rescale the earlier chunks' sums to the new minimum; the first
+            # chunk has none (and its factor exp(-0 * inf) is nan at beta = 0)
+            if min_energy < math.inf:
+                for beta in betas:
+                    factor = math.exp(-beta * (min_energy - chunk_min))
+                    z_total[beta] *= factor
+                    y[beta] *= factor
+            min_energy = chunk_min
+        if not betas:
+            continue
         pool = np.concatenate([best, e])
         if pool.size > keep:
             pool = np.partition(pool, keep - 1)[:keep]
         best = pool
-    best = np.sort(best)
-
-    # pass B: per-beta sums, everything shifted by the ground state
-    z_total = {beta: 0.0 for beta in spec.betas}
-    mask = (1 << spec.k_marginal) - 1
-    patterns = 1 << spec.k_marginal
-    y = {beta: np.zeros(patterns, dtype=float) for beta in spec.betas}
-    for lo, hi in _chunks(size):
-        e = np.asarray(energy_fn(lo, hi), dtype=float)
         shifted = e - min_energy
-        pat = np.arange(lo, hi, dtype=np.int64) & mask
-        for beta in spec.betas:
-            z = np.exp(-beta * shifted)
-            z_total[beta] += float(z.sum())
-            y[beta] += np.bincount(pat, weights=z, minlength=patterns)
+        z = z_buffer[: hi - lo]
+        if mask:
+            pat = np.arange(lo, hi, dtype=np.int64) & mask
+        for beta in betas:
+            np.multiply(shifted, -beta, out=z)
+            np.exp(z, out=z)
+            z_sum = float(z.sum())
+            z_total[beta] += z_sum
+            # with no marginal spins the one pattern holds the whole sum
+            y[beta] += np.bincount(pat, weights=z, minlength=patterns) if mask else z_sum
+    best = np.sort(best)
 
     log_z = {}
     spectrum = {}
     marginal = {}
-    for beta in spec.betas:
+    for beta in betas:
         total = z_total[beta]
         log_z[beta] = math.log(total) - beta * min_energy
         w = np.exp(-beta * (best - min_energy)) / total
@@ -262,7 +240,7 @@ def run_replica(spec: ReplicaSpec, energy_fn=None) -> ReplicaResult:
         spectrum=spectrum,
         marginal=marginal,
         interval_hits={iv: hits[j] for j, iv in enumerate(spec.intervals)},
-        exceedance={b: exceed[j] for j, b in enumerate(spec.b_levels)},
+        exceedance={b: np.concatenate(positions[j]) for j, b in enumerate(spec.b_levels)},
     )
 
 
@@ -287,20 +265,4 @@ def rate_estimate(result: ReplicaResult, interval: tuple[float, float]) -> float
 
 def exceedance_count(result: ReplicaResult, b: float) -> int:
     """Number of configurations with ``-(H + shift_constant(n)) >= b``."""
-    return result.exceedance[float(b)]
-
-
-def exceedance_positions(spec: ReplicaSpec, b: float, energy_fn=None) -> np.ndarray:
-    """Shifted positions ``-(H + shift_constant(n))`` of all exceedances of ``b``.
-
-    Returned in configuration-index order, one streaming pass.
-    """
-    if energy_fn is None:
-        energy_fn = lambda lo, hi: energy_block(spec, lo, hi)
-    b = float(b)
-    shift = shift_constant(spec.n)
-    out = []
-    for lo, hi in _chunks(spec.size):
-        vals = -(np.asarray(energy_fn(lo, hi), dtype=float) + shift)
-        out.append(vals[vals >= b])
-    return np.concatenate(out)
+    return result.exceedance[float(b)].size

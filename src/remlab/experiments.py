@@ -30,7 +30,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .engine import ReplicaSpec, exceedance_positions, free_energy, rate_estimate, run_replica
+from .engine import ReplicaSpec, free_energy, rate_estimate, run_replica
 from .environment import Environment
 from .manifest import ExperimentManifest
 from .pointprocess import PDParams, sample_pd_poisson, sample_pd_stick
@@ -86,11 +86,6 @@ def _replica_task(spec: ReplicaSpec):
     return run_replica(spec)
 
 
-def _exceedance_task(args):
-    spec, b_levels = args
-    return {b: exceedance_positions(spec, b) for b in b_levels}
-
-
 def _map_tasks(task, items, workers: int) -> list:
     # Results return in submission (replica id) order either way, so the
     # schedule never leaks into the artifacts.
@@ -119,7 +114,9 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([_cell(v) for v in row])
 
 
-def _engine_specs(manifest: ExperimentManifest, betas, k_marginal=0) -> list:
+def _engine_specs(manifest: ExperimentManifest, betas, k_marginal=0, b_levels=()) -> list:
+    # b_levels only where positions are read: a replica keeps every
+    # position above each level, up to 2**n of them
     env = Environment(manifest.alpha, manifest.n)
     return [
         ReplicaSpec(
@@ -127,7 +124,7 @@ def _engine_specs(manifest: ExperimentManifest, betas, k_marginal=0) -> list:
             betas=betas,
             k_marginal=k_marginal,
             intervals=manifest.intervals,
-            b_levels=manifest.b_levels,
+            b_levels=b_levels,
             top_m=manifest.top_m,
             master_seed=manifest.master_seed,
             replica_id=i,
@@ -170,7 +167,7 @@ def _eval_free_energy_check(check: dict, manifest: ExperimentManifest, fe: dict)
             deviation <= tol,
             {"beta": beta, "mean": mean, "target": target, "tol": tol, "deviation": deviation},
         )
-    center = float(check.get("center_beta", 1.0))
+    center = float(check.get("center_beta", critical_beta(manifest.alpha)))
     window = float(check.get("window", 0.25))
     betas = sorted(manifest.betas)
     means = [float(np.mean(fe[b])) for b in betas]
@@ -207,7 +204,7 @@ def _interval_rate_limit(alpha: float, low: float, high: float) -> float:
 
 
 def _run_rate_function(manifest: ExperimentManifest, workers: int):
-    specs = _engine_specs(manifest, (1.0,))
+    specs = _engine_specs(manifest, ())
     results = _map_tasks(_replica_task, specs, workers)
     rows = [
         (low, high, i, results[i].interval_hits[(low, high)], rate_estimate(results[i], (low, high)))
@@ -309,16 +306,15 @@ def _run_marginals(manifest: ExperimentManifest, workers: int):
 
 
 def _run_exceedance(manifest: ExperimentManifest, workers: int):
-    specs = _engine_specs(manifest, (1.0,))
-    tasks = [(spec, manifest.b_levels) for spec in specs]
-    per_replica = _map_tasks(_exceedance_task, tasks, workers)
+    specs = _engine_specs(manifest, (), b_levels=manifest.b_levels)
+    results = _map_tasks(_replica_task, specs, workers)
     count_rows = []
     position_rows = []
     counts = {b: [] for b in manifest.b_levels}
     pooled = {b: [] for b in manifest.b_levels}
     for b in manifest.b_levels:
-        for i, positions in enumerate(per_replica):
-            pts = positions[b]
+        for i, result in enumerate(results):
+            pts = result.exceedance[b]
             counts[b].append(pts.size)
             pooled[b].append(pts)
             count_rows.append((b, i, int(pts.size)))

@@ -14,6 +14,8 @@ import json
 import math
 from dataclasses import dataclass
 
+from .engine import MAX_N
+
 EXPERIMENTS = (
     "free_energy",
     "rate_function",
@@ -180,8 +182,8 @@ def _parse_env(doc: dict) -> tuple[float, int]:
     if alpha < 1.0:
         _fail("env.alpha", f"expected alpha >= 1, got {alpha}")
     n = _as_int(env["n"], "env.n")
-    if not 1 <= n <= 30:
-        _fail("env.n", f"expected 1 <= n <= 30, got {n}")
+    if not 1 <= n <= MAX_N:
+        _fail("env.n", f"expected 1 <= n <= {MAX_N}, got {n}")
     return alpha, n
 
 

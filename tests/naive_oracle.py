@@ -43,5 +43,6 @@ def naive_replica(spec, energies=None):
         out["interval_hits"][(a, b)] = int(np.sum((e / n > a) & (e / n < b)))
     shift = shift_constant(n)
     for b in spec.b_levels:
-        out["exceedance"][b] = int(np.sum(-(e + shift) >= b))
+        positions = -(e + shift)
+        out["exceedance"][b] = positions[positions >= b]
     return out

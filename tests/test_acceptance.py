@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from naive_oracle import naive_replica
+from remlab import engine
 from remlab.engine import ReplicaSpec, run_replica
 from remlab.environment import Environment
 from remlab.experiments import run_experiment
@@ -254,30 +255,38 @@ def _random_spec(rng):
     )
 
 
-def test_engine_matches_naive_oracle_random_specs():
-    rng = np.random.default_rng(424242)
-    worst = 0.0
-    for _ in range(50):
-        spec = _random_spec(rng)
-        got = run_replica(spec)
-        want = naive_replica(spec)
-        worst = max(worst, abs(got.min_energy - want["min_energy"]))
-        assert abs(got.min_energy - want["min_energy"]) <= 1e-10
-        for beta in spec.betas:
-            worst = max(worst, abs(got.log_z[beta] - want["log_z"][beta]))
-            assert abs(got.log_z[beta] - want["log_z"][beta]) <= 1e-10
-            assert np.allclose(
-                got.marginal[beta], want["marginal"][beta], rtol=0.0, atol=1e-10
-            )
-            weights, tail = want["spectrum"][beta]
-            assert got.spectrum[beta].weights.size == weights.size
-            assert np.allclose(got.spectrum[beta].weights, weights, rtol=0.0, atol=1e-10)
-            assert abs(got.spectrum[beta].tail_mass - tail) <= 1e-10
-        for interval in spec.intervals:
-            assert got.interval_hits[interval] == want["interval_hits"][interval]
-        for level in spec.b_levels:
-            assert got.exceedance[level] == want["exceedance"][level]
-    announce("engine vs naive oracle", True, f"50 random specs, worst |diff|={worst:.2e}")
+def test_engine_matches_naive_oracle_random_specs(monkeypatch):
+    # The default chunk holds every spec here in one chunk; 64 and 7 split
+    # them, so the per-beta sums are folded across chunk boundaries.
+    for chunk in (1 << 20, 64, 7):
+        monkeypatch.setattr(engine, "CHUNK", chunk)
+        rng = np.random.default_rng(424242)
+        worst = 0.0
+        for _ in range(50):
+            spec = _random_spec(rng)
+            got = run_replica(spec)
+            want = naive_replica(spec)
+            worst = max(worst, abs(got.min_energy - want["min_energy"]))
+            assert abs(got.min_energy - want["min_energy"]) <= 1e-10
+            for beta in spec.betas:
+                worst = max(worst, abs(got.log_z[beta] - want["log_z"][beta]))
+                assert abs(got.log_z[beta] - want["log_z"][beta]) <= 1e-10
+                assert np.allclose(
+                    got.marginal[beta], want["marginal"][beta], rtol=0.0, atol=1e-10
+                )
+                weights, tail = want["spectrum"][beta]
+                assert got.spectrum[beta].weights.size == weights.size
+                assert np.allclose(got.spectrum[beta].weights, weights, rtol=0.0, atol=1e-10)
+                assert abs(got.spectrum[beta].tail_mass - tail) <= 1e-10
+            for interval in spec.intervals:
+                assert got.interval_hits[interval] == want["interval_hits"][interval]
+            for level in spec.b_levels:
+                assert np.array_equal(got.exceedance[level], want["exceedance"][level])
+        announce(
+            "engine vs naive oracle",
+            True,
+            f"CHUNK={chunk}, 50 random specs, worst |diff|={worst:.2e}",
+        )
 
 
 def test_worker_count_invariance(verified, tmp_path_factory):

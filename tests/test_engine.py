@@ -1,4 +1,4 @@
-"""Streaming engine: energy streams, log-sum-exp, exhaustive replica runs."""
+"""Streaming engine: energy streams and exhaustive replica runs."""
 
 import math
 
@@ -8,17 +8,15 @@ from scipy import stats
 from scipy.special import logsumexp
 
 from naive_oracle import naive_replica
+from remlab import engine
 from remlab.engine import (
     CHUNK,
     GibbsSpectrum,
     ReplicaSpec,
-    StreamingLogSumExp,
     energy_at,
     energy_block,
     exceedance_count,
-    exceedance_positions,
     free_energy,
-    log_sum_exp_stream,
     rate_estimate,
     run_replica,
 )
@@ -77,8 +75,6 @@ def test_energy_streams_independent_across_replicas():
 def test_replica_spec_validation():
     env = Environment(1.0, 8)
     with pytest.raises(ValueError):
-        ReplicaSpec(env=env, betas=())
-    with pytest.raises(ValueError):
         ReplicaSpec(env=env, betas=(-0.5,))
     with pytest.raises(ValueError):
         ReplicaSpec(env=env, betas=(float("nan"),))
@@ -98,31 +94,16 @@ def test_replica_spec_validation():
         ReplicaSpec(env=env, betas=(1.0,), master_seed=-1)
     # beta = 0 is legal: the infinite-temperature closed forms are exact
     assert ReplicaSpec(env=env, betas=(0.0,)).betas == (0.0,)
-
-
-def test_log_sum_exp_examples():
-    assert log_sum_exp_stream([0.0, 0.0]) == LOG2
-    assert abs(log_sum_exp_stream([1.0, 0.0, 0.0, 0.0]) - 1.743668380628679) < 1e-12
-    assert log_sum_exp_stream([-10000.0, -10000.0]) == -10000.0 + LOG2
-    with pytest.raises(ValueError):
-        log_sum_exp_stream([])
-
-
-def test_log_sum_exp_matches_scipy_and_shifts():
-    rng = np.random.default_rng(7)
-    v = rng.normal(size=1000) * 50.0
-    mine = log_sum_exp_stream(v)
-    assert abs(mine - float(logsumexp(v))) < 1e-12
-    assert abs(log_sum_exp_stream(v + 1000.0) - mine - 1000.0) < 1e-12
-
-
-def test_streaming_lse_chunked_equals_one_shot():
-    rng = np.random.default_rng(11)
-    v = rng.normal(size=5000) * 10.0
-    acc = StreamingLogSumExp()
-    for piece in np.array_split(v, 13):
-        acc.update(piece)
-    assert abs(acc.result() - float(logsumexp(v))) < 1e-12
+    # no betas: the per-beta maps come back empty, everything else as with a beta
+    kw = dict(env=env, intervals=((-0.3, 0.3),), b_levels=(-1.0, 0.5), master_seed=3)
+    bare = run_replica(ReplicaSpec(betas=(), **kw))
+    full = run_replica(ReplicaSpec(betas=(1.0,), **kw))
+    assert bare.log_z == bare.spectrum == bare.marginal == {}
+    assert bare.min_energy == full.min_energy
+    assert bare.interval_hits == full.interval_hits
+    assert bare.exceedance.keys() == full.exceedance.keys()
+    for b in kw["b_levels"]:
+        assert np.array_equal(bare.exceedance[b], full.exceedance[b])
 
 
 def test_run_replica_beta_zero_closed_forms():
@@ -216,9 +197,9 @@ def test_exceedance_positions_pinned():
     shift = shift_constant(2)
     e = np.array([-1.0 - shift, 0.5 - shift, -0.2 - shift, 3.0 - shift])
     spec = make_spec(env=Environment(1.0, 2), betas=(1.0,), b_levels=(0.0,))
-    pos = exceedance_positions(spec, 0.0, energy_fn=pinned(e))
-    assert np.allclose(pos, [1.0, 0.2], atol=1e-12)
     res = run_replica(spec, energy_fn=pinned(e))
+    pos = res.exceedance[0.0]
+    assert np.allclose(pos, [1.0, 0.2], atol=1e-12)
     assert exceedance_count(res, 0.0) == pos.size
 
 
@@ -226,7 +207,7 @@ def test_exceedance_positions_match_run_counts():
     spec = make_spec(env=Environment(1.0, 14), betas=(1.0,), b_levels=(-2.0, 0.0))
     res = run_replica(spec)
     for b in spec.b_levels:
-        pos = exceedance_positions(spec, b)
+        pos = res.exceedance[b]
         assert pos.size == exceedance_count(res, b)
         assert np.all(pos >= b)
 
@@ -254,7 +235,9 @@ def test_engine_agrees_with_naive_oracle(alpha, beta_set):
         assert np.allclose(res.spectrum[beta].weights, w_ref, rtol=1e-10, atol=0)
         assert abs(res.spectrum[beta].tail_mass - tail_ref) < 1e-10
     assert res.interval_hits == ref["interval_hits"]
-    assert res.exceedance == ref["exceedance"]
+    assert res.exceedance.keys() == ref["exceedance"].keys()
+    for b in spec.b_levels:
+        assert np.array_equal(res.exceedance[b], ref["exceedance"][b])
 
 
 def test_multi_chunk_replica_consistent():
@@ -267,6 +250,35 @@ def test_multi_chunk_replica_consistent():
     assert res.min_energy == float(e.min())
     assert abs(res.log_z[0.9] - float(logsumexp(-0.9 * e))) < 1e-10
     assert res.interval_hits[(0.05, 0.4)] == int(np.sum((e > 0.05 * 21) & (e < 0.4 * 21)))
+
+
+def test_ground_state_in_last_chunk(monkeypatch):
+    # Eight chunks of four with a falling minimum, so every chunk rescales
+    # the sums before it.  The ground state sits in the last chunk, about
+    # 200 below the earlier minimum: at beta = 6 that rescale factor
+    # underflows to 0.
+    monkeypatch.setattr(engine, "CHUNK", 4)
+    energies = np.linspace(5.0, -3.0, 32)
+    energies[29] = -203.0
+    spec = make_spec(
+        env=Environment(1.0, 5),
+        betas=(0.0, 0.4, 6.0),
+        k_marginal=2,
+        top_m=8,
+        b_levels=(-1.0,),
+    )
+    assert math.exp(-6.0 * (energies[27] - energies[29])) == 0.0
+    res = run_replica(spec, energy_fn=pinned(energies))
+    ref = naive_replica(spec, energies)
+    assert res.min_energy == -203.0
+    for beta in spec.betas:
+        assert abs(res.log_z[beta] - ref["log_z"][beta]) < 1e-10
+        assert np.max(np.abs(res.marginal[beta] - ref["marginal"][beta])) < 1e-12
+        w_ref, tail_ref = ref["spectrum"][beta]
+        assert res.spectrum[beta].weights.size == w_ref.size
+        assert np.allclose(res.spectrum[beta].weights, w_ref, rtol=1e-10, atol=0)
+        assert abs(res.spectrum[beta].tail_mass - tail_ref) < 1e-10
+    assert np.array_equal(res.exceedance[-1.0], ref["exceedance"][-1.0])
 
 
 def test_run_replica_deterministic():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import remlab
+import remlab.experiments
 from remlab.cli import main
 from remlab.experiments import resolve_workers, run_experiment
 from remlab.manifest import (
@@ -19,7 +20,7 @@ from remlab.manifest import (
     load,
 )
 from remlab.rng import seed_derivation
-from remlab.theory import free_energy_limit
+from remlab.theory import critical_beta, free_energy_limit
 from remlab.verify import BUILTIN_NAMES, builtin_manifest, run_builtin
 
 # Key layout golden values, fixed at first release: master_seed=42,
@@ -240,6 +241,17 @@ def test_run_experiment_seed_override_changes_results(tmp_path):
     assert b.manifest.master_seed == 12
 
 
+def test_curve_shape_defaults_to_critical_beta(tmp_path):
+    # at alpha = 2 the transition is at sqrt(2 log 2), not at 1
+    doc = tiny_doc(
+        env={"alpha": 2.0, "n": 8},
+        betas=[0.5, 1.0, 1.5, 2.0],
+        checks=[{"check": "curve_shape"}],
+    )
+    outcome = run_experiment(from_dict(doc), output_dir=tmp_path)
+    assert outcome.checks[0].detail["center_beta"] == critical_beta(2.0)
+
+
 def test_exceedance_artifacts_consistent(tmp_path):
     doc = {
         "experiment": "exceedance",
@@ -265,6 +277,26 @@ def test_exceedance_artifacts_consistent(tmp_path):
         assert counts[key] == observed
     assert sum(counts.values()) == sum(tally.values())
     assert outcome.checks[0].name == "count_zero_prob(b=0)"
+
+
+def test_only_exceedance_streams_positions(tmp_path, monkeypatch):
+    # every other experiment ignores b_levels, so its replicas must not
+    # collect the positions, up to 2**n of them per level
+    seen = []
+    real = remlab.experiments.run_replica
+
+    def recording(spec):
+        seen.append((spec.betas, spec.b_levels))
+        return real(spec)
+
+    monkeypatch.setattr(remlab.experiments, "run_replica", recording)
+    run_experiment(from_dict(tiny_doc(b_levels=[-3.0])), workers=1, output_dir=tmp_path / "fe")
+    assert seen and all(levels == () for _, levels in seen)
+    seen.clear()
+    doc = {"experiment": "exceedance", "env": {"alpha": 1.0, "n": 8}, "replicas": 2,
+           "b_levels": [0.0, 1.0]}
+    run_experiment(from_dict(doc), workers=1, output_dir=tmp_path / "ex")
+    assert seen == [((), (0.0, 1.0))] * 2
 
 
 def test_rate_artifacts(tmp_path):

@@ -14,9 +14,7 @@ from remlab.engine import (
     GibbsSpectrum,
     ReplicaResult,
     ReplicaSpec,
-    energy_at,
     energy_block,
-    exceedance_count,
     free_energy,
     rate_estimate,
     run_replica,
@@ -27,18 +25,15 @@ from remlab.manifest import ExperimentManifest, ManifestError, PDBlock
 from remlab.pointprocess import (
     PDParams,
     WeightSequence,
-    l1_distance,
     sample_pd_poisson,
     sample_pd_stick,
     sample_poisson_points,
 )
 from remlab.stats import (
-    ReplicaSummary,
     TestReport,
     chi_square_gof,
     ks_one_sample,
     ks_two_sample,
-    summarize,
 )
 from remlab.theory import (
     LOG2,
@@ -66,21 +61,17 @@ __all__ = [
     "Regime",
     "ReplicaResult",
     "ReplicaSpec",
-    "ReplicaSummary",
     "RunOutcome",
     "TestReport",
     "WeightSequence",
     "chi_square_gof",
     "classify_phase",
     "critical_beta",
-    "energy_at",
     "energy_block",
-    "exceedance_count",
     "free_energy",
     "free_energy_limit",
     "ks_one_sample",
     "ks_two_sample",
-    "l1_distance",
     "poisson_count_pmf",
     "rate_estimate",
     "rate_function",
@@ -90,6 +81,5 @@ __all__ = [
     "sample_pd_stick",
     "sample_poisson_points",
     "shift_constant",
-    "summarize",
     "__version__",
 ]

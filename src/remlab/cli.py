@@ -2,7 +2,8 @@
 
 Exit codes: 0 success with all checks passing, 1 one or more checks
 failed, 2 invalid input (bad manifest, bad arguments), 3 runtime
-failure.
+failure.  Input is validated in full before a run starts, so any
+exception raised during the run is a runtime failure.
 """
 
 from __future__ import annotations
@@ -10,8 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiments import run_experiment
-from .manifest import ManifestError, load
+from .experiments import resolve_workers, run_experiment
+from .manifest import ManifestError, from_dict, load
 from .theory import classify_phase
 from .verify import BUILTIN_NAMES, run_all
 
@@ -48,6 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     try:
         manifest = load(args.manifest)
+        if args.seed is not None:
+            manifest = from_dict({**manifest.to_dict(), "master_seed": args.seed})
     except FileNotFoundError:
         print(f"error: manifest file not found: {args.manifest}", file=sys.stderr)
         return 2
@@ -55,18 +58,11 @@ def _cmd_run(args) -> int:
         print(f"manifest error: {exc}", file=sys.stderr)
         return 2
     try:
-        outcome = run_experiment(
-            manifest,
-            workers=args.workers,
-            output_dir=args.output_dir,
-            master_seed=args.seed,
-        )
+        workers = resolve_workers(manifest, args.workers)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    outcome = run_experiment(manifest, workers=workers, output_dir=args.output_dir)
     for check in outcome.checks:
         print(f"[{'PASS' if check.passed else 'FAIL'}] {check.name}")
     print(f"artifacts: {outcome.output_dir}")
@@ -85,13 +81,11 @@ def _cmd_verify(args) -> int:
             )
             return 2
     try:
-        records = run_all(workers=args.workers, output_root=args.output_dir, names=names)
+        workers = resolve_workers(None, args.workers)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    records = run_all(workers=workers, output_root=args.output_dir, names=names)
     for record in records:
         status = "PASS" if record.passed else "FAIL"
         note = " (passed after retry)" if record.retried and record.passed else ""
@@ -124,8 +118,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except Exception as exc:  # noqa: BLE001 - last-resort runtime failure mapping
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # noqa: BLE001 - every fault raised during a run
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -44,8 +44,10 @@ class ReplicaSpec:
     """Complete description of one replica and everything to measure on it.
 
     ``betas`` may include 0 (infinite temperature), where the partition
-    function is exactly 2**n; with no betas the per-beta sums and the
-    ``top_m`` pool (which only feeds the spectra) are skipped.
+    function is exactly 2**n; with no betas the per-beta sums are skipped.
+    ``top_m`` bounds the pool of lowest energies behind the Gibbs spectra;
+    with ``top_m=0`` (or no betas) the pool is skipped and ``spectrum`` is
+    empty.
     ``intervals`` are open intervals on the energy-per-site scale.
     ``b_levels`` are thresholds for the shifted extreme-value positions.
     The pair (master_seed, replica_id) keys the energy stream; distinct
@@ -84,8 +86,8 @@ class ReplicaSpec:
             if not math.isfinite(b):
                 raise ValueError(f"b_levels must be finite, got {b!r}")
         object.__setattr__(self, "b_levels", levels)
-        if not isinstance(self.top_m, int) or isinstance(self.top_m, bool) or self.top_m < 1:
-            raise ValueError(f"top_m must be an integer >= 1, got {self.top_m!r}")
+        if not isinstance(self.top_m, int) or isinstance(self.top_m, bool) or self.top_m < 0:
+            raise ValueError(f"top_m must be an integer >= 0, got {self.top_m!r}")
         # range checks on the seed fields happen here
         seed_derivation(self.master_seed, self.replica_id, ENERGY_STREAM)
 
@@ -150,13 +152,6 @@ def energy_block(spec: ReplicaSpec, lo: int, hi: int) -> np.ndarray:
     return spec.env.quantile(uniform_block(key, lo, hi))
 
 
-def energy_at(spec: ReplicaSpec, index: int) -> float:
-    """Energy of the single configuration ``index``."""
-    if not 0 <= index < spec.size:
-        raise ValueError(f"index {index} out of [0, {spec.size})")
-    return float(energy_block(spec, index, index + 1)[0])
-
-
 def run_replica(spec: ReplicaSpec, energy_fn=None) -> ReplicaResult:
     """Measure one replica exhaustively; see the module docstring.
 
@@ -171,7 +166,7 @@ def run_replica(spec: ReplicaSpec, energy_fn=None) -> ReplicaResult:
     betas = spec.betas
     mask = (1 << spec.k_marginal) - 1
     patterns = 1 << spec.k_marginal
-    keep = min(spec.top_m, size)
+    keep = min(spec.top_m, size) if betas else 0
 
     min_energy = math.inf  # running minimum; the per-beta sums are relative to it
     hits = [0] * len(spec.intervals)
@@ -203,12 +198,13 @@ def run_replica(spec: ReplicaSpec, energy_fn=None) -> ReplicaResult:
                     z_total[beta] *= factor
                     y[beta] *= factor
             min_energy = chunk_min
+        if keep:
+            pool = np.concatenate([best, e])
+            if pool.size > keep:
+                pool = np.partition(pool, keep - 1)[:keep]
+            best = pool
         if not betas:
             continue
-        pool = np.concatenate([best, e])
-        if pool.size > keep:
-            pool = np.partition(pool, keep - 1)[:keep]
-        best = pool
         shifted = e - min_energy
         z = z_buffer[: hi - lo]
         if mask:
@@ -228,10 +224,11 @@ def run_replica(spec: ReplicaSpec, energy_fn=None) -> ReplicaResult:
     for beta in betas:
         total = z_total[beta]
         log_z[beta] = math.log(total) - beta * min_energy
-        w = np.exp(-beta * (best - min_energy)) / total
-        w = w[w > 0.0]
-        spectrum[beta] = GibbsSpectrum(w, max(0.0, 1.0 - float(w.sum())))
         marginal[beta] = y[beta] / total
+        if keep:
+            w = np.exp(-beta * (best - min_energy)) / total
+            w = w[w > 0.0]
+            spectrum[beta] = GibbsSpectrum(w, max(0.0, 1.0 - float(w.sum())))
     return ReplicaResult(
         n=n,
         replica_id=spec.replica_id,
@@ -261,8 +258,3 @@ def rate_estimate(result: ReplicaResult, interval: tuple[float, float]) -> float
     if hits == 0:
         return math.inf
     return -(math.log(hits) - result.n * math.log(2.0)) / result.n
-
-
-def exceedance_count(result: ReplicaResult, b: float) -> int:
-    """Number of configurations with ``-(H + shift_constant(n)) >= b``."""
-    return result.exceedance[float(b)].size

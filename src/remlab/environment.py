@@ -147,22 +147,3 @@ class Environment:
             return float(self.tail_probability(-b) - self.tail_probability(-a))
         # interval straddles zero: combine the two exact tails
         return float(1.0 - self.tail_probability(b) - self.tail_probability(-a))
-
-    def sample_energy(self, rng: np.random.Generator, size=None):
-        """Draw energies from the environment using ``rng``.
-
-        alpha=1 uses the double-exponential inverse cdf, alpha=2 draws
-        Gaussian(0, n), and general shapes draw the magnitude as
-        ``(scale * G)**(1/alpha)`` with ``G ~ Gamma(1/alpha, 1)`` and
-        attach an independent fair sign.
-        """
-        if self.alpha == 1.0:
-            u = np.maximum(rng.random(size), 2.0 ** -54)
-            out = np.copysign(-np.log(2.0 * np.minimum(u, 1.0 - u)), u - 0.5)
-        elif self.alpha == 2.0:
-            out = rng.standard_normal(size) * math.sqrt(self.n)
-        else:
-            mag = (self.scale * rng.gamma(1.0 / self.alpha, size=size)) ** (1.0 / self.alpha)
-            sign = np.where(rng.random(size) < 0.5, -1.0, 1.0)
-            out = sign * mag
-        return out if size is not None else float(out)

@@ -5,6 +5,12 @@ values on the same grid), a resolved copy of the manifest, and
 summary.json with a pass/fail record per attached check.  Exceedance
 runs additionally emit positions.csv.
 
+``REGISTRY`` declares each experiment type once, through the
+``experiment`` and ``check`` decorators: the manifest fields it reads,
+how its replica results become tables, and its checks with their
+parameters.  The manifest parser validates against it, and
+``run_experiment`` runs every type the same way.
+
 Determinism contract: every random quantity is derived from
 (master_seed, replica or draw id, stream label) through the keyed
 counter-based generator, and aggregation happens in id order, so CSV
@@ -25,6 +31,7 @@ import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 import scipy
@@ -32,7 +39,6 @@ import scipy
 from . import __version__
 from .engine import ReplicaSpec, free_energy, rate_estimate, run_replica
 from .environment import Environment
-from .manifest import ExperimentManifest
 from .pointprocess import PDParams, sample_pd_poisson, sample_pd_stick
 from .rng import ENERGY_STREAM, POISSON_STREAM, STICK_STREAM, stream_generator
 from .stats import DEFAULT_LEVEL, chi_square_gof, ks_one_sample, ks_two_sample
@@ -45,6 +51,9 @@ from .theory import (
     shift_constant,
     truncated_exp_moment,
 )
+
+if TYPE_CHECKING:
+    from .manifest import ExperimentManifest
 
 
 @dataclass(frozen=True)
@@ -62,10 +71,62 @@ class RunOutcome:
     passed: bool
 
 
-def resolve_workers(manifest: ExperimentManifest, override=None) -> int:
-    """Worker count precedence: explicit override, manifest, REMLAB_WORKERS, 1."""
+@dataclass(frozen=True)
+class Check:
+    evaluate: Callable  # (manifest, data, **params) -> (passed, detail)
+    params: dict  # name -> (kind, default); a default of ... marks it required
+    label: str  # str.format template over the params, appended to the check name
+    needs: str  # a pd count that must be >= 1, or ""
+
+
+@dataclass(frozen=True)
+class Experiment:
+    fields: dict  # manifest field read -> whether a non-empty value is required
+    build: Callable  # (manifest, results) -> ({file: (header, rows)}, data)
+    checks: dict  # check name -> Check
+
+
+REGISTRY: dict[str, Experiment] = {}
+
+
+def experiment(name: str, **fields):
+    """Register ``build`` as experiment ``name``, reading the manifest ``fields``.
+
+    Each field maps to whether a non-empty value is required; the parser
+    rejects a non-empty value in any other of betas, intervals,
+    k_marginal, b_levels and pd.  ``top_m`` is passed to the engine only
+    where it is listed.  ``build(manifest, results)`` turns the replica
+    results into ``({file name: (header, rows)}, data)``; rows given as a
+    function are called with the CheckResults.
+    """
+
+    def register(build):
+        REGISTRY[name] = Experiment(fields, build, {})
+        return build
+
+    return register
+
+
+def check(experiment_name: str, name: str, label: str = "", needs: str = "", **params):
+    """Register ``evaluate(manifest, data, **params) -> (passed, detail)`` as a check.
+
+    ``data`` is what the experiment's ``build`` returned.  Each parameter
+    maps to ``(kind, default)``; the kinds are listed in
+    ``remlab.manifest._check_param``.  A default of ``...`` makes the
+    parameter required; a callable default is called with the manifest.
+    """
+
+    def register(evaluate):
+        REGISTRY[experiment_name].checks[name] = Check(evaluate, params, label, needs)
+        return evaluate
+
+    return register
+
+
+def resolve_workers(manifest: ExperimentManifest | None, override=None) -> int:
+    """Worker count precedence: explicit override, manifest (if any), REMLAB_WORKERS, 1."""
     value = override
-    if value is None:
+    if value is None and manifest is not None:
         value = manifest.workers
     if value is None:
         value = os.environ.get("REMLAB_WORKERS") or None
@@ -114,61 +175,93 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([_cell(v) for v in row])
 
 
-def _engine_specs(manifest: ExperimentManifest, betas, k_marginal=0, b_levels=()) -> list:
-    # b_levels only where positions are read: a replica keeps every
-    # position above each level, up to 2**n of them
+def _engine_specs(manifest: ExperimentManifest, fields: dict) -> list:
+    # The parser leaves the fields an experiment does not read empty; top_m
+    # has a non-zero default, and 0 skips the Gibbs pool where no spectrum
+    # is read.  An experiment that reads no field streams no replica.
     env = Environment(manifest.alpha, manifest.n)
     return [
         ReplicaSpec(
             env=env,
-            betas=betas,
-            k_marginal=k_marginal,
+            betas=manifest.betas,
+            k_marginal=manifest.k_marginal,
             intervals=manifest.intervals,
-            b_levels=b_levels,
-            top_m=manifest.top_m,
+            b_levels=manifest.b_levels,
+            top_m=manifest.top_m if "top_m" in fields else 0,
             master_seed=manifest.master_seed,
             replica_id=i,
         )
-        for i in range(manifest.replicas)
+        for i in range(manifest.replicas if fields else 0)
     ]
+
+
+def _check_params(manifest: ExperimentManifest, item: dict) -> dict:
+    """A manifest check's parameters as numbers, with the registry defaults filled in."""
+    params = {}
+    spec = REGISTRY[manifest.experiment].checks[item["check"]]
+    for name, (kind, default) in spec.params.items():
+        value = item.get(name, default)
+        if callable(value):
+            value = value(manifest)
+        if kind == "interval":
+            params[name] = (float(value[0]), float(value[1]))
+        else:
+            params[name] = int(value) if kind in ("count", "replicas") else float(value)
+    return params
+
+
+def _evaluate(manifest: ExperimentManifest, data, item: dict) -> CheckResult:
+    spec = REGISTRY[manifest.experiment].checks[item["check"]]
+    params = _check_params(manifest, item)
+    passed, detail = spec.evaluate(manifest, data, **params)
+    return CheckResult(item["check"] + spec.label.format(**params), passed, detail)
+
+
+_BETA = ("beta", ...)
+_INTERVAL = ("interval", ...)
+_B_LEVEL = ("b", ...)
+_POSITIVE = ("positive", ...)
+_LEVEL = ("positive", DEFAULT_LEVEL)
+_INTERVAL_LABEL = "({interval[0]:g},{interval[1]:g})"
 
 
 # --------------------------------------------------------------------------
 # free_energy
 
 
-def _run_free_energy(manifest: ExperimentManifest, workers: int):
-    specs = _engine_specs(manifest, manifest.betas)
-    results = _map_tasks(_replica_task, specs, workers)
+@experiment("free_energy", betas=True)
+def _free_energy(manifest: ExperimentManifest, results):
     fe = {beta: [free_energy(r, beta) for r in results] for beta in manifest.betas}
     rows = [
-        (beta, i, results[i].log_z[beta], fe[beta][i])
+        (beta, i, r.log_z[beta], fe[beta][i])
         for beta in manifest.betas
-        for i in range(len(results))
+        for i, r in enumerate(results)
     ]
     theory_rows = [(beta, free_energy_limit(manifest.alpha, beta)) for beta in manifest.betas]
-    checks = [_eval_free_energy_check(c, manifest, fe) for c in manifest.checks]
     tables = {
         "results.csv": (("beta", "replica", "log_z", "free_energy"), rows),
         "theory.csv": (("beta", "limit"), theory_rows),
     }
-    return tables, checks
+    return tables, fe
 
 
-def _eval_free_energy_check(check: dict, manifest: ExperimentManifest, fe: dict) -> CheckResult:
-    if check["check"] == "mean_within":
-        beta = float(check["beta"])
-        tol = float(check["tol"])
-        mean = float(np.mean(fe[beta]))
-        target = free_energy_limit(manifest.alpha, beta)
-        deviation = abs(mean - target)
-        return CheckResult(
-            f"mean_within(beta={beta:g})",
-            deviation <= tol,
-            {"beta": beta, "mean": mean, "target": target, "tol": tol, "deviation": deviation},
-        )
-    center = float(check.get("center_beta", critical_beta(manifest.alpha)))
-    window = float(check.get("window", 0.25))
+@check("free_energy", "mean_within", "(beta={beta:g})", beta=_BETA, tol=_POSITIVE)
+def _mean_within(manifest: ExperimentManifest, fe: dict, beta: float, tol: float):
+    mean = float(np.mean(fe[beta]))
+    target = free_energy_limit(manifest.alpha, beta)
+    deviation = abs(mean - target)
+    return deviation <= tol, {
+        "beta": beta, "mean": mean, "target": target, "tol": tol, "deviation": deviation,
+    }
+
+
+@check(
+    "free_energy",
+    "curve_shape",
+    center_beta=("number", lambda manifest: critical_beta(manifest.alpha)),
+    window=("positive", 0.25),
+)
+def _curve_shape(manifest: ExperimentManifest, fe: dict, center_beta: float, window: float):
     betas = sorted(manifest.betas)
     means = [float(np.mean(fe[b])) for b in betas]
     slopes = [
@@ -178,19 +271,15 @@ def _eval_free_energy_check(check: dict, manifest: ExperimentManifest, fe: dict)
     nondecreasing = all(m2 >= m1 - 1e-9 for m1, m2 in zip(means, means[1:]))
     deviations = [abs(m - free_energy_limit(manifest.alpha, b)) for b, m in zip(betas, means)]
     peak = int(np.argmax(deviations))
-    peak_near_center = abs(betas[peak] - center) <= window + 1e-12
-    return CheckResult(
-        "curve_shape",
-        convex and nondecreasing and peak_near_center,
-        {
-            "convex": convex,
-            "nondecreasing": nondecreasing,
-            "max_deviation": deviations[peak],
-            "max_deviation_beta": betas[peak],
-            "center_beta": center,
-            "window": window,
-        },
-    )
+    peak_near_center = abs(betas[peak] - center_beta) <= window + 1e-12
+    return convex and nondecreasing and peak_near_center, {
+        "convex": convex,
+        "nondecreasing": nondecreasing,
+        "max_deviation": deviations[peak],
+        "max_deviation_beta": betas[peak],
+        "center_beta": center_beta,
+        "window": window,
+    }
 
 
 # --------------------------------------------------------------------------
@@ -203,19 +292,17 @@ def _interval_rate_limit(alpha: float, low: float, high: float) -> float:
     return decay if decay < LOG2 else math.inf
 
 
-def _run_rate_function(manifest: ExperimentManifest, workers: int):
-    specs = _engine_specs(manifest, ())
-    results = _map_tasks(_replica_task, specs, workers)
+@experiment("rate_function", intervals=True)
+def _rate_function(manifest: ExperimentManifest, results):
     rows = [
-        (low, high, i, results[i].interval_hits[(low, high)], rate_estimate(results[i], (low, high)))
+        (low, high, i, r.interval_hits[(low, high)], rate_estimate(r, (low, high)))
         for (low, high) in manifest.intervals
-        for i in range(len(results))
+        for i, r in enumerate(results)
     ]
     theory_rows = [
         (low, high, _interval_rate_limit(manifest.alpha, low, high))
         for (low, high) in manifest.intervals
     ]
-    checks = [_eval_rate_check(c, manifest, results) for c in manifest.checks]
     tables = {
         "results.csv": (
             ("interval_low", "interval_high", "replica", "hits", "rate_estimate"),
@@ -223,161 +310,155 @@ def _run_rate_function(manifest: ExperimentManifest, workers: int):
         ),
         "theory.csv": (("interval_low", "interval_high", "rate_limit"), theory_rows),
     }
-    return tables, checks
+    return tables, {iv: [r.interval_hits[iv] for r in results] for iv in manifest.intervals}
 
 
-def _eval_rate_check(check: dict, manifest: ExperimentManifest, results) -> CheckResult:
-    interval = (float(check["interval"][0]), float(check["interval"][1]))
-    hits = [r.interval_hits[interval] for r in results]
-    label = f"({interval[0]:g},{interval[1]:g})"
-    if check["check"] == "pooled_rate_in":
-        total = sum(hits)
-        n = manifest.n
-        pooled = math.inf
-        if total > 0:
-            pooled = -(math.log(total / len(hits)) - n * LOG2) / n
-        low, high = float(check["low"]), float(check["high"])
-        return CheckResult(
-            f"pooled_rate_in{label}",
-            low <= pooled <= high,
-            {"interval": list(interval), "pooled_rate": pooled, "low": low, "high": high,
-             "total_hits": int(total)},
-        )
-    if check["check"] == "zero_hits":
-        return CheckResult(
-            f"zero_hits{label}",
-            all(h == 0 for h in hits),
-            {"interval": list(interval), "max_hits": int(max(hits))},
-        )
-    threshold = float(check["threshold"])
-    needed = int(check["min_replicas"])
+@check(
+    "rate_function",
+    "pooled_rate_in",
+    _INTERVAL_LABEL,
+    interval=_INTERVAL,
+    low=("number", ...),
+    high=("number", ...),
+)
+def _pooled_rate_in(manifest: ExperimentManifest, hits: dict, interval, low, high):
+    total = sum(hits[interval])
+    n = manifest.n
+    pooled = math.inf
+    if total > 0:
+        pooled = -(math.log(total / len(hits[interval])) - n * LOG2) / n
+    return low <= pooled <= high, {
+        "interval": list(interval), "pooled_rate": pooled, "low": low, "high": high,
+        "total_hits": int(total),
+    }
+
+
+@check("rate_function", "zero_hits", _INTERVAL_LABEL, interval=_INTERVAL)
+def _zero_hits(manifest: ExperimentManifest, hits: dict, interval):
+    counts = hits[interval]
+    return all(h == 0 for h in counts), {"interval": list(interval), "max_hits": int(max(counts))}
+
+
+@check(
+    "rate_function",
+    "outside_fraction_below",
+    "({threshold:g})",
+    interval=_INTERVAL,
+    threshold=_POSITIVE,
+    min_replicas=("replicas", ...),
+)
+def _outside_fraction_below(manifest, hits: dict, interval, threshold, min_replicas):
     size = 1 << manifest.n
-    fractions = [1.0 - h / size for h in hits]
+    fractions = [1.0 - h / size for h in hits[interval]]
     below = sum(f < threshold for f in fractions)
-    return CheckResult(
-        f"outside_fraction_below({threshold:g})",
-        below >= needed,
-        {"interval": list(interval), "threshold": threshold, "replicas_below": int(below),
-         "min_replicas": needed, "fractions": [float(f) for f in fractions]},
-    )
+    return below >= min_replicas, {
+        "interval": list(interval), "threshold": threshold, "replicas_below": int(below),
+        "min_replicas": min_replicas, "fractions": [float(f) for f in fractions],
+    }
 
 
 # --------------------------------------------------------------------------
 # marginals
 
 
-def _run_marginals(manifest: ExperimentManifest, workers: int):
-    specs = _engine_specs(manifest, manifest.betas, k_marginal=manifest.k_marginal)
-    results = _map_tasks(_replica_task, specs, workers)
+@experiment("marginals", betas=True, k_marginal=True)
+def _marginals(manifest: ExperimentManifest, results):
     patterns = 1 << manifest.k_marginal
     rows = [
-        (beta, i, pattern, float(results[i].marginal[beta][pattern]))
+        (beta, i, pattern, float(r.marginal[beta][pattern]))
         for beta in manifest.betas
-        for i in range(len(results))
+        for i, r in enumerate(results)
         for pattern in range(patterns)
     ]
     theory_rows = [(pattern, 1.0 / patterns) for pattern in range(patterns)]
-    checks = []
-    for check in manifest.checks:
-        beta = float(check["beta"])
-        tol = float(check["tol"])
-        # Averaging over replicas is essential near the transition, where the
-        # top Gibbs weight makes any single replica's marginal macroscopically
-        # lopsided even though the mean is exactly uniform.
-        averaged = np.mean([r.marginal[beta] for r in results], axis=0)
-        worst = float(np.max(np.abs(averaged - 1.0 / patterns)))
-        checks.append(
-            CheckResult(
-                f"max_marginal_deviation(beta={beta:g})",
-                worst < tol,
-                {"beta": beta, "max_deviation": worst, "tol": tol,
-                 "patterns": patterns, "replicas": len(results)},
-            )
-        )
     tables = {
         "results.csv": (("beta", "replica", "pattern", "weight"), rows),
         "theory.csv": (("pattern", "limit"), theory_rows),
     }
-    return tables, checks
+    return tables, results
+
+
+@check("marginals", "max_marginal_deviation", "(beta={beta:g})", beta=_BETA, tol=_POSITIVE)
+def _max_marginal_deviation(manifest: ExperimentManifest, results, beta: float, tol: float):
+    patterns = 1 << manifest.k_marginal
+    # Averaging over replicas is essential near the transition, where the
+    # top Gibbs weight makes any single replica's marginal macroscopically
+    # lopsided even though the mean is exactly uniform.
+    averaged = np.mean([r.marginal[beta] for r in results], axis=0)
+    worst = float(np.max(np.abs(averaged - 1.0 / patterns)))
+    return worst < tol, {
+        "beta": beta, "max_deviation": worst, "tol": tol,
+        "patterns": patterns, "replicas": len(results),
+    }
 
 
 # --------------------------------------------------------------------------
 # exceedance
 
 
-def _run_exceedance(manifest: ExperimentManifest, workers: int):
-    specs = _engine_specs(manifest, (), b_levels=manifest.b_levels)
-    results = _map_tasks(_replica_task, specs, workers)
-    count_rows = []
-    position_rows = []
-    counts = {b: [] for b in manifest.b_levels}
-    pooled = {b: [] for b in manifest.b_levels}
-    for b in manifest.b_levels:
-        for i, result in enumerate(results):
-            pts = result.exceedance[b]
-            counts[b].append(pts.size)
-            pooled[b].append(pts)
-            count_rows.append((b, i, int(pts.size)))
-            position_rows.extend((b, i, float(p)) for p in pts)
-    kmax_table = max(
-        [int(c.get("kmax", 5)) for c in manifest.checks if c["check"] == "count_chi_square"],
-        default=8,
-    )
-    kmax_table = max(kmax_table, 8)
-    theory_rows = [
-        (b, k, poisson_count_pmf(b, k)) for b in manifest.b_levels for k in range(kmax_table + 1)
+@experiment("exceedance", b_levels=True)
+def _exceedance(manifest: ExperimentManifest, results):
+    positions = {b: [r.exceedance[b] for r in results] for b in manifest.b_levels}
+    count_rows = [
+        (b, i, int(pts.size)) for b in manifest.b_levels for i, pts in enumerate(positions[b])
     ]
-    checks = [_eval_exceedance_check(c, counts, pooled) for c in manifest.checks]
+    position_rows = [
+        (b, i, float(p))
+        for b in manifest.b_levels
+        for i, pts in enumerate(positions[b])
+        for p in pts
+    ]
+    kmax = max([8] + [_check_params(manifest, c).get("kmax", 8) for c in manifest.checks])
+    theory_rows = [
+        (b, k, poisson_count_pmf(b, k)) for b in manifest.b_levels for k in range(kmax + 1)
+    ]
     tables = {
         "results.csv": (("b", "replica", "count"), count_rows),
         "positions.csv": (("b", "replica", "position"), position_rows),
         "theory.csv": (("b", "k", "probability"), theory_rows),
     }
-    return tables, checks
+    return tables, positions
 
 
-def _eval_exceedance_check(check: dict, counts: dict, pooled: dict) -> CheckResult:
-    b = float(check["b"])
-    values = np.asarray(counts[b])
-    if check["check"] == "count_zero_prob":
-        tol = float(check["tol"])
-        observed = float(np.mean(values == 0))
-        target = poisson_count_pmf(b, 0)
-        return CheckResult(
-            f"count_zero_prob(b={b:g})",
-            abs(observed - target) <= tol,
-            {"b": b, "observed": observed, "target": target, "tol": tol},
-        )
-    if check["check"] == "count_chi_square":
-        kmax = int(check.get("kmax", 5))
-        level = float(check.get("level", DEFAULT_LEVEL))
-        observed = np.bincount(np.minimum(values, kmax + 1), minlength=kmax + 2)
-        probs = [poisson_count_pmf(b, k) for k in range(kmax + 1)]
-        probs.append(1.0 - sum(probs))
-        report = chi_square_gof(observed, probs, level)
-        return CheckResult(
-            f"count_chi_square(b={b:g})",
-            report.verdict == "pass",
-            {"b": b, "statistic": report.statistic, "p_value": report.p_value,
-             "level": level, "bins": report.sample_sizes[1]},
-        )
-    level = float(check.get("level", DEFAULT_LEVEL))
-    positions = np.concatenate(pooled[b]) if pooled[b] else np.empty(0)
-    if positions.size == 0:
-        return CheckResult(
-            f"positions_ks(b={b:g})", False, {"b": b, "reason": "no exceedances observed"}
-        )
+def _counts(positions: dict, b: float) -> np.ndarray:
+    return np.asarray([pts.size for pts in positions[b]])
+
+
+@check("exceedance", "count_zero_prob", "(b={b:g})", b=_B_LEVEL, tol=_POSITIVE)
+def _count_zero_prob(manifest: ExperimentManifest, positions: dict, b: float, tol: float):
+    observed = float(np.mean(_counts(positions, b) == 0))
+    target = poisson_count_pmf(b, 0)
+    return abs(observed - target) <= tol, {
+        "b": b, "observed": observed, "target": target, "tol": tol,
+    }
+
+
+@check("exceedance", "count_chi_square", "(b={b:g})", b=_B_LEVEL, kmax=("count", 5), level=_LEVEL)
+def _count_chi_square(manifest, positions: dict, b: float, kmax: int, level: float):
+    observed = np.bincount(np.minimum(_counts(positions, b), kmax + 1), minlength=kmax + 2)
+    probs = [poisson_count_pmf(b, k) for k in range(kmax + 1)]
+    probs.append(1.0 - sum(probs))
+    report = chi_square_gof(observed, probs, level)
+    return report.verdict == "pass", {
+        "b": b, "statistic": report.statistic, "p_value": report.p_value,
+        "level": level, "bins": report.sample_sizes[1],
+    }
+
+
+@check("exceedance", "positions_ks", "(b={b:g})", b=_B_LEVEL, level=_LEVEL)
+def _positions_ks(manifest: ExperimentManifest, positions: dict, b: float, level: float):
+    pooled = np.concatenate(positions[b]) if positions[b] else np.empty(0)
+    if pooled.size == 0:
+        return False, {"b": b, "reason": "no exceedances observed"}
 
     def shifted_exp_cdf(t):
         return np.where(t < b, 0.0, -np.expm1(-(np.asarray(t, dtype=float) - b)))
 
-    report = ks_one_sample(positions, shifted_exp_cdf, level)
-    return CheckResult(
-        f"positions_ks(b={b:g})",
-        report.verdict == "pass",
-        {"b": b, "statistic": report.statistic, "p_value": report.p_value,
-         "level": level, "pooled_points": int(positions.size)},
-    )
+    report = ks_one_sample(pooled, shifted_exp_cdf, level)
+    return report.verdict == "pass", {
+        "b": b, "statistic": report.statistic, "p_value": report.p_value,
+        "level": level, "pooled_points": int(pooled.size),
+    }
 
 
 # --------------------------------------------------------------------------
@@ -388,11 +469,10 @@ def _spectrum_stats(weights: np.ndarray) -> tuple[float, float]:
     return float(weights[0]), float(np.sum(np.square(weights)))
 
 
-def _run_pd_compare(manifest: ExperimentManifest, workers: int):
-    beta = manifest.betas[0]
+@experiment("pd_compare", betas=True, top_m=False, pd=True)
+def _pd_compare(manifest: ExperimentManifest, results):
+    (beta,) = manifest.betas
     pd = manifest.pd
-    specs = _engine_specs(manifest, (beta,))
-    results = _map_tasks(_replica_task, specs, workers)
     gibbs = [_spectrum_stats(r.spectrum[beta].weights) for r in results]
     rows = [(beta, i, w1, sumsq) for i, (w1, sumsq) in enumerate(gibbs)]
 
@@ -406,40 +486,44 @@ def _run_pd_compare(manifest: ExperimentManifest, workers: int):
         rng = stream_generator(manifest.master_seed, draw_id, STICK_STREAM)
         return _spectrum_stats(sample_pd_stick(pd.m, pd.stick_length, rng).entries)
 
-    reference = [poisson_draw(i) for i in range(pd.draws)]
-    cross = [poisson_draw(pd.draws + j) for j in range(pd.stick_draws)]
-    sticks = [stick_draw(j) for j in range(pd.stick_draws)]
-    theory_rows = (
-        [("pd_poisson", i, w1, sumsq) for i, (w1, sumsq) in enumerate(reference)]
-        + [("pd_poisson_cross", j, w1, sumsq) for j, (w1, sumsq) in enumerate(cross)]
-        + [("pd_stick", j, w1, sumsq) for j, (w1, sumsq) in enumerate(sticks)]
-    )
-
-    checks = []
-    for check in manifest.checks:
-        bound = float(check["max_statistic"])
-        if check["check"] == "ks_w1":
-            report = ks_two_sample([g[0] for g in gibbs], [r[0] for r in reference])
-            name = "ks_w1"
-        elif check["check"] == "ks_sumsq":
-            report = ks_two_sample([g[1] for g in gibbs], [r[1] for r in reference])
-            name = "ks_sumsq"
-        else:
-            report = ks_two_sample([c[0] for c in cross], [s[0] for s in sticks])
-            name = "stick_ks_w1"
-        checks.append(
-            CheckResult(
-                name,
-                report.statistic < bound,
-                {"statistic": report.statistic, "max_statistic": bound,
-                 "p_value": report.p_value, "sample_sizes": list(report.sample_sizes)},
-            )
-        )
+    samples = {
+        "gibbs": gibbs,
+        "pd_poisson": [poisson_draw(i) for i in range(pd.draws)],
+        "pd_poisson_cross": [poisson_draw(pd.draws + j) for j in range(pd.stick_draws)],
+        "pd_stick": [stick_draw(j) for j in range(pd.stick_draws)],
+    }
+    theory_rows = [
+        (source, i, w1, sumsq)
+        for source in ("pd_poisson", "pd_poisson_cross", "pd_stick")
+        for i, (w1, sumsq) in enumerate(samples[source])
+    ]
     tables = {
         "results.csv": (("beta", "replica", "w1", "sumsq"), rows),
         "theory.csv": (("source", "draw", "w1", "sumsq"), theory_rows),
     }
-    return tables, checks
+    return tables, samples
+
+
+def _ks(first: str, second: str, column: int) -> Callable:
+    """Two-sample KS on one column (0: w1, 1: sumsq) of two pd_compare samples."""
+
+    def evaluate(manifest: ExperimentManifest, samples: dict, max_statistic: float):
+        report = ks_two_sample(
+            [s[column] for s in samples[first]], [s[column] for s in samples[second]]
+        )
+        return report.statistic < max_statistic, {
+            "statistic": report.statistic, "max_statistic": max_statistic,
+            "p_value": report.p_value, "sample_sizes": list(report.sample_sizes),
+        }
+
+    return evaluate
+
+
+check("pd_compare", "ks_w1", max_statistic=_POSITIVE)(_ks("gibbs", "pd_poisson", 0))
+check("pd_compare", "ks_sumsq", max_statistic=_POSITIVE)(_ks("gibbs", "pd_poisson", 1))
+check("pd_compare", "stick_ks_w1", needs="stick_draws", max_statistic=_POSITIVE)(
+    _ks("pd_poisson_cross", "pd_stick", 0)
+)
 
 
 # --------------------------------------------------------------------------
@@ -453,15 +537,47 @@ _GAUSS_BETAS = (0.2, 0.5, 0.8, 1.0)
 _GAUSS_DELTAS = (1.6651092223153954, 1.8, 2.2)
 
 
-def _diag_bound_suite() -> CheckResult:
-    cases = 0
-    violations = 0
+@experiment("diagnostics")
+def _diagnostics(manifest: ExperimentManifest, results):
+    theory_rows = [
+        (alpha, 0.25 * k, free_energy_limit(alpha, 0.25 * k))
+        for alpha in (1.0, 2.0)
+        for k in range(1, 9)
+    ]
+    tables = {
+        "results.csv": (
+            ("check", "cases", "violations"),
+            lambda checks: [(c.name, c.detail["cases"], c.detail["violations"]) for c in checks],
+        ),
+        "theory.csv": (("alpha", "beta", "limit"), theory_rows),
+    }
+    return tables, None
 
-    def record(ok: bool):
-        nonlocal cases, violations
-        cases += 1
-        violations += not ok
 
+def _suite(name: str, worst_key: str = ""):
+    """Register a generator of case verdicts as a diagnostics check.
+
+    The generator yields ``ok`` per case, or ``(ok, error)`` when
+    ``worst_key`` names the detail entry for the largest error.
+    """
+
+    def register(cases):
+        def evaluate(manifest: ExperimentManifest, data):
+            outcomes = list(cases()) if worst_key else [(ok, 0.0) for ok in cases()]
+            violations = sum(not ok for ok, _ in outcomes)
+            detail = {"cases": len(outcomes), "violations": violations}
+            if worst_key:
+                detail[worst_key] = max(error for _, error in outcomes)
+            return violations == 0, detail
+
+        check("diagnostics", name)(evaluate)
+        return cases
+
+    return register
+
+
+@_suite("bound_suite")
+def _bound_cases():
     for n in _DIAG_N:
         env = Environment(1.0, n)
         for low, high in _SANDWICH_INTERVALS:
@@ -469,81 +585,60 @@ def _diag_bound_suite() -> CheckResult:
             near = 0.0 if low < 0.0 < high else min(abs(low), abs(high))
             far = max(abs(low), abs(high))
             gap = (far - near) / 2.0
-            record(q <= math.exp(-n * near) * (1.0 + 1e-12))
-            record(q > 0.5 * gap * math.exp(-(n * near + gap)))
+            yield q <= math.exp(-n * near) * (1.0 + 1e-12)
+            yield q > 0.5 * gap * math.exp(-(n * near + gap))
     for beta in _LAPLACE_BETAS:
         for delta in _LAPLACE_DELTAS:
             for n in _DIAG_N:
                 dn = delta * n
-                record(dn > math.log((1.0 + beta) / (2.0 * beta)) / (1.0 - beta))
+                yield dn > math.log((1.0 + beta) / (2.0 * beta)) / (1.0 - beta)
                 first = truncated_exp_moment(1, beta, delta, n, order=1)
-                record(first > 1.0 / (1.0 + beta))
+                yield first > 1.0 / (1.0 + beta)
                 second = truncated_exp_moment(1, beta, delta, n, order=2)
                 g = 2.0 * beta
                 if g < 1.0:
-                    record(second <= 1.0 / (1.0 - g * g))
+                    yield second <= 1.0 / (1.0 - g * g)
                 elif g == 1.0:
-                    record(second <= 0.5 * (1.0 + dn))
+                    yield second <= 0.5 * (1.0 + dn)
                 else:
-                    record(second <= math.exp((g - 1.0) * dn) / (2.0 * (g - 1.0)))
+                    yield second <= math.exp((g - 1.0) * dn) / (2.0 * (g - 1.0))
     for beta in _GAUSS_BETAS:
         for delta in _GAUSS_DELTAS:
             for n in _DIAG_N:
-                record(delta > beta)
+                yield delta > beta
                 first = truncated_exp_moment(2, beta, delta, n, order=1)
-                record(first > 0.5 * math.exp(0.5 * beta * beta * n))
+                yield first > 0.5 * math.exp(0.5 * beta * beta * n)
                 second = truncated_exp_moment(2, beta, delta, n, order=2)
                 if beta <= delta / 2.0:
-                    record(second <= math.exp(2.0 * beta * beta * n))
+                    yield second <= math.exp(2.0 * beta * beta * n)
                 else:
                     bound = math.exp((2.0 * delta * beta - 0.5 * delta * delta) * n) / (
                         (2.0 * beta - delta) * math.sqrt(2.0 * math.pi * n)
                     )
-                    record(second <= bound)
-    return CheckResult("bound_suite", violations == 0, {"cases": cases, "violations": violations})
+                    yield second <= bound
 
 
-def _diag_limit_continuity() -> CheckResult:
-    cases = 0
-    violations = 0
-    worst = 0.0
+@_suite("limit_continuity", "max_gap")
+def _continuity_gaps():
     for alpha in (1.0, 1.5, 2.0, 3.0):
         bc = critical_beta(alpha)
         gap = abs(free_energy_limit(alpha, bc - 1e-9) - free_energy_limit(alpha, bc + 1e-9))
-        worst = max(worst, gap)
-        cases += 1
-        violations += not gap <= 1e-7
-    return CheckResult(
-        "limit_continuity",
-        violations == 0,
-        {"cases": cases, "violations": violations, "max_gap": worst},
-    )
+        yield gap <= 1e-7, gap
 
 
-def _diag_shift_identity() -> CheckResult:
-    cases = 0
-    violations = 0
-    worst = 0.0
+@_suite("shift_identity", "max_relative_error")
+def _shift_errors():
     for n in (2, 11, 24):
         env = Environment(1.0, n)
         for b in (0.0, 1.0, 2.5):
             expected = math.exp(-b)
             got = (1 << n) * env.tail_probability(shift_constant(n) + b)
             err = abs(got - expected) / expected
-            worst = max(worst, err)
-            cases += 1
-            violations += not err <= 1e-12
-    return CheckResult(
-        "shift_identity",
-        violations == 0,
-        {"cases": cases, "violations": violations, "max_relative_error": worst},
-    )
+            yield err <= 1e-12, err
 
 
-def _diag_varadhan_balance() -> CheckResult:
-    cases = 0
-    violations = 0
-    worst = 0.0
+@_suite("varadhan_balance", "max_error")
+def _varadhan_errors():
     for alpha in (1.0, 1.5, 2.0, 3.0):
         for k in range(1, 9):
             beta = 0.25 * k
@@ -553,67 +648,17 @@ def _diag_varadhan_balance() -> CheckResult:
                 star = -min(beta ** (1.0 / (alpha - 1.0)), (alpha * LOG2) ** (1.0 / alpha))
             balance = LOG2 - beta * star - rate_function(alpha, star)
             err = abs(free_energy_limit(alpha, beta) - balance)
-            worst = max(worst, err)
-            cases += 1
-            violations += not err <= 1e-12
-    return CheckResult(
-        "varadhan_balance",
-        violations == 0,
-        {"cases": cases, "violations": violations, "max_error": worst},
-    )
+            yield err <= 1e-12, err
 
 
-def _diag_pmf_normalization() -> CheckResult:
-    cases = 0
-    violations = 0
-    worst = 0.0
+@_suite("pmf_normalization", "max_error")
+def _pmf_errors():
     for b in (-2.0, 0.0, 2.0):
-        total = sum(poisson_count_pmf(b, k) for k in range(201))
-        err = abs(total - 1.0)
-        worst = max(worst, err)
-        cases += 1
-        violations += not err <= 1e-10
-    return CheckResult(
-        "pmf_normalization",
-        violations == 0,
-        {"cases": cases, "violations": violations, "max_error": worst},
-    )
+        err = abs(sum(poisson_count_pmf(b, k) for k in range(201)) - 1.0)
+        yield err <= 1e-10, err
 
 
-_DIAG_CHECKS = {
-    "bound_suite": _diag_bound_suite,
-    "limit_continuity": _diag_limit_continuity,
-    "shift_identity": _diag_shift_identity,
-    "varadhan_balance": _diag_varadhan_balance,
-    "pmf_normalization": _diag_pmf_normalization,
-}
-
-
-def _run_diagnostics(manifest: ExperimentManifest, workers: int):
-    checks = [_DIAG_CHECKS[c["check"]]() for c in manifest.checks]
-    rows = [
-        (c.name, c.detail.get("cases", 0), c.detail.get("violations", 0)) for c in checks
-    ]
-    theory_rows = [
-        (alpha, 0.25 * k, free_energy_limit(alpha, 0.25 * k))
-        for alpha in (1.0, 2.0)
-        for k in range(1, 9)
-    ]
-    tables = {
-        "results.csv": (("check", "cases", "violations"), rows),
-        "theory.csv": (("alpha", "beta", "limit"), theory_rows),
-    }
-    return tables, checks
-
-
-_RUNNERS = {
-    "free_energy": _run_free_energy,
-    "rate_function": _run_rate_function,
-    "marginals": _run_marginals,
-    "exceedance": _run_exceedance,
-    "pd_compare": _run_pd_compare,
-    "diagnostics": _run_diagnostics,
-}
+# --------------------------------------------------------------------------
 
 
 def run_experiment(
@@ -635,9 +680,12 @@ def run_experiment(
     target.mkdir(parents=True, exist_ok=True)
     resolved = dataclasses.replace(manifest, output_dir=str(target), workers=count)
 
-    tables, checks = _RUNNERS[resolved.experiment](resolved, count)
+    entry = REGISTRY[resolved.experiment]
+    results = _map_tasks(_replica_task, _engine_specs(resolved, entry.fields), count)
+    tables, data = entry.build(resolved, results)
+    checks = [_evaluate(resolved, data, item) for item in resolved.checks]
     for name, (header, rows) in tables.items():
-        _write_csv(target / name, header, rows)
+        _write_csv(target / name, header, rows(checks) if callable(rows) else rows)
     with open(target / "manifest.json", "w", encoding="utf-8") as handle:
         handle.write(resolved.to_json())
 

@@ -3,8 +3,11 @@
 A manifest fixes everything a run needs (environment, temperatures,
 replica count, seeds, experiment-specific blocks, attached checks) so
 that a run is reproducible from the file alone.  Validation failures
-carry the JSON path of the offending field.  ``from_json(to_json(m))``
-returns an equal manifest; that round trip is part of the test suite.
+carry the JSON path of the offending field.  The experiment registry
+(``remlab.experiments.REGISTRY``) says which fields and checks each
+experiment reads; a field it does not read must be left unset.
+``from_json(to_json(m))`` returns an equal manifest; that round trip is
+part of the test suite.
 """
 
 from __future__ import annotations
@@ -15,55 +18,12 @@ import math
 from dataclasses import dataclass
 
 from .engine import MAX_N
-
-EXPERIMENTS = (
-    "free_energy",
-    "rate_function",
-    "marginals",
-    "exceedance",
-    "pd_compare",
-    "diagnostics",
-)
+from .experiments import REGISTRY
 
 MAX_SEED = 1 << 64
 
-# Check vocabulary per experiment type.  Each entry maps a check name to
-# the parameter fields it accepts (True = required).
-CHECK_SCHEMAS = {
-    "free_energy": {
-        "mean_within": {"beta": True, "tol": True},
-        "curve_shape": {"center_beta": False, "window": False},
-    },
-    "rate_function": {
-        "pooled_rate_in": {"interval": True, "low": True, "high": True},
-        "zero_hits": {"interval": True},
-        "outside_fraction_below": {
-            "interval": True,
-            "threshold": True,
-            "min_replicas": True,
-        },
-    },
-    "marginals": {
-        "max_marginal_deviation": {"beta": True, "tol": True},
-    },
-    "exceedance": {
-        "count_zero_prob": {"b": True, "tol": True},
-        "count_chi_square": {"b": True, "kmax": False, "level": False},
-        "positions_ks": {"b": True, "level": False},
-    },
-    "pd_compare": {
-        "ks_w1": {"max_statistic": True},
-        "ks_sumsq": {"max_statistic": True},
-        "stick_ks_w1": {"max_statistic": True},
-    },
-    "diagnostics": {
-        "bound_suite": {},
-        "limit_continuity": {},
-        "shift_identity": {},
-        "varadhan_balance": {},
-        "pmf_normalization": {},
-    },
-}
+# The fields only some experiments read, with the value that leaves them unset.
+_READ_FIELDS = {"betas": [], "intervals": [], "k_marginal": 0, "b_levels": [], "pd": None}
 
 
 class ManifestError(ValueError):
@@ -132,14 +92,7 @@ class ExperimentManifest:
             "checks": [dict(c) for c in self.checks],
         }
         if self.pd is not None:
-            doc["pd"] = {
-                "m": self.pd.m,
-                "epsilon_mass": self.pd.epsilon_mass,
-                "draws": self.pd.draws,
-                "truncation_b": self.pd.truncation_b,
-                "stick_draws": self.pd.stick_draws,
-                "stick_length": self.pd.stick_length,
-            }
+            doc["pd"] = dataclasses.asdict(self.pd)
         if self.output_dir is not None:
             doc["output_dir"] = self.output_dir
         if self.workers is not None:
@@ -150,23 +103,9 @@ class ExperimentManifest:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-_TOP_LEVEL_KEYS = {
-    "experiment",
-    "env",
-    "betas",
-    "replicas",
-    "master_seed",
-    "intervals",
-    "k_marginal",
-    "b_levels",
-    "top_m",
-    "pd",
-    "checks",
-    "output_dir",
-    "workers",
-}
-
-_PD_KEYS = {"m", "epsilon_mass", "draws", "truncation_b", "stick_draws", "stick_length"}
+_TOP_LEVEL_KEYS = {f.name for f in dataclasses.fields(ExperimentManifest)} - {"alpha", "n"}
+_TOP_LEVEL_KEYS.add("env")
+_PD_KEYS = {f.name for f in dataclasses.fields(PDBlock)}
 
 
 def _parse_env(doc: dict) -> tuple[float, int]:
@@ -187,22 +126,14 @@ def _parse_env(doc: dict) -> tuple[float, int]:
     return alpha, n
 
 
-def _parse_betas(doc: dict, experiment: str) -> tuple:
-    raw = doc.get("betas", [])
+def _parse_numbers(doc: dict, key: str) -> tuple:
+    raw = doc.get(key, [])
     if not isinstance(raw, list):
-        _fail("betas", "expected a list of numbers")
-    betas = tuple(_as_float(v, f"betas[{i}]") for i, v in enumerate(raw))
-    for i, b in enumerate(betas):
-        if b <= 0.0:
-            _fail(f"betas[{i}]", f"expected beta > 0, got {b}")
-    if experiment in ("free_energy", "marginals", "pd_compare") and not betas:
-        _fail("betas", f"{experiment} requires at least one beta")
-    if experiment == "pd_compare" and len(betas) != 1:
-        _fail("betas", "pd_compare takes exactly one beta")
-    return betas
+        _fail(key, "expected a list of numbers")
+    return tuple(_as_float(v, f"{key}[{i}]") for i, v in enumerate(raw))
 
 
-def _parse_intervals(doc: dict, experiment: str) -> tuple:
+def _parse_intervals(doc: dict) -> tuple:
     raw = doc.get("intervals", [])
     if not isinstance(raw, list):
         _fail("intervals", "expected a list of [low, high] pairs")
@@ -215,16 +146,13 @@ def _parse_intervals(doc: dict, experiment: str) -> tuple:
         if not low < high:
             _fail(f"intervals[{i}]", f"expected low < high, got [{low}, {high}]")
         intervals.append((low, high))
-    if experiment == "rate_function" and not intervals:
-        _fail("intervals", "rate_function requires at least one interval")
     return tuple(intervals)
 
 
-def _parse_pd(doc: dict, experiment: str, betas: tuple) -> PDBlock | None:
+def _parse_pd(doc: dict, betas: tuple) -> PDBlock | None:
+    # only pd_compare reads a pd block, and it takes exactly one beta
     raw = doc.get("pd")
     if raw is None:
-        if experiment == "pd_compare":
-            _fail("pd", "pd_compare requires a pd block")
         return None
     if not isinstance(raw, dict):
         _fail("pd", "expected an object")
@@ -240,8 +168,8 @@ def _parse_pd(doc: dict, experiment: str, betas: tuple) -> PDBlock | None:
     if not 0.0 < epsilon < 1.0:
         _fail("pd.epsilon_mass", f"expected 0 < epsilon_mass < 1, got {epsilon}")
     draws = _as_int(raw.get("draws", 0), "pd.draws")
-    if draws < 0:
-        _fail("pd.draws", f"expected draws >= 0, got {draws}")
+    if draws < 1:
+        _fail("pd.draws", f"expected draws >= 1, got {draws}")
     truncation_b = _as_float(raw.get("truncation_b", 0.0), "pd.truncation_b")
     stick_draws = _as_int(raw.get("stick_draws", 0), "pd.stick_draws")
     if stick_draws < 0:
@@ -249,70 +177,70 @@ def _parse_pd(doc: dict, experiment: str, betas: tuple) -> PDBlock | None:
     stick_length = _as_int(raw.get("stick_length", 200), "pd.stick_length")
     if stick_length < 1:
         _fail("pd.stick_length", f"expected stick_length >= 1, got {stick_length}")
-    if experiment == "pd_compare":
-        if draws < 1:
-            _fail("pd.draws", "pd_compare requires draws >= 1")
-        if abs(m * betas[0] - 1.0) > 1e-9:
-            _fail("pd.m", f"expected m * beta = 1, got m={m} beta={betas[0]}")
+    if len(betas) != 1:
+        _fail("betas", "a pd block takes exactly one beta")
+    if abs(m * betas[0] - 1.0) > 1e-9:
+        _fail("pd.m", f"expected m * beta = 1, got m={m} beta={betas[0]}")
     return PDBlock(m, epsilon, draws, truncation_b, stick_draws, stick_length)
+
+
+def _check_param(value, kind: str, path: str, manifest: "ExperimentManifest") -> None:
+    """Validate one check parameter by its registry kind.
+
+    ``beta``, ``interval`` and ``b`` must be listed in the manifest's
+    betas, intervals and b_levels; ``number`` is any number, ``positive``
+    one above 0, ``count`` an integer >= 1 and ``replicas`` one in
+    [1, replicas].
+    """
+    if kind == "interval":
+        if not isinstance(value, list) or len(value) != 2:
+            _fail(path, f"expected a [low, high] pair, got {value!r}")
+        interval = (_as_float(value[0], f"{path}[0]"), _as_float(value[1], f"{path}[1]"))
+        if interval not in manifest.intervals:
+            _fail(path, f"{list(interval)} is not in the intervals list")
+    elif kind in ("count", "replicas"):
+        count = _as_int(value, path)
+        if count < 1:
+            _fail(path, f"expected >= 1, got {count}")
+        if kind == "replicas" and count > manifest.replicas:
+            _fail(path, "exceeds the replica count")
+    else:
+        number = _as_float(value, path)
+        if kind == "positive" and number <= 0.0:
+            _fail(path, f"expected a positive number, got {number}")
+        if kind == "beta" and number not in manifest.betas:
+            _fail(path, f"beta {number} is not in the betas list")
+        if kind == "b" and number not in manifest.b_levels:
+            _fail(path, f"b {number} is not in the b_levels list")
 
 
 def _parse_checks(doc: dict, manifest: "ExperimentManifest") -> tuple:
     raw = doc.get("checks", [])
     if not isinstance(raw, list):
         _fail("checks", "expected a list of check objects")
-    schema = CHECK_SCHEMAS[manifest.experiment]
+    specs = REGISTRY[manifest.experiment].checks
     checks = []
     for i, item in enumerate(raw):
         path = f"checks[{i}]"
         if not isinstance(item, dict):
             _fail(path, f"expected an object, got {item!r}")
         name = item.get("check")
-        if name not in schema:
+        if not isinstance(name, str) or name not in specs:
             _fail(
                 f"{path}.check",
-                f"unknown check {name!r} for {manifest.experiment}; "
-                f"valid: {sorted(schema)}",
+                f"unknown check {name!r} for {manifest.experiment}; valid: {sorted(specs)}",
             )
-        params = schema[name]
-        unknown = set(item) - set(params) - {"check"}
+        spec = specs[name]
+        unknown = set(item) - set(spec.params) - {"check"}
         if unknown:
             _fail(path, f"unknown keys {sorted(unknown)} for check {name!r}")
-        for key, required in params.items():
-            if required and key not in item:
+        for key, (kind, default) in spec.params.items():
+            if key in item:
+                _check_param(item[key], kind, f"{path}.{key}", manifest)
+            elif default is ...:
                 _fail(f"{path}.{key}", f"required by check {name!r}")
-        if "beta" in item:
-            beta = _as_float(item["beta"], f"{path}.beta")
-            if beta not in manifest.betas:
-                _fail(f"{path}.beta", f"beta {beta} is not in the betas list")
-        if "interval" in item:
-            pair = item["interval"]
-            if not isinstance(pair, list) or len(pair) != 2:
-                _fail(f"{path}.interval", f"expected a [low, high] pair, got {pair!r}")
-            interval = (
-                _as_float(pair[0], f"{path}.interval[0]"),
-                _as_float(pair[1], f"{path}.interval[1]"),
-            )
-            if interval not in manifest.intervals:
-                _fail(f"{path}.interval", f"{list(interval)} is not in the intervals list")
-        if "b" in item:
-            b = _as_float(item["b"], f"{path}.b")
-            if b not in manifest.b_levels:
-                _fail(f"{path}.b", f"b {b} is not in the b_levels list")
-        for key in ("tol", "threshold", "max_statistic", "low", "high", "level", "window", "center_beta"):
-            if key in item:
-                value = _as_float(item[key], f"{path}.{key}")
-                if key not in ("low", "high", "center_beta") and value <= 0.0:
-                    _fail(f"{path}.{key}", f"expected a positive number, got {value}")
-        for key in ("min_replicas", "kmax"):
-            if key in item:
-                value = _as_int(item[key], f"{path}.{key}")
-                if value < 1:
-                    _fail(f"{path}.{key}", f"expected >= 1, got {value}")
-        if name == "outside_fraction_below" and item["min_replicas"] > manifest.replicas:
-            _fail(f"{path}.min_replicas", "exceeds the replica count")
-        if name == "stick_ks_w1" and (manifest.pd is None or manifest.pd.stick_draws < 1):
-            _fail(path, "stick_ks_w1 requires pd.stick_draws >= 1")
+        if spec.needs and getattr(manifest.pd, spec.needs) < 1:
+            _fail(path, f"{name} requires pd.{spec.needs} >= 1")
         checks.append(dict(item))
     return tuple(checks)
 
@@ -324,32 +252,31 @@ def from_dict(doc: dict) -> ExperimentManifest:
     if unknown:
         _fail("manifest root", f"unknown keys {sorted(unknown)}")
     experiment = doc.get("experiment")
-    if experiment not in EXPERIMENTS:
-        _fail("experiment", f"expected one of {list(EXPERIMENTS)}, got {experiment!r}")
+    if not isinstance(experiment, str) or experiment not in REGISTRY:
+        _fail("experiment", f"expected one of {list(REGISTRY)}, got {experiment!r}")
     alpha, n = _parse_env(doc)
-    betas = _parse_betas(doc, experiment)
+    reads = REGISTRY[experiment].fields
+    for key, unset in _READ_FIELDS.items():
+        if reads.get(key) and doc.get(key, unset) == unset:
+            _fail(key, f"required by {experiment}")
+        if key not in reads and doc.get(key, unset) != unset:
+            _fail(key, f"not read by {experiment}; leave it out")
+    betas = _parse_numbers(doc, "betas")
+    for i, b in enumerate(betas):
+        if b <= 0.0:
+            _fail(f"betas[{i}]", f"expected beta > 0, got {b}")
     replicas = _as_int(doc.get("replicas", 1), "replicas")
     if replicas < 1:
         _fail("replicas", f"expected a positive integer, got {replicas}")
     master_seed = _as_int(doc.get("master_seed", 0), "master_seed")
     if not 0 <= master_seed < MAX_SEED:
         _fail("master_seed", f"expected 0 <= seed < 2^64, got {master_seed}")
-    intervals = _parse_intervals(doc, experiment)
     k_marginal = _as_int(doc.get("k_marginal", 0), "k_marginal")
     if not 0 <= k_marginal <= n:
         _fail("k_marginal", f"expected 0 <= k_marginal <= n={n}, got {k_marginal}")
-    if experiment == "marginals" and k_marginal < 1:
-        _fail("k_marginal", "marginals requires k_marginal >= 1")
-    raw_b = doc.get("b_levels", [])
-    if not isinstance(raw_b, list):
-        _fail("b_levels", "expected a list of numbers")
-    b_levels = tuple(_as_float(v, f"b_levels[{i}]") for i, v in enumerate(raw_b))
-    if experiment == "exceedance" and not b_levels:
-        _fail("b_levels", "exceedance requires at least one b level")
     top_m = _as_int(doc.get("top_m", 1024), "top_m")
     if top_m < 1:
         _fail("top_m", f"expected top_m >= 1, got {top_m}")
-    pd = _parse_pd(doc, experiment, betas)
     output_dir = doc.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         _fail("output_dir", f"expected a string path, got {output_dir!r}")
@@ -365,11 +292,11 @@ def from_dict(doc: dict) -> ExperimentManifest:
         betas=betas,
         replicas=replicas,
         master_seed=master_seed,
-        intervals=intervals,
+        intervals=_parse_intervals(doc),
         k_marginal=k_marginal,
-        b_levels=b_levels,
+        b_levels=_parse_numbers(doc, "b_levels"),
         top_m=top_m,
-        pd=pd,
+        pd=_parse_pd(doc, betas),
         output_dir=output_dir,
         workers=workers,
     )

@@ -7,7 +7,7 @@ PD(m, 0) weight sequence.  The stick-breaking (GEM) construction draws
 residual fractions ``V_i ~ Beta(1-m, i*m)`` and size-biased weights
 ``V_i * prod_{j<i}(1 - V_j)``; sorted descending, they have the same
 law.  Sequences live in the space of nonincreasing nonnegative
-sequences with total mass at most one, compared in the l1 metric.
+sequences with total mass at most one.
 
 A finite window can only enumerate the top of the point process: below
 any truncation level an exponentially growing swarm of microscopic
@@ -165,13 +165,3 @@ def sample_pd_stick(m: float, length: int, rng: np.random.Generator) -> WeightSe
     leftover = np.cumprod(1.0 - v)
     w = v * np.concatenate(([1.0], leftover[:-1]))
     return WeightSequence(np.sort(w)[::-1])
-
-
-def l1_distance(x: WeightSequence, y: WeightSequence) -> float:
-    """l1 metric on sequences, the shorter one zero-padded."""
-    a, b = x.entries, y.entries
-    if a.size < b.size:
-        a = np.pad(a, (0, b.size - a.size))
-    elif b.size < a.size:
-        b = np.pad(b, (0, a.size - b.size))
-    return float(np.abs(a - b).sum())

@@ -48,16 +48,6 @@ def _report(statistic: float, p_value: float, sizes: tuple[int, int], level: flo
     return TestReport(float(statistic), float(p_value), sizes, float(level), verdict)
 
 
-@dataclass(frozen=True)
-class ReplicaSummary:
-    """Mean with normal-theory error bars across replicas."""
-
-    mean: float
-    std_error: float
-    count: int
-    ci95: tuple[float, float]
-
-
 def ks_two_sample(xs, ys, level: float = DEFAULT_LEVEL) -> TestReport:
     """Two-sample Kolmogorov-Smirnov test with asymptotic p-value."""
     xs = np.sort(np.asarray(xs, dtype=float))
@@ -131,13 +121,3 @@ def chi_square_gof(
     dof = expected_arr.size - 1
     p = float(scipy_stats.chi2.sf(statistic, dof))
     return _report(statistic, p, (int(round(total)), expected_arr.size), level)
-
-
-def summarize(values) -> ReplicaSummary:
-    """Mean, standard error, and 95% confidence interval of replica values."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size < 2:
-        raise ValueError("summarize needs at least 2 values")
-    mean = float(arr.mean())
-    se = float(arr.std(ddof=1)) / math.sqrt(arr.size)
-    return ReplicaSummary(mean, se, int(arr.size), (mean - 1.96 * se, mean + 1.96 * se))

@@ -13,9 +13,7 @@ from remlab.engine import (
     CHUNK,
     GibbsSpectrum,
     ReplicaSpec,
-    energy_at,
     energy_block,
-    exceedance_count,
     free_energy,
     rate_estimate,
     run_replica,
@@ -43,10 +41,11 @@ def pinned(values):
 
 
 def test_energy_at_matches_block():
+    # a one-configuration window regenerates the same energy as the block
     spec = make_spec()
     block = energy_block(spec, 0, 4096)
     for idx in (0, 1, 5, 1023, 1024, 4095):
-        assert energy_at(spec, idx) == block[idx]
+        assert energy_block(spec, idx, idx + 1)[0] == block[idx]
 
 
 def test_energy_block_window_consistency():
@@ -56,7 +55,7 @@ def test_energy_block_window_consistency():
     with pytest.raises(ValueError):
         energy_block(spec, 0, spec.size + 1)
     with pytest.raises(ValueError):
-        energy_at(spec, -1)
+        energy_block(spec, -1, 0)
 
 
 @pytest.mark.parametrize("alpha,n", [(1.0, 17), (2.0, 17)])
@@ -85,7 +84,7 @@ def test_replica_spec_validation():
     with pytest.raises(ValueError):
         ReplicaSpec(env=env, betas=(1.0,), intervals=((0.3, 0.3),))
     with pytest.raises(ValueError):
-        ReplicaSpec(env=env, betas=(1.0,), top_m=0)
+        ReplicaSpec(env=env, betas=(1.0,), top_m=-1)
     with pytest.raises(ValueError):
         ReplicaSpec(env=env, betas=(1.0,), b_levels=(float("inf"),))
     with pytest.raises(ValueError):
@@ -104,6 +103,16 @@ def test_replica_spec_validation():
     assert bare.exceedance.keys() == full.exceedance.keys()
     for b in kw["b_levels"]:
         assert np.array_equal(bare.exceedance[b], full.exceedance[b])
+    # top_m = 0: no spectrum, everything else bit-identical to a full pool
+    kw = dict(env=env, betas=(0.5, 2.0), k_marginal=2, intervals=((-0.3, 0.3),), master_seed=3)
+    bare = run_replica(ReplicaSpec(top_m=0, **kw))
+    full = run_replica(ReplicaSpec(top_m=1024, **kw))
+    assert bare.spectrum == {} and full.spectrum.keys() == {0.5, 2.0}
+    assert bare.log_z == full.log_z
+    assert bare.min_energy == full.min_energy
+    assert bare.interval_hits == full.interval_hits
+    for beta in kw["betas"]:
+        assert np.array_equal(bare.marginal[beta], full.marginal[beta])
 
 
 def test_run_replica_beta_zero_closed_forms():
@@ -180,7 +189,7 @@ def test_spectrum_and_result_invariants():
         assert np.all(res.marginal[beta] >= 0.0)
         assert res.log_z[beta] >= -beta * res.min_energy
     assert res.interval_hits[(-0.5, 0.5)] <= spec.size
-    counts = [exceedance_count(res, b) for b in (-1.0, 0.0, 1.0)]
+    counts = [res.exceedance[b].size for b in (-1.0, 0.0, 1.0)]
     assert counts[0] >= counts[1] >= counts[2]
 
 
@@ -200,15 +209,15 @@ def test_exceedance_positions_pinned():
     res = run_replica(spec, energy_fn=pinned(e))
     pos = res.exceedance[0.0]
     assert np.allclose(pos, [1.0, 0.2], atol=1e-12)
-    assert exceedance_count(res, 0.0) == pos.size
 
 
 def test_exceedance_positions_match_run_counts():
     spec = make_spec(env=Environment(1.0, 14), betas=(1.0,), b_levels=(-2.0, 0.0))
     res = run_replica(spec)
+    extremes = -(energy_block(spec, 0, spec.size) + shift_constant(14))
     for b in spec.b_levels:
         pos = res.exceedance[b]
-        assert pos.size == exceedance_count(res, b)
+        assert pos.size == np.count_nonzero(extremes >= b)
         assert np.all(pos >= b)
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +11,8 @@ import pytest
 import remlab
 import remlab.experiments
 from remlab.cli import main
-from remlab.experiments import resolve_workers, run_experiment
+from remlab.experiments import REGISTRY, resolve_workers, run_experiment
 from remlab.manifest import (
-    EXPERIMENTS,
     ExperimentManifest,
     ManifestError,
     from_dict,
@@ -97,7 +97,24 @@ def test_round_trip_full_manifest():
 
 def test_builtin_names_cover_all_experiments():
     experiments = {builtin_manifest(name).experiment for name in BUILTIN_NAMES}
-    assert experiments == set(EXPERIMENTS)
+    assert experiments == set(REGISTRY)
+
+
+def test_readme_checks_table_matches_registry():
+    # README "Checks vocabulary" rows: experiment | `check`, ... | `param`, ...: text
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Checks vocabulary", 1)[1].split("\n\n", 2)[1]
+    documented = set()
+    for line in table.splitlines()[2:]:
+        experiment, checks, params = (cell.strip() for cell in line.strip("|").split("|"))
+        names = frozenset(re.findall(r"`(\w+)`", params.split(":")[0]))
+        documented |= {(experiment, check, names) for check in re.findall(r"`(\w+)`", checks)}
+    registered = {
+        (experiment, name, frozenset(spec.params))
+        for experiment, entry in REGISTRY.items()
+        for name, spec in entry.checks.items()
+    }
+    assert documented == registered
 
 
 def test_builtin_unknown_name():
@@ -115,6 +132,8 @@ def test_builtin_unknown_name():
         (lambda d: d.update(env={"alpha": 1.0}), "env"),
         (lambda d: d.update(bogus=1), "unknown keys"),
         (lambda d: d.update(experiment="melt"), "experiment"),
+        (lambda d: d.update(experiment=["free_energy"]), "expected one of"),
+        (lambda d: d.update(checks=[{"check": ["mean_within"]}]), "checks[0].check"),
         (lambda d: d.update(betas=[]), "betas"),
         (lambda d: d.update(betas=[0.5, -1.0]), "betas[1]"),
         (lambda d: d.update(master_seed=-1), "master_seed"),
@@ -126,6 +145,20 @@ def test_builtin_unknown_name():
         (lambda d: d.update(checks=[{"check": "ks_w1", "max_statistic": 0.1}]), "checks[0]"),
         (lambda d: d.update(checks=[{"check": "mean_within", "beta": 0.7, "tol": 0.1}]), "beta"),
         (lambda d: d.update(checks=[{"check": "mean_within", "beta": 0.5}]), "tol"),
+        # a field the experiment does not read must stay empty
+        (
+            lambda d: d.update(experiment="rate_function", intervals=[[0.1, 0.2]], checks=[]),
+            "betas: not read by rate_function",
+        ),
+        (
+            lambda d: d.update(experiment="exceedance", b_levels=[0.0], checks=[]),
+            "betas: not read by exceedance",
+        ),
+        (lambda d: d.update(experiment="diagnostics", checks=[]), "betas: not read by diagnostics"),
+        (lambda d: d.update(intervals=[[0.1, 0.2]]), "intervals: not read by free_energy"),
+        (lambda d: d.update(b_levels=[-3.0]), "b_levels: not read by free_energy"),
+        (lambda d: d.update(k_marginal=1), "k_marginal: not read by free_energy"),
+        (lambda d: d.update(pd={"m": 0.5, "draws": 5}), "pd: not read by free_energy"),
     ],
 )
 def test_manifest_validation_errors(mutate, fragment):
@@ -280,8 +313,10 @@ def test_exceedance_artifacts_consistent(tmp_path):
 
 
 def test_only_exceedance_streams_positions(tmp_path, monkeypatch):
-    # every other experiment ignores b_levels, so its replicas must not
-    # collect the positions, up to 2**n of them per level
+    # every other experiment rejects b_levels, so no other replica collects
+    # the positions, up to 2**n of them per level
+    with pytest.raises(ManifestError, match="b_levels"):
+        from_dict(tiny_doc(b_levels=[-3.0]))
     seen = []
     real = remlab.experiments.run_replica
 
@@ -290,9 +325,6 @@ def test_only_exceedance_streams_positions(tmp_path, monkeypatch):
         return real(spec)
 
     monkeypatch.setattr(remlab.experiments, "run_replica", recording)
-    run_experiment(from_dict(tiny_doc(b_levels=[-3.0])), workers=1, output_dir=tmp_path / "fe")
-    assert seen and all(levels == () for _, levels in seen)
-    seen.clear()
     doc = {"experiment": "exceedance", "env": {"alpha": 1.0, "n": 8}, "replicas": 2,
            "b_levels": [0.0, 1.0]}
     run_experiment(from_dict(doc), workers=1, output_dir=tmp_path / "ex")
@@ -357,7 +389,7 @@ def test_diagnostics_runs_clean(tmp_path):
         assert line.split(",")[2] == "0"
 
 
-def test_cli_run_exit_codes(tmp_path, capsys):
+def test_cli_run_exit_codes(tmp_path, capsys, monkeypatch):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(tiny_doc()), encoding="utf-8")
     code = main(["run", str(path), "--output-dir", str(tmp_path / "ok")])
@@ -374,7 +406,18 @@ def test_cli_run_exit_codes(tmp_path, capsys):
     path.write_text(json.dumps(tiny_doc(replicas=0)), encoding="utf-8")
     assert main(["run", str(path)]) == 2
     assert main(["run", str(tmp_path / "missing.json")]) == 2
+    path.write_text(json.dumps(tiny_doc()), encoding="utf-8")
+    assert main(["run", str(path), "--workers", "0"]) == 2
+    assert main(["run", str(path), "--seed", "-1"]) == 2
     capsys.readouterr()
+
+    # a ValueError raised inside the run is a runtime fault, not bad input
+    def broken(spec):
+        raise ValueError("engine fault")
+
+    monkeypatch.setattr(remlab.experiments, "run_replica", broken)
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "fault")]) == 3
+    assert "engine fault" in capsys.readouterr().err
 
 
 def test_cli_seed_flag_overrides_manifest(tmp_path, capsys):
@@ -405,7 +448,17 @@ def test_cli_verify_subset(tmp_path, capsys):
     assert "[PASS] diagnostics" in out
     assert "verification passed" in out
     assert main(["verify", "--only", "nonsense"]) == 2
+    assert main(["verify", "--only", "diagnostics", "--workers", "0"]) == 2
     capsys.readouterr()
+
+
+def test_cli_verify_runtime_fault_exit_code(tmp_path, capsys, monkeypatch):
+    def broken(spec):
+        raise ValueError("engine fault")
+
+    monkeypatch.setattr(remlab.experiments, "run_replica", broken)
+    assert main(["verify", "--only", "marginals_laplace", "--output-dir", str(tmp_path)]) == 3
+    assert "engine fault" in capsys.readouterr().err
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

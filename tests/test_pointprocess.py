@@ -1,4 +1,4 @@
-"""Poisson-Dirichlet samplers: point process, stick breaking, l1 metric."""
+"""Poisson-Dirichlet samplers: point process and stick breaking."""
 
 import math
 
@@ -10,7 +10,6 @@ from scipy.special import digamma
 from remlab.pointprocess import (
     PDParams,
     WeightSequence,
-    l1_distance,
     sample_pd_poisson,
     sample_pd_stick,
     sample_poisson_points,
@@ -181,23 +180,3 @@ def test_stick_deficit_matches_digamma_telescope():
     assert abs(target - -6.568684378603269) < 1e-12
     logs = [math.log(sample_pd_stick(0.5, 200, rng).deficit) for _ in range(500)]
     assert abs(np.mean(logs) - target) < 0.4
-
-
-def test_l1_distance_examples_and_axioms():
-    one = WeightSequence(np.array([1.0]))
-    half = WeightSequence(np.array([0.5, 0.5]))
-    assert l1_distance(one, one) == 0.0
-    assert abs(l1_distance(one, half) - 1.0) < 1e-15
-    assert l1_distance(one, half) == l1_distance(half, one)
-
-    rng = np.random.default_rng(2718)
-    raw = rng.random((30000, 5))
-    raw.sort(axis=1)
-    seqs = raw[:, ::-1] / raw.sum(axis=1)[:, None]
-    for i in range(10000):
-        x = WeightSequence(seqs[3 * i])
-        y = WeightSequence(seqs[3 * i + 1])
-        z = WeightSequence(seqs[3 * i + 2])
-        dxz = l1_distance(x, z)
-        assert dxz <= l1_distance(x, y) + l1_distance(y, z) + 1e-12
-        assert dxz >= 0.0

@@ -6,12 +6,10 @@ from scipy import stats as scipy_stats
 
 from remlab.stats import (
     DEFAULT_LEVEL,
-    ReplicaSummary,
     TestReport,
     chi_square_gof,
     ks_one_sample,
     ks_two_sample,
-    summarize,
 )
 from remlab.theory import poisson_count_pmf
 
@@ -185,40 +183,3 @@ def test_report_validation():
         TestReport(0.1, 1.5, (10, 10), DEFAULT_LEVEL, "pass")
     with pytest.raises(ValueError):
         TestReport(0.1, 0.5, (10, 10), DEFAULT_LEVEL, "maybe")
-
-
-def test_summarize_constant_values():
-    summary = summarize([1.0, 1.0, 1.0, 1.0])
-    assert summary.mean == 1.0
-    assert summary.std_error == 0.0
-    assert summary.count == 4
-    assert summary.ci95 == (1.0, 1.0)
-
-
-def test_summarize_two_values():
-    summary = summarize([0.0, 2.0])
-    assert summary.mean == 1.0
-    assert summary.std_error == pytest.approx(1.0, abs=1e-15)
-    assert summary.ci95[0] == pytest.approx(1.0 - 1.96, abs=1e-12)
-    assert summary.ci95[1] == pytest.approx(1.0 + 1.96, abs=1e-12)
-
-
-def test_summarize_requires_two_values():
-    with pytest.raises(ValueError):
-        summarize([1.0])
-
-
-def test_summarize_interval_covers_true_mean():
-    rng = np.random.default_rng(29)
-    covered = 0
-    for _ in range(200):
-        summary = summarize(rng.normal(3.0, 1.0, size=64))
-        if summary.ci95[0] <= 3.0 <= summary.ci95[1]:
-            covered += 1
-    assert covered >= 180
-
-
-def test_summarize_accepts_numpy_input():
-    summary = summarize(np.arange(10.0))
-    assert isinstance(summary, ReplicaSummary)
-    assert summary.mean == 4.5

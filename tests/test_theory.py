@@ -7,6 +7,13 @@ import pytest
 from scipy import integrate, stats
 
 from remlab.environment import Environment
+from remlab.experiments import (
+    _DIAG_N,
+    _GAUSS_BETAS,
+    _GAUSS_DELTAS,
+    _LAPLACE_BETAS,
+    _LAPLACE_DELTAS,
+)
 from remlab.theory import (
     LOG2,
     PhaseDiagnosis,
@@ -206,9 +213,10 @@ def test_truncated_exp_moment_rejects_bad_input():
         truncated_exp_moment(1.0, 0.5, 1.0, 4, order=3)
 
 
-@pytest.mark.parametrize("beta", [0.1, 0.25, 0.5, 0.75, 0.9])
-@pytest.mark.parametrize("delta", [0.75, 1.0, 1.5])
-@pytest.mark.parametrize("n", [5, 10, 20])
+# the grids of the diagnostics bound_suite
+@pytest.mark.parametrize("beta", _LAPLACE_BETAS)
+@pytest.mark.parametrize("delta", _LAPLACE_DELTAS)
+@pytest.mark.parametrize("n", _DIAG_N)
 def test_double_exponential_moment_bounds(beta, delta, n):
     # lower bound 1/(1+beta) on the first truncated moment; valid whenever
     # delta*n > log((1+beta)/(2*beta))/(1-beta), which this grid satisfies
@@ -228,9 +236,9 @@ def test_double_exponential_moment_bounds(beta, delta, n):
         assert second <= cap
 
 
-@pytest.mark.parametrize("beta", [0.2, 0.5, 0.8, 1.0])
-@pytest.mark.parametrize("delta", [1.6651092223153954, 1.8, 2.2])
-@pytest.mark.parametrize("n", [5, 10, 20])
+@pytest.mark.parametrize("beta", _GAUSS_BETAS)
+@pytest.mark.parametrize("delta", _GAUSS_DELTAS)
+@pytest.mark.parametrize("n", _DIAG_N)
 def test_gaussian_moment_bounds(beta, delta, n):
     # delta grid starts at 2*sqrt(log 2) and stays above every beta, so the
     # lower bound (1/2)exp(beta^2 n / 2) applies throughout

@@ -152,14 +152,8 @@ def energy_block(spec: ReplicaSpec, lo: int, hi: int) -> np.ndarray:
     return spec.env.quantile(uniform_block(key, lo, hi))
 
 
-def run_replica(spec: ReplicaSpec, energy_fn=None) -> ReplicaResult:
-    """Measure one replica exhaustively; see the module docstring.
-
-    ``energy_fn(lo, hi)`` overrides the keyed energy stream (used by
-    tests to pin energies); it is called once per chunk, in index order.
-    """
-    if energy_fn is None:
-        energy_fn = lambda lo, hi: energy_block(spec, lo, hi)
+def run_replica(spec: ReplicaSpec) -> ReplicaResult:
+    """Measure one replica exhaustively; see the module docstring."""
     n = spec.n
     size = spec.size
     shift = shift_constant(n)
@@ -179,9 +173,7 @@ def run_replica(spec: ReplicaSpec, energy_fn=None) -> ReplicaResult:
     z_buffer = np.empty(min(CHUNK, size) if betas else 0, dtype=float)
     for lo in range(0, size, CHUNK):
         hi = min(lo + CHUNK, size)
-        e = np.asarray(energy_fn(lo, hi), dtype=float)
-        if e.shape != (hi - lo,):
-            raise ValueError(f"energy_fn returned shape {e.shape} for [{lo}, {hi})")
+        e = energy_block(spec, lo, hi)
         for j, (a, b) in enumerate(spec.intervals):
             hits[j] += int(np.count_nonzero((e > a * n) & (e < b * n)))
         if spec.b_levels:

@@ -81,7 +81,7 @@ class Check:
 
 @dataclass(frozen=True)
 class Experiment:
-    fields: dict  # manifest field read -> whether a non-empty value is required
+    fields: dict  # manifest field read -> required (True), optional (False) or a narrower kind
     build: Callable  # (manifest, results) -> ({file: (header, rows)}, data)
     checks: dict  # check name -> Check
 
@@ -92,11 +92,15 @@ REGISTRY: dict[str, Experiment] = {}
 def experiment(name: str, **fields):
     """Register ``build`` as experiment ``name``, reading the manifest ``fields``.
 
-    Each field maps to whether a non-empty value is required; the parser
-    rejects a non-empty value in any other of betas, intervals,
-    k_marginal, b_levels and pd.  ``top_m`` is passed to the engine only
-    where it is listed.  ``build(manifest, results)`` turns the replica
-    results into ``({file name: (header, rows)}, data)``; rows given as a
+    Each field maps to whether a value other than its default is
+    required; the parser rejects a value other than the default in a
+    field that some other experiment lists and this one does not.  A
+    field may instead map to a kind of ``remlab.manifest.KINDS`` that its
+    value must have here, narrower than the field's own, such as
+    ``alpha="double_exponential"`` where the limit law is derived for
+    ``alpha = 1`` only.  ``top_m`` is passed to the engine only where it
+    is listed.  ``build(manifest, results)`` turns the replica results
+    into ``({file name: (header, rows)}, data)``; rows given as a
     function are called with the CheckResults.
     """
 
@@ -111,9 +115,10 @@ def check(experiment_name: str, name: str, label: str = "", needs: str = "", **p
     """Register ``evaluate(manifest, data, **params) -> (passed, detail)`` as a check.
 
     ``data`` is what the experiment's ``build`` returned.  Each parameter
-    maps to ``(kind, default)``; the kinds are listed in
-    ``remlab.manifest._check_param``.  A default of ``...`` makes the
-    parameter required; a callable default is called with the manifest.
+    maps to ``(kind, default)``, with the kinds of ``remlab.manifest.KINDS``.
+    A default of ``...`` makes the parameter required; a callable default
+    is called with the manifest's fields as a dict.  The parser stores
+    each check with its parameters read and its defaults filled in.
     """
 
     def register(evaluate):
@@ -176,9 +181,9 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _engine_specs(manifest: ExperimentManifest, fields: dict) -> list:
-    # The parser leaves the fields an experiment does not read empty; top_m
-    # has a non-zero default, and 0 skips the Gibbs pool where no spectrum
-    # is read.  An experiment that reads no field streams no replica.
+    # The parser leaves the fields an experiment does not read at their
+    # defaults, which are empty except top_m's; 0 skips the Gibbs pool where
+    # no spectrum is read.  An experiment that reads no field streams no replica.
     env = Environment(manifest.alpha, manifest.n)
     return [
         ReplicaSpec(
@@ -195,26 +200,12 @@ def _engine_specs(manifest: ExperimentManifest, fields: dict) -> list:
     ]
 
 
-def _check_params(manifest: ExperimentManifest, item: dict) -> dict:
-    """A manifest check's parameters as numbers, with the registry defaults filled in."""
-    params = {}
-    spec = REGISTRY[manifest.experiment].checks[item["check"]]
-    for name, (kind, default) in spec.params.items():
-        value = item.get(name, default)
-        if callable(value):
-            value = value(manifest)
-        if kind == "interval":
-            params[name] = (float(value[0]), float(value[1]))
-        else:
-            params[name] = int(value) if kind in ("count", "replicas") else float(value)
-    return params
-
-
 def _evaluate(manifest: ExperimentManifest, data, item: dict) -> CheckResult:
-    spec = REGISTRY[manifest.experiment].checks[item["check"]]
-    params = _check_params(manifest, item)
+    params = dict(item)
+    name = params.pop("check")
+    spec = REGISTRY[manifest.experiment].checks[name]
     passed, detail = spec.evaluate(manifest, data, **params)
-    return CheckResult(item["check"] + spec.label.format(**params), passed, detail)
+    return CheckResult(name + spec.label.format(**params), passed, detail)
 
 
 _BETA = ("beta", ...)
@@ -258,7 +249,7 @@ def _mean_within(manifest: ExperimentManifest, fe: dict, beta: float, tol: float
 @check(
     "free_energy",
     "curve_shape",
-    center_beta=("number", lambda manifest: critical_beta(manifest.alpha)),
+    center_beta=("number", lambda fields: critical_beta(fields["alpha"])),
     window=("positive", 0.25),
 )
 def _curve_shape(manifest: ExperimentManifest, fe: dict, center_beta: float, window: float):
@@ -396,7 +387,7 @@ def _max_marginal_deviation(manifest: ExperimentManifest, results, beta: float, 
 # exceedance
 
 
-@experiment("exceedance", b_levels=True)
+@experiment("exceedance", alpha="double_exponential", b_levels=True)
 def _exceedance(manifest: ExperimentManifest, results):
     positions = {b: [r.exceedance[b] for r in results] for b in manifest.b_levels}
     count_rows = [
@@ -408,7 +399,7 @@ def _exceedance(manifest: ExperimentManifest, results):
         for i, pts in enumerate(positions[b])
         for p in pts
     ]
-    kmax = max([8] + [_check_params(manifest, c).get("kmax", 8) for c in manifest.checks])
+    kmax = max([8] + [c.get("kmax", 8) for c in manifest.checks])
     theory_rows = [
         (b, k, poisson_count_pmf(b, k)) for b in manifest.b_levels for k in range(kmax + 1)
     ]
@@ -469,7 +460,7 @@ def _spectrum_stats(weights: np.ndarray) -> tuple[float, float]:
     return float(weights[0]), float(np.sum(np.square(weights)))
 
 
-@experiment("pd_compare", betas=True, top_m=False, pd=True)
+@experiment("pd_compare", alpha="double_exponential", betas=True, top_m=False, pd=True)
 def _pd_compare(manifest: ExperimentManifest, results):
     (beta,) = manifest.betas
     pd = manifest.pd

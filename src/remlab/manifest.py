@@ -2,12 +2,16 @@
 
 A manifest fixes everything a run needs (environment, temperatures,
 replica count, seeds, experiment-specific blocks, attached checks) so
-that a run is reproducible from the file alone.  Validation failures
-carry the JSON path of the offending field.  The experiment registry
-(``remlab.experiments.REGISTRY``) says which fields and checks each
-experiment reads; a field it does not read must be left unset.
-``from_json(to_json(m))`` returns an equal manifest; that round trip is
-part of the test suite.
+that a run is reproducible from the file alone.  Every value is read
+once, as one of the kinds in ``KINDS``: each field of
+``ExperimentManifest`` and ``PDBlock`` declares its kind next to its
+default, and each check parameter declares its kind in the experiment
+registry (``remlab.experiments.REGISTRY``).  Validation failures carry
+the JSON path of the offending value.  The registry also says which
+fields each experiment reads; a field that only other experiments read
+must stay at its default.  Checks are stored with their parameters
+resolved, defaults included.  ``from_json(to_json(m))`` returns an
+equal manifest; that round trip is part of the test suite.
 """
 
 from __future__ import annotations
@@ -15,15 +19,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 from .engine import MAX_N
 from .experiments import REGISTRY
 
 MAX_SEED = 1 << 64
-
-# The fields only some experiments read, with the value that leaves them unset.
-_READ_FIELDS = {"betas": [], "intervals": [], "k_marginal": 0, "b_levels": [], "pd": None}
 
 
 class ManifestError(ValueError):
@@ -34,49 +36,39 @@ def _fail(path: str, message: str) -> None:
     raise ManifestError(f"{path}: {message}")
 
 
-def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"expected an integer, got {value!r}")
-    return value
-
-
-def _as_float(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {value!r}")
-    out = float(value)
-    if not math.isfinite(out):
-        _fail(path, f"expected a finite number, got {value!r}")
-    return out
+def _kind(kind: str, default=dataclasses.MISSING):
+    """A manifest field read as ``kind`` (see ``KINDS``), unset at ``default``."""
+    return dataclasses.field(default=default, metadata={"kind": kind})
 
 
 @dataclass(frozen=True)
 class PDBlock:
     """Poisson-Dirichlet sampling block for pd_compare experiments."""
 
-    m: float
-    epsilon_mass: float = 1e-6
-    draws: int = 0
-    truncation_b: float = 0.0
-    stick_draws: int = 0
-    stick_length: int = 200
+    m: float = _kind("fraction")
+    epsilon_mass: float = _kind("fraction", 1e-6)
+    draws: int = _kind("count", 0)  # 0 is not a count: a pd block must set draws
+    truncation_b: float = _kind("number", 0.0)
+    stick_draws: int = _kind("natural", 0)
+    stick_length: int = _kind("count", 200)
 
 
 @dataclass(frozen=True)
 class ExperimentManifest:
     experiment: str
-    alpha: float
-    n: int
-    betas: tuple = ()
-    replicas: int = 1
-    master_seed: int = 0
-    intervals: tuple = ()
-    k_marginal: int = 0
-    b_levels: tuple = ()
-    top_m: int = 1024
-    pd: PDBlock | None = None
-    checks: tuple = ()
-    output_dir: str | None = None
-    workers: int | str | None = None
+    alpha: float = _kind("shape")
+    n: int = _kind("spins")
+    betas: tuple = _kind("[positive]", ())
+    replicas: int = _kind("count", 1)
+    master_seed: int = _kind("seed", 0)
+    intervals: tuple = _kind("[pair]", ())
+    k_marginal: int = _kind("size", 0)
+    b_levels: tuple = _kind("[number]", ())
+    top_m: int = _kind("count", 1024)
+    pd: PDBlock | None = _kind("pd", None)
+    output_dir: str | None = _kind("path", None)
+    workers: int | str | None = _kind("workers", None)
+    checks: tuple = _kind("checks", ())
 
     def to_dict(self) -> dict:
         doc = {
@@ -103,205 +95,170 @@ class ExperimentManifest:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-_TOP_LEVEL_KEYS = {f.name for f in dataclasses.fields(ExperimentManifest)} - {"alpha", "n"}
-_TOP_LEVEL_KEYS.add("env")
-_PD_KEYS = {f.name for f in dataclasses.fields(PDBlock)}
+# Each top-level field's value where a manifest leaves it out: its default, as JSON.
+_UNSET = {
+    f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+    for f in dataclasses.fields(ExperimentManifest)
+    if f.default is not dataclasses.MISSING
+}
+_TOP_LEVEL_KEYS = {"experiment", "env", *_UNSET}
+# The fields only some experiments read; the others must leave them unset.
+_SELECTIVE = [name for name in _UNSET if any(name in e.fields for e in REGISTRY.values())]
 
 
-def _parse_env(doc: dict) -> tuple[float, int]:
-    env = doc.get("env")
-    if not isinstance(env, dict):
-        _fail("env", "expected an object with keys alpha and n")
-    unknown = set(env) - {"alpha", "n"}
+def _known(doc: dict, keys, path: str) -> None:
+    unknown = set(doc) - set(keys)
     if unknown:
-        _fail("env", f"unknown keys {sorted(unknown)}")
-    if "alpha" not in env or "n" not in env:
-        _fail("env", "both alpha and n are required")
-    alpha = _as_float(env["alpha"], "env.alpha")
-    if alpha < 1.0:
-        _fail("env.alpha", f"expected alpha >= 1, got {alpha}")
-    n = _as_int(env["n"], "env.n")
-    if not 1 <= n <= MAX_N:
-        _fail("env.n", f"expected 1 <= n <= {MAX_N}, got {n}")
-    return alpha, n
+        _fail(path, f"unknown keys {sorted(unknown)}")
 
 
-def _parse_numbers(doc: dict, key: str) -> tuple:
-    raw = doc.get(key, [])
-    if not isinstance(raw, list):
-        _fail(key, "expected a list of numbers")
-    return tuple(_as_float(v, f"{key}[{i}]") for i, v in enumerate(raw))
+def _number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail(path, f"expected a number, got {value!r}")
+    out = float(value) if abs(value) <= sys.float_info.max else math.inf
+    if not math.isfinite(out):
+        _fail(path, f"expected a finite number, got {value!r}")
+    return out
 
 
-def _parse_intervals(doc: dict) -> tuple:
-    raw = doc.get("intervals", [])
-    if not isinstance(raw, list):
-        _fail("intervals", "expected a list of [low, high] pairs")
-    intervals = []
-    for i, pair in enumerate(raw):
-        if not isinstance(pair, list) or len(pair) != 2:
-            _fail(f"intervals[{i}]", f"expected a [low, high] pair, got {pair!r}")
-        low = _as_float(pair[0], f"intervals[{i}][0]")
-        high = _as_float(pair[1], f"intervals[{i}][1]")
-        if not low < high:
-            _fail(f"intervals[{i}]", f"expected low < high, got [{low}, {high}]")
-        intervals.append((low, high))
-    return tuple(intervals)
+def _integer(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        _fail(path, f"expected an integer, got {value!r}")
+    return value
 
 
-def _parse_pd(doc: dict, betas: tuple) -> PDBlock | None:
-    # only pd_compare reads a pd block, and it takes exactly one beta
-    raw = doc.get("pd")
-    if raw is None:
-        return None
-    if not isinstance(raw, dict):
-        _fail("pd", "expected an object")
-    unknown = set(raw) - _PD_KEYS
-    if unknown:
-        _fail("pd", f"unknown keys {sorted(unknown)}")
-    if "m" not in raw:
-        _fail("pd.m", "required")
-    m = _as_float(raw["m"], "pd.m")
-    if not 0.0 < m < 1.0:
-        _fail("pd.m", f"expected 0 < m < 1, got {m}")
-    epsilon = _as_float(raw.get("epsilon_mass", 1e-6), "pd.epsilon_mass")
-    if not 0.0 < epsilon < 1.0:
-        _fail("pd.epsilon_mass", f"expected 0 < epsilon_mass < 1, got {epsilon}")
-    draws = _as_int(raw.get("draws", 0), "pd.draws")
-    if draws < 1:
-        _fail("pd.draws", f"expected draws >= 1, got {draws}")
-    truncation_b = _as_float(raw.get("truncation_b", 0.0), "pd.truncation_b")
-    stick_draws = _as_int(raw.get("stick_draws", 0), "pd.stick_draws")
-    if stick_draws < 0:
-        _fail("pd.stick_draws", f"expected stick_draws >= 0, got {stick_draws}")
-    stick_length = _as_int(raw.get("stick_length", 200), "pd.stick_length")
-    if stick_length < 1:
-        _fail("pd.stick_length", f"expected stick_length >= 1, got {stick_length}")
+def _pair(value, path: str) -> tuple:
+    # a tuple is what to_dict() writes for a check's interval
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        _fail(path, f"expected a [low, high] pair, got {value!r}")
+    return _number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]")
+
+
+def _workers(value, path: str):
+    return value if value == "auto" else _integer(value, path)
+
+
+def _rule(base, test=lambda value, fields: True, expected: str = ""):
+    """A kind: ``base`` checks the JSON type and converts, ``test`` the range."""
+
+    def read(value, path: str, fields: dict):
+        value = base(value, path)
+        if not test(value, fields):
+            _fail(path, f"expected {expected}, got {value!r}")
+        return value
+
+    return read
+
+
+def _pd(value, path: str, fields: dict) -> PDBlock:
+    if not isinstance(value, dict):
+        _fail(path, "expected an object")
+    _known(value, (f.name for f in dataclasses.fields(PDBlock)), path)
+    pd = PDBlock(**{
+        f.name: _read(f.metadata["kind"], value.get(f.name, f.default), f"{path}.{f.name}", fields)
+        for f in dataclasses.fields(PDBlock)
+    })
+    betas = fields["betas"]
     if len(betas) != 1:
         _fail("betas", "a pd block takes exactly one beta")
-    if abs(m * betas[0] - 1.0) > 1e-9:
-        _fail("pd.m", f"expected m * beta = 1, got m={m} beta={betas[0]}")
-    return PDBlock(m, epsilon, draws, truncation_b, stick_draws, stick_length)
+    if abs(pd.m * betas[0] - 1.0) > 1e-9:
+        _fail(f"{path}.m", f"expected m * beta = 1, got m={pd.m} beta={betas[0]}")
+    return pd
 
 
-def _check_param(value, kind: str, path: str, manifest: "ExperimentManifest") -> None:
-    """Validate one check parameter by its registry kind.
-
-    ``beta``, ``interval`` and ``b`` must be listed in the manifest's
-    betas, intervals and b_levels; ``number`` is any number, ``positive``
-    one above 0, ``count`` an integer >= 1 and ``replicas`` one in
-    [1, replicas].
-    """
-    if kind == "interval":
-        if not isinstance(value, list) or len(value) != 2:
-            _fail(path, f"expected a [low, high] pair, got {value!r}")
-        interval = (_as_float(value[0], f"{path}[0]"), _as_float(value[1], f"{path}[1]"))
-        if interval not in manifest.intervals:
-            _fail(path, f"{list(interval)} is not in the intervals list")
-    elif kind in ("count", "replicas"):
-        count = _as_int(value, path)
-        if count < 1:
-            _fail(path, f"expected >= 1, got {count}")
-        if kind == "replicas" and count > manifest.replicas:
-            _fail(path, "exceeds the replica count")
-    else:
-        number = _as_float(value, path)
-        if kind == "positive" and number <= 0.0:
-            _fail(path, f"expected a positive number, got {number}")
-        if kind == "beta" and number not in manifest.betas:
-            _fail(path, f"beta {number} is not in the betas list")
-        if kind == "b" and number not in manifest.b_levels:
-            _fail(path, f"b {number} is not in the b_levels list")
-
-
-def _parse_checks(doc: dict, manifest: "ExperimentManifest") -> tuple:
-    raw = doc.get("checks", [])
-    if not isinstance(raw, list):
-        _fail("checks", "expected a list of check objects")
-    specs = REGISTRY[manifest.experiment].checks
+def _checks(value, path: str, fields: dict) -> tuple:
+    """Each check with its parameters read by kind and the registry defaults filled in."""
+    if not isinstance(value, list):
+        _fail(path, "expected a list of check objects")
+    experiment = fields["experiment"]
+    specs = REGISTRY[experiment].checks
     checks = []
-    for i, item in enumerate(raw):
-        path = f"checks[{i}]"
+    for i, item in enumerate(value):
+        at = f"{path}[{i}]"
         if not isinstance(item, dict):
-            _fail(path, f"expected an object, got {item!r}")
+            _fail(at, f"expected an object, got {item!r}")
         name = item.get("check")
         if not isinstance(name, str) or name not in specs:
-            _fail(
-                f"{path}.check",
-                f"unknown check {name!r} for {manifest.experiment}; valid: {sorted(specs)}",
-            )
+            valid = sorted(specs)
+            _fail(f"{at}.check", f"unknown check {name!r} for {experiment}; valid: {valid}")
         spec = specs[name]
-        unknown = set(item) - set(spec.params) - {"check"}
-        if unknown:
-            _fail(path, f"unknown keys {sorted(unknown)} for check {name!r}")
+        _known(item, ["check", *spec.params], at)
+        check = {"check": name}
         for key, (kind, default) in spec.params.items():
-            if key in item:
-                _check_param(item[key], kind, f"{path}.{key}", manifest)
-            elif default is ...:
-                _fail(f"{path}.{key}", f"required by check {name!r}")
-        if spec.needs and getattr(manifest.pd, spec.needs) < 1:
-            _fail(path, f"{name} requires pd.{spec.needs} >= 1")
-        checks.append(dict(item))
+            param = item.get(key, default)
+            param = param(fields) if callable(param) else param
+            check[key] = _read(kind, param, f"{at}.{key}", fields)
+        if spec.needs and getattr(fields["pd"], spec.needs) < 1:
+            _fail(at, f"{name} requires pd.{spec.needs} >= 1")
+        checks.append(check)
     return tuple(checks)
+
+
+# The manifest's value kinds.  A kind reads a JSON value into its Python
+# form, given the fields read before it; a kind in brackets, such as
+# "[pair]", is a list of that kind, read as a tuple.
+KINDS = {
+    "number": _rule(_number, expected="a finite number"),
+    "positive": _rule(_number, lambda v, f: v > 0.0, "a number > 0"),
+    "fraction": _rule(_number, lambda v, f: 0.0 < v < 1.0, "a number in (0, 1)"),
+    "shape": _rule(_number, lambda v, f: v >= 1.0, "alpha >= 1"),
+    "double_exponential": _rule(
+        _number, lambda v, f: v == 1.0, "alpha = 1, the only shape this limit law is derived for"
+    ),
+    "beta": _rule(_number, lambda v, f: v in f["betas"], "a beta in the betas list"),
+    "b": _rule(_number, lambda v, f: v in f["b_levels"], "a level in the b_levels list"),
+    "count": _rule(_integer, lambda v, f: v >= 1, "an integer >= 1"),
+    "natural": _rule(_integer, lambda v, f: v >= 0, "an integer >= 0"),
+    "spins": _rule(_integer, lambda v, f: 1 <= v <= MAX_N, f"an integer in [1, {MAX_N}]"),
+    "size": _rule(_integer, lambda v, f: 0 <= v <= f["n"], "an integer in [0, n]"),
+    "seed": _rule(_integer, lambda v, f: 0 <= v < MAX_SEED, "an integer in [0, 2^64)"),
+    "replicas": _rule(_integer, lambda v, f: 1 <= v <= f["replicas"], "a count <= replicas"),
+    "pair": _rule(_pair, lambda v, f: v[0] < v[1], "low < high"),
+    "interval": _rule(_pair, lambda v, f: v in f["intervals"], "a pair in the intervals list"),
+    "path": _rule(lambda v, p: v, lambda v, f: isinstance(v, str), "a string path"),
+    "workers": _rule(_workers, lambda v, f: v == "auto" or v >= 1, "an integer >= 1 or 'auto'"),
+    "pd": _pd,
+    "checks": _checks,
+}
+
+
+def _read(kind: str, value, path: str, fields: dict):
+    """``value`` read as ``kind``; MISSING or ``...`` stands for a required value left out."""
+    if value is dataclasses.MISSING or value is ...:
+        _fail(path, "required")
+    if kind.startswith("["):
+        if not isinstance(value, list):
+            _fail(path, f"expected a list, got {value!r}")
+        return tuple(_read(kind[1:-1], v, f"{path}[{i}]", fields) for i, v in enumerate(value))
+    return KINDS[kind](value, path, fields)
 
 
 def from_dict(doc: dict) -> ExperimentManifest:
     if not isinstance(doc, dict):
         raise ManifestError(f"manifest root: expected an object, got {type(doc).__name__}")
-    unknown = set(doc) - _TOP_LEVEL_KEYS
-    if unknown:
-        _fail("manifest root", f"unknown keys {sorted(unknown)}")
+    _known(doc, _TOP_LEVEL_KEYS, "manifest root")
     experiment = doc.get("experiment")
     if not isinstance(experiment, str) or experiment not in REGISTRY:
         _fail("experiment", f"expected one of {list(REGISTRY)}, got {experiment!r}")
-    alpha, n = _parse_env(doc)
-    reads = REGISTRY[experiment].fields
-    for key, unset in _READ_FIELDS.items():
-        if reads.get(key) and doc.get(key, unset) == unset:
-            _fail(key, f"required by {experiment}")
-        if key not in reads and doc.get(key, unset) != unset:
-            _fail(key, f"not read by {experiment}; leave it out")
-    betas = _parse_numbers(doc, "betas")
-    for i, b in enumerate(betas):
-        if b <= 0.0:
-            _fail(f"betas[{i}]", f"expected beta > 0, got {b}")
-    replicas = _as_int(doc.get("replicas", 1), "replicas")
-    if replicas < 1:
-        _fail("replicas", f"expected a positive integer, got {replicas}")
-    master_seed = _as_int(doc.get("master_seed", 0), "master_seed")
-    if not 0 <= master_seed < MAX_SEED:
-        _fail("master_seed", f"expected 0 <= seed < 2^64, got {master_seed}")
-    k_marginal = _as_int(doc.get("k_marginal", 0), "k_marginal")
-    if not 0 <= k_marginal <= n:
-        _fail("k_marginal", f"expected 0 <= k_marginal <= n={n}, got {k_marginal}")
-    top_m = _as_int(doc.get("top_m", 1024), "top_m")
-    if top_m < 1:
-        _fail("top_m", f"expected top_m >= 1, got {top_m}")
-    output_dir = doc.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        _fail("output_dir", f"expected a string path, got {output_dir!r}")
-    workers = doc.get("workers")
-    if workers is not None and workers != "auto":
-        workers = _as_int(workers, "workers")
-        if workers < 1:
-            _fail("workers", f"expected a positive integer or 'auto', got {workers}")
-    manifest = ExperimentManifest(
-        experiment=experiment,
-        alpha=alpha,
-        n=n,
-        betas=betas,
-        replicas=replicas,
-        master_seed=master_seed,
-        intervals=_parse_intervals(doc),
-        k_marginal=k_marginal,
-        b_levels=_parse_numbers(doc, "b_levels"),
-        top_m=top_m,
-        pd=_parse_pd(doc, betas),
-        output_dir=output_dir,
-        workers=workers,
-    )
-    checks = _parse_checks(doc, manifest)
-    return dataclasses.replace(manifest, checks=checks)
+    env = doc.get("env")
+    if not isinstance(env, dict) or set(env) != {"alpha", "n"}:
+        _fail("env", f"expected an object with the keys alpha and n, got {env!r}")
+    entry = REGISTRY[experiment]
+    for name in _SELECTIVE:
+        value = doc.get(name, _UNSET[name])
+        if entry.fields.get(name) and value == _UNSET[name]:
+            _fail(name, f"required by {experiment}")
+        if name not in entry.fields and value != _UNSET[name]:
+            _fail(name, f"not read by {experiment}; leave it out")
+    fields = {"experiment": experiment}
+    for f in dataclasses.fields(ExperimentManifest)[1:]:
+        path = f"env.{f.name}" if f.name in env else f.name
+        value = env[f.name] if f.name in env else doc.get(f.name, _UNSET[f.name])
+        kind = entry.fields.get(f.name)
+        if value is not None or f.default is not None:
+            value = _read(kind if isinstance(kind, str) else f.metadata["kind"], value, path, fields)
+        fields[f.name] = value
+    return ExperimentManifest(**fields)
 
 
 def from_json(text: str) -> ExperimentManifest:

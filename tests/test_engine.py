@@ -35,9 +35,10 @@ def make_spec(**kw):
     return ReplicaSpec(**defaults)
 
 
-def pinned(values):
+def pinned(monkeypatch, values):
+    """Make ``run_replica`` read ``values`` in place of the keyed energy stream."""
     arr = np.asarray(values, dtype=float)
-    return lambda lo, hi: arr[lo:hi]
+    monkeypatch.setattr(engine, "energy_block", lambda spec, lo, hi: arr[lo:hi])
 
 
 def test_energy_at_matches_block():
@@ -125,9 +126,10 @@ def test_run_replica_beta_zero_closed_forms():
     assert free_energy(res, 0.0) == res.log_z[0.0] / 10.0
 
 
-def test_run_replica_pinned_energies():
+def test_run_replica_pinned_energies(monkeypatch):
     spec = make_spec(env=Environment(1.0, 2), betas=(1.0,), k_marginal=1, top_m=4)
-    res = run_replica(spec, energy_fn=pinned([-1.0, 0.0, 0.0, 0.0]))
+    pinned(monkeypatch, [-1.0, 0.0, 0.0, 0.0])
+    res = run_replica(spec)
     assert abs(res.log_z[1.0] - 1.743668380628679) < 1e-12
     head = res.spectrum[1.0].weights[0]
     assert abs(head - 0.4753668864186717) < 1e-12
@@ -137,13 +139,14 @@ def test_run_replica_pinned_energies():
     assert abs(res.marginal[1.0][1] - 2.0 / (E_CONST + 3.0)) < 1e-12
 
 
-def test_rate_estimate_pinned():
+def test_rate_estimate_pinned(monkeypatch):
     spec = make_spec(
         env=Environment(1.0, 2),
         betas=(1.0,),
         intervals=((-0.3, -0.1), (-0.6, 0.1)),
     )
-    res = run_replica(spec, energy_fn=pinned([-1.0, 0.0, 0.0, 0.0]))
+    pinned(monkeypatch, [-1.0, 0.0, 0.0, 0.0])
+    res = run_replica(spec)
     assert rate_estimate(res, (-0.3, -0.1)) == math.inf
     assert rate_estimate(res, (-0.6, 0.1)) == 0.0
     with pytest.raises(KeyError):
@@ -152,11 +155,13 @@ def test_rate_estimate_pinned():
         free_energy(res, 2.0)
 
 
-def test_gibbs_quantities_shift_invariant():
+def test_gibbs_quantities_shift_invariant(monkeypatch):
     base = energy_block(make_spec(env=Environment(1.0, 10)), 0, 1024)
     spec = make_spec(env=Environment(1.0, 10), betas=(0.7, 2.0), k_marginal=2, top_m=64)
-    lo_res = run_replica(spec, energy_fn=pinned(base))
-    hi_res = run_replica(spec, energy_fn=pinned(base + 55.0))
+    pinned(monkeypatch, base)
+    lo_res = run_replica(spec)
+    pinned(monkeypatch, base + 55.0)
+    hi_res = run_replica(spec)
     for beta in spec.betas:
         assert abs(hi_res.log_z[beta] - (lo_res.log_z[beta] - beta * 55.0)) < 1e-9
         assert np.max(np.abs(hi_res.marginal[beta] - lo_res.marginal[beta])) < 1e-10
@@ -202,11 +207,12 @@ def test_gibbs_spectrum_rejects_malformed():
         GibbsSpectrum(np.array([0.5, 0.0]), 0.5)
 
 
-def test_exceedance_positions_pinned():
+def test_exceedance_positions_pinned(monkeypatch):
     shift = shift_constant(2)
     e = np.array([-1.0 - shift, 0.5 - shift, -0.2 - shift, 3.0 - shift])
     spec = make_spec(env=Environment(1.0, 2), betas=(1.0,), b_levels=(0.0,))
-    res = run_replica(spec, energy_fn=pinned(e))
+    pinned(monkeypatch, e)
+    res = run_replica(spec)
     pos = res.exceedance[0.0]
     assert np.allclose(pos, [1.0, 0.2], atol=1e-12)
 
@@ -277,7 +283,8 @@ def test_ground_state_in_last_chunk(monkeypatch):
         b_levels=(-1.0,),
     )
     assert math.exp(-6.0 * (energies[27] - energies[29])) == 0.0
-    res = run_replica(spec, energy_fn=pinned(energies))
+    pinned(monkeypatch, energies)
+    res = run_replica(spec)
     ref = naive_replica(spec, energies)
     assert res.min_energy == -203.0
     for beta in spec.betas:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -13,8 +14,10 @@ import remlab.experiments
 from remlab.cli import main
 from remlab.experiments import REGISTRY, resolve_workers, run_experiment
 from remlab.manifest import (
+    KINDS,
     ExperimentManifest,
     ManifestError,
+    PDBlock,
     from_dict,
     from_json,
     load,
@@ -56,6 +59,21 @@ def tiny_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def as_pd(doc, checks=(), **pd):
+    doc.update(experiment="pd_compare", betas=[2.0], checks=list(checks),
+               pd={"m": 0.5, "draws": 5, **pd})
+
+
+def as_rate(doc, checks=(), intervals=((0.1, 0.2),)):
+    doc.update(experiment="rate_function", betas=[], checks=list(checks),
+               intervals=[list(pair) for pair in intervals])
+
+
+def as_exceedance(doc, checks=(), b_levels=(0.0,), alpha=1.0):
+    doc.update(experiment="exceedance", env={"alpha": alpha, "n": 8}, betas=[],
+               checks=list(checks), b_levels=list(b_levels))
 
 
 def test_seed_derivation_golden_keys():
@@ -117,6 +135,19 @@ def test_readme_checks_table_matches_registry():
     assert documented == registered
 
 
+def test_every_declared_kind_is_known():
+    declared = {
+        f.metadata["kind"].strip("[]")
+        for cls in (ExperimentManifest, PDBlock)
+        for f in dataclasses.fields(cls)
+        if "kind" in f.metadata
+    }
+    for entry in REGISTRY.values():
+        declared |= {kind for kind in entry.fields.values() if isinstance(kind, str)}
+        declared |= {kind for spec in entry.checks.values() for kind, _ in spec.params.values()}
+    assert declared <= set(KINDS)
+
+
 def test_builtin_unknown_name():
     with pytest.raises(ValueError):
         builtin_manifest("nonexistent")
@@ -159,6 +190,51 @@ def test_builtin_unknown_name():
         (lambda d: d.update(b_levels=[-3.0]), "b_levels: not read by free_energy"),
         (lambda d: d.update(k_marginal=1), "k_marginal: not read by free_energy"),
         (lambda d: d.update(pd={"m": 0.5, "draws": 5}), "pd: not read by free_energy"),
+        (lambda d: d.update(top_m=64), "top_m: not read by free_energy"),
+        # the pd block
+        (lambda d: as_pd(d, epsilon_mass=0), "pd.epsilon_mass:"),
+        (lambda d: as_pd(d, draws=0), "pd.draws:"),
+        (lambda d: as_pd(d, stick_draws=-1), "pd.stick_draws:"),
+        (lambda d: as_pd(d, stick_length=0), "pd.stick_length:"),
+        (lambda d: as_pd(d, bogus=1), "pd: unknown keys"),
+        (lambda d: (as_pd(d), d["pd"].pop("m")), "pd.m:"),
+        (lambda d: (as_pd(d), d.update(betas=[2.0, 4.0])), "betas:"),
+        # values of the wrong type or out of range
+        (lambda d: as_rate(d, intervals=[(0.3, 0.2)]), "intervals[0]:"),
+        (lambda d: as_rate(d, intervals=[(0.1, 0.2, 0.3)]), "intervals[0]:"),
+        (lambda d: as_exceedance(d, b_levels=["x"]), "b_levels[0]:"),
+        (lambda d: d.update(betas="0.5"), "betas:"),
+        (lambda d: d.update(betas=[10**400]), "betas[0]:"),
+        (lambda d: d.update(output_dir=3), "output_dir:"),
+        (lambda d: d.update(env={"alpha": "1", "n": 8}), "env.alpha:"),
+        (lambda d: d.update(env={"alpha": 1.0, "n": True}), "env.n:"),
+        # check parameters
+        (
+            lambda d: as_exceedance(d, [{"check": "count_chi_square", "b": 0.0, "kmax": 0}]),
+            "checks[0].kmax:",
+        ),
+        (
+            lambda d: as_rate(d, [{"check": "outside_fraction_below", "interval": [0.1, 0.2],
+                                   "threshold": 0.5, "min_replicas": 4}]),
+            "checks[0].min_replicas:",
+        ),
+        (
+            lambda d: as_exceedance(d, [{"check": "count_zero_prob", "b": 1.0, "tol": 0.1}]),
+            "checks[0].b:",
+        ),
+        (lambda d: d.update(checks=[{"check": "mean_within", "beta": 0.5, "tol": 0}]),
+         "checks[0].tol:"),
+        (lambda d: as_rate(d, [{"check": "zero_hits", "interval": [0.1]}]), "checks[0].interval:"),
+        (
+            lambda d: d.update(checks=[{"check": "mean_within", "beta": 0.5, "tol": 0.1, "x": 1}]),
+            "checks[0]: unknown keys",
+        ),
+        (lambda d: as_pd(d, [{"check": "stick_ks_w1", "max_statistic": 0.5}]), "checks[0]:"),
+        (lambda d: d.update(checks={}), "checks:"),
+        (lambda d: d.update(checks=[3]), "checks[0]:"),
+        # the limit laws of exceedance and pd_compare hold for alpha = 1 only
+        (lambda d: as_exceedance(d, alpha=2.0), "env.alpha:"),
+        (lambda d: (as_pd(d), d.update(env={"alpha": 2.0, "n": 8})), "env.alpha:"),
     ],
 )
 def test_manifest_validation_errors(mutate, fragment):
@@ -281,7 +357,9 @@ def test_curve_shape_defaults_to_critical_beta(tmp_path):
         betas=[0.5, 1.0, 1.5, 2.0],
         checks=[{"check": "curve_shape"}],
     )
-    outcome = run_experiment(from_dict(doc), output_dir=tmp_path)
+    manifest = from_dict(doc)
+    assert manifest.checks[0]["center_beta"] == critical_beta(2.0)
+    outcome = run_experiment(manifest, output_dir=tmp_path)
     assert outcome.checks[0].detail["center_beta"] == critical_beta(2.0)
 
 

@@ -9,18 +9,88 @@ variance ``n``.  The ``n``-dependent scaling keeps the free energy per
 site of a system with ``2**n`` independent energies at a nontrivial
 limit for every shape.
 
-All distribution functions here are exact closed forms.  For general
-``alpha`` the absolute value of an energy is a powered Gamma variate,
-so the cdf reduces to the regularized incomplete gamma function.
+The density, cdf and tail probabilities are exact closed forms.  For
+general ``alpha`` the absolute value of an energy is a powered Gamma
+variate, so the cdf reduces to the regularized incomplete gamma
+function.  The quantile is a closed form at ``alpha`` 1 and 2; for other
+shapes it evaluates a per-``alpha`` table of polynomials, accurate to a
+relative 1e-13 in the energy and 1e-12 in the tail probability it
+inverts (see ``Environment.quantile``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+
+# Draws of exactly 0 are nudged to this, below the smallest positive
+# value ``random()`` can produce, so every energy is finite.
+_U_MIN = 2.0 ** -54
+
+# Layout of the general-alpha quantile table.  Its input is the tail mass
+# q = 2 min(u, 1-u) for q <= 1/2 and the centre mass |2u - 1| = 1 - q
+# otherwise, so it lies in {0} and [2**-53, 1/2], frexp exponents 0 down
+# to -52.  Each of those binades is cut into _PIECES equal sub-intervals
+# of the mantissa, and each sub-interval holds a polynomial of degree
+# _DEGREE in the local coordinate t in [0, 1).
+_PIECES = 8
+_DEGREE = 10
+_BINADES = 1 - math.frexp(2.0 * _U_MIN)[1]
+# values per pass of the evaluation: its temporaries stay in cache
+_BLOCK = 1 << 15
+
+
+@functools.lru_cache(maxsize=16)
+def _power_gamma_table(alpha: float) -> np.ndarray:
+    """Polynomial coefficients of ``G**(1/alpha) / x`` on every piece.
+
+    ``G`` is the ``Gamma(1/alpha, 1)`` variate with upper tail ``x``
+    (tail pieces) or lower tail ``x`` (centre pieces).  Row ``k`` holds
+    the ``t**k`` coefficient of all ``2 * _BINADES * _PIECES`` pieces,
+    tail pieces first, each binade from 1/2 downwards.  The quotient by
+    ``x`` keeps every piece of order one and makes the magnitude exactly
+    0 at ``x = 0``.
+    """
+    a = 1.0 / alpha
+    # Chebyshev points on [0, 1]; interpolating there is close to minimax
+    t = 0.5 - 0.5 * np.cos(np.pi * (np.arange(_DEGREE + 1) + 0.5) / (_DEGREE + 1))
+    mantissa = 0.5 + (np.arange(_PIECES) + t[:, None]) / (2 * _PIECES)
+    x = np.ldexp(mantissa[:, None, :], -np.arange(_BINADES)[:, None]).reshape(_DEGREE + 1, -1)
+    g = np.concatenate([special.gammainccinv(a, x), special.gammaincinv(a, x)], axis=1)
+    # Near x = 0 in the centre, G**a = x * Gamma(1 + a) * (1 + O(G)); use
+    # that where G is too small to matter (or underflows, at large alpha).
+    values = np.where(g < 1e-20, math.gamma(1.0 + a), g ** a / np.tile(x, 2))
+    table = np.linalg.solve(np.vander(t, increasing=True), values)
+    table.flags.writeable = False
+    return table
+
+
+def _power_gamma_quantile(u: np.ndarray, alpha: float) -> np.ndarray:
+    """``G**(1/alpha)`` where ``P(G > g) = 2 min(u, 1-u)``, for ``u`` in [2**-54, 1)."""
+    table = _power_gamma_table(alpha)
+    flat = u.reshape(-1)
+    out = np.empty_like(flat)
+    for lo in range(0, flat.size, _BLOCK):
+        v = flat[lo : lo + _BLOCK]
+        q = 2.0 * np.minimum(v, 1.0 - v)  # exact: the minimum is v, or 1 - v with v >= 1/2
+        centre = q > 0.5
+        x = np.where(centre, 1.0 - q, q)  # 1 - q = |2u - 1| is exact there (Sterbenz)
+        mantissa, exponent = np.frexp(x)
+        z = mantissa * (2 * _PIECES) - _PIECES  # position in the binade, in pieces
+        piece = z.astype(np.intp)
+        t = z - piece
+        piece += _PIECES * (np.where(centre, _BINADES, 0) - exponent)
+        y = table[-1].take(piece)
+        for row in table[-2::-1]:
+            y *= t
+            y += row.take(piece)
+        # at x = 0 (u = 1/2) the piece is out of its binade but finite
+        out[lo : lo + _BLOCK] = y * x
+    return out.reshape(u.shape)
 
 
 @dataclass(frozen=True)
@@ -95,33 +165,37 @@ class Environment:
         ``cdf(x) + cdf(-x) == 1`` by symmetry of the density.
         """
         x = np.asarray(x, dtype=float)
-        ax = np.abs(x)
-        if self.alpha == 1.0:
-            half = 0.5 * np.exp(-ax)
-        elif self.alpha == 2.0:
-            half = special.ndtr(-ax / math.sqrt(self.n))
-        else:
-            half = 0.5 * special.gammaincc(1.0 / self.alpha, ax ** self.alpha / self.scale)
+        half = self.tail_probability(np.abs(x))
         out = np.where(x <= 0, half, 1.0 - half)
         return out if out.ndim else float(out)
 
     def quantile(self, u):
-        """Inverse cdf on (0, 1); the exact transform used for keyed streams.
+        """Inverse cdf on (0, 1); the transform used for keyed streams.
 
         Vectorized.  Draws of exactly 0 are nudged to 2**-54 (below the
         smallest positive value ``random()`` can produce) so the output
         is always finite.
+
+        Closed forms at alpha 1 and 2.  For other shapes the magnitude
+        ``(scale * G)**(1/alpha)``, with ``G`` the Gamma variate of tail
+        mass ``2 min(u, 1-u)``, is read from a per-alpha table of
+        polynomials (built on first use, then cached).  Its input never
+        forms ``|2u - 1|`` where that cancels, so the tails stay
+        accurate: the magnitude agrees with scipy's ``gammainccinv``
+        to within a relative 1e-13, and ``tail_probability(|E|)``
+        equals ``min(u, 1-u)`` to within a relative 1e-12 for every
+        ``u`` down to 2**-54, both tested at alpha 1.01 to 10.
         """
-        u = np.maximum(np.asarray(u, dtype=float), 2.0 ** -54)
-        if np.any(u >= 1.0):
+        u = np.maximum(np.asarray(u, dtype=float), _U_MIN)
+        if not np.all(u < 1.0):
             raise ValueError("quantile is defined on (0, 1)")
         if self.alpha == 1.0:
             mag = -np.log(2.0 * np.minimum(u, 1.0 - u))
         elif self.alpha == 2.0:
             mag = np.abs(special.ndtri(u)) * math.sqrt(self.n)
         else:
-            p = np.abs(2.0 * u - 1.0)
-            mag = (self.scale * special.gammaincinv(1.0 / self.alpha, p)) ** (1.0 / self.alpha)
+            mag = _power_gamma_quantile(u, self.alpha)
+            mag *= self.scale ** (1.0 / self.alpha)
         out = np.copysign(mag, u - 0.5)
         return out if out.ndim else float(out)
 

@@ -266,6 +266,9 @@ def from_json(text: str) -> ExperimentManifest:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ManifestError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer literal beyond Python's digit limit, or nesting beyond the recursion limit
+        raise ManifestError(f"invalid JSON: {exc}") from exc
     return from_dict(doc)
 
 

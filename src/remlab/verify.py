@@ -24,6 +24,7 @@ BUILTIN_NAMES = (
     "free_energy_high_temp",
     "free_energy_low_temp",
     "free_energy_gaussian",
+    "free_energy_alpha15",
     "free_energy_curve",
     "rate_window",
     "concentration",

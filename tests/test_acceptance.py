@@ -81,6 +81,22 @@ def test_free_energy_gaussian_pair(verified):
     assert ok
 
 
+def test_free_energy_alpha15_pair(verified):
+    record = verified["free_energy_alpha15"]
+    ok = True
+    for name in ("mean_within(beta=0.5)", "mean_within(beta=2)"):
+        check = fetch(record, name)
+        d = check.detail
+        announce(
+            f"free energy alpha=1.5 beta={d['beta']:g}",
+            check.passed,
+            f"mean={d['mean']:.6f} target={d['target']:.6f} tol={d['tol']} "
+            f"runtime={record.duration:.1f}s retried={record.retried}",
+        )
+        ok = ok and check.passed
+    assert ok
+
+
 def test_free_energy_curve_shape(verified):
     record = verified["free_energy_curve"]
     check = fetch(record, "curve_shape")
@@ -291,7 +307,13 @@ def test_engine_matches_naive_oracle_random_specs(monkeypatch):
 
 def test_worker_count_invariance(verified, tmp_path_factory):
     root = tmp_path_factory.mktemp("workers8")
-    names = ("free_energy_high_temp", "rate_window", "marginals_laplace", "pd_compare")
+    names = (
+        "free_energy_high_temp",
+        "free_energy_alpha15",
+        "rate_window",
+        "marginals_laplace",
+        "pd_compare",
+    )
     for name in names:
         base = verified[name].first_outcome.output_dir
         rerun = run_experiment(builtin_manifest(name), workers=8, output_dir=root / name)

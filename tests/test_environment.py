@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from remlab.environment import Environment
 from remlab.experiments import _DIAG_N, _SANDWICH_INTERVALS
@@ -118,6 +118,63 @@ def test_quantile_rejects_unit_and_handles_zero():
         env.quantile(1.0)
     # u=0 is clamped below the smallest representable uniform draw
     assert math.isfinite(float(env.quantile(0.0)))
+
+
+def gamma_quantile(env, u):
+    """|E| from scipy's inverse of the upper incomplete gamma, by the definition."""
+    a = 1.0 / env.alpha
+    return (env.scale * special.gammainccinv(a, 2.0 * np.minimum(u, 1.0 - u))) ** a
+
+
+GENERAL_ALPHAS = [1.01, 1.5, 3.0, 10.0]
+
+
+@pytest.mark.parametrize("alpha", GENERAL_ALPHAS)
+@pytest.mark.parametrize("n", [1, 30])
+def test_quantile_deep_tail_is_exact(alpha, n):
+    # |2u - 1| cancels for small u; the tail mass 2 min(u, 1-u) does not
+    env = Environment(alpha, n)
+    base = 1.2345678 * 2.0 ** -np.arange(2, 54)
+    u = np.concatenate([base, 1.0 - base])
+    x = env.quantile(u)
+    assert np.all(np.sign(x) == np.sign(u - 0.5))
+    ratio = env.tail_probability(np.abs(x)) / np.minimum(u, 1.0 - u)
+    assert np.max(np.abs(ratio - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", GENERAL_ALPHAS)
+def test_quantile_matches_inverse_gamma(alpha):
+    env = Environment(alpha, 8)
+    u = np.random.default_rng(7).random(1 << 16)
+    x = env.quantile(u)
+    assert np.max(np.abs(np.abs(x) / gamma_quantile(env, u) - 1.0)) <= 1e-13
+    assert np.array_equal(np.sign(x), np.sign(u - 0.5))
+
+
+@pytest.mark.parametrize("alpha", [1.5, 3.0, 30.0])
+def test_quantile_table_edges(alpha):
+    env = Environment(alpha, 8)
+    a = 1.0 / alpha
+    # u = 1/2 is the centre of the law: |2u - 1| = 0 and frexp(0) has mantissa 0
+    assert env.quantile(0.5) == 0.0
+    assert isinstance(env.quantile(0.5), float)
+    assert isinstance(env.quantile(0.3), float)
+    assert env.quantile(np.full((2, 3), 0.3)).shape == (2, 3)
+    # u = 0 is nudged to 2**-54, tail mass 2**-53 at the bottom of the table
+    assert env.quantile(0.0) == env.quantile(2.0 ** -54) < 0.0
+    assert abs(env.tail_probability(-env.quantile(0.0)) / 2.0 ** -54 - 1.0) <= 1e-12
+    # the smallest |2u - 1| of 53-bit uniforms (2**-52), and of any double (2**-53),
+    # are at the bottom of the centre table; there G < 1e-20 (it underflows at
+    # alpha = 30), and G**(1/alpha) = p * Gamma(1 + 1/alpha) * (1 + O(G))
+    for u, p in ((0.5 + 2.0 ** -53, 2.0 ** -52), (0.5 - 2.0 ** -53, 2.0 ** -52),
+                 (0.5 - 2.0 ** -54, 2.0 ** -53)):
+        want = env.scale ** a * math.gamma(1.0 + a) * p
+        assert abs(abs(env.quantile(u)) / want - 1.0) <= 1e-13
+    # tail mass exactly 1/2, where the tail table meets the centre table
+    for u in (0.25, 0.75, 0.25 - 2.0 ** -55, 0.75 + 2.0 ** -53):
+        assert abs(abs(env.quantile(u)) / gamma_quantile(env, u) - 1.0) <= 1e-13
+    with pytest.raises(ValueError):
+        env.quantile(np.array([0.3, np.nan]))
 
 
 def test_tail_probability_values_and_errors():

@@ -282,6 +282,24 @@ def test_json_syntax_error_reports_position():
     assert "line 2" in str(err.value)
 
 
+HUGE_LITERAL = json.dumps(tiny_doc()).replace("[0.5]", "[" + "1" * 5001 + "]")
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        # beyond the integer digit limit json.loads raises a plain ValueError;
+        # an interpreter without that limit reads the number and rejects it as a beta
+        (HUGE_LITERAL, ("invalid JSON", "betas[0]:")),
+        ("[" * 100000 + "]" * 100000, ("invalid JSON",)),
+    ],
+)
+def test_manifest_text_errors(text, fragment):
+    with pytest.raises(ManifestError) as err:
+        from_json(text)
+    assert any(part in str(err.value) for part in fragment)
+
+
 def test_resolve_workers_precedence(monkeypatch):
     manifest = from_dict(tiny_doc())
     monkeypatch.delenv("REMLAB_WORKERS", raising=False)
@@ -487,6 +505,9 @@ def test_cli_run_exit_codes(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps(tiny_doc()), encoding="utf-8")
     assert main(["run", str(path), "--workers", "0"]) == 2
     assert main(["run", str(path), "--seed", "-1"]) == 2
+    path.write_text(HUGE_LITERAL, encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    path.write_text(json.dumps(tiny_doc()), encoding="utf-8")
     capsys.readouterr()
 
     # a ValueError raised inside the run is a runtime fault, not bad input

@@ -121,15 +121,26 @@ def test_quantile_rejects_unit_and_handles_zero():
 
 
 def gamma_quantile(env, u):
-    """|E| from scipy's inverse of the upper incomplete gamma, by the definition."""
+    """|E| from scipy's inverse of the upper incomplete gamma, by the definition.
+
+    Where that inverse ``G`` is below 1e-280 (near u = 1/2 at large alpha)
+    it is subnormal or close to it and has lost digits; there the series
+    ``G**(1/alpha) = P * Gamma(1 + 1/alpha) * (1 + O(G))`` in the lower
+    tail mass ``P = 1 - 2 min(u, 1-u)`` is exact to double precision.
+    """
     a = 1.0 / env.alpha
-    return (env.scale * special.gammainccinv(a, 2.0 * np.minimum(u, 1.0 - u))) ** a
+    q = 2.0 * np.minimum(u, 1.0 - u)
+    g = special.gammainccinv(a, q)
+    mag = np.where(g < 1e-280, (1.0 - q) * math.gamma(1.0 + a), g ** a)
+    return env.scale ** a * mag
 
 
 GENERAL_ALPHAS = [1.01, 1.5, 3.0, 10.0]
+# shapes where Gamma(1/alpha) variates fall below 1e-20 on whole tail pieces
+LARGE_ALPHAS = [60.0, 100.0]
 
 
-@pytest.mark.parametrize("alpha", GENERAL_ALPHAS)
+@pytest.mark.parametrize("alpha", GENERAL_ALPHAS + [30.0, 60.0])
 @pytest.mark.parametrize("n", [1, 30])
 def test_quantile_deep_tail_is_exact(alpha, n):
     # |2u - 1| cancels for small u; the tail mass 2 min(u, 1-u) does not
@@ -142,16 +153,17 @@ def test_quantile_deep_tail_is_exact(alpha, n):
     assert np.max(np.abs(ratio - 1.0)) <= 1e-12
 
 
-@pytest.mark.parametrize("alpha", GENERAL_ALPHAS)
+@pytest.mark.parametrize("alpha", GENERAL_ALPHAS + LARGE_ALPHAS)
 def test_quantile_matches_inverse_gamma(alpha):
     env = Environment(alpha, 8)
-    u = np.random.default_rng(7).random(1 << 16)
+    base = 1.2345678 * 2.0 ** -np.arange(2, 54)
+    u = np.concatenate([np.random.default_rng(7).random(1 << 16), base, 1.0 - base])
     x = env.quantile(u)
     assert np.max(np.abs(np.abs(x) / gamma_quantile(env, u) - 1.0)) <= 1e-13
     assert np.array_equal(np.sign(x), np.sign(u - 0.5))
 
 
-@pytest.mark.parametrize("alpha", [1.5, 3.0, 30.0])
+@pytest.mark.parametrize("alpha", [1.5, 3.0, 30.0] + LARGE_ALPHAS)
 def test_quantile_table_edges(alpha):
     env = Environment(alpha, 8)
     a = 1.0 / alpha
@@ -164,14 +176,15 @@ def test_quantile_table_edges(alpha):
     assert env.quantile(0.0) == env.quantile(2.0 ** -54) < 0.0
     assert abs(env.tail_probability(-env.quantile(0.0)) / 2.0 ** -54 - 1.0) <= 1e-12
     # the smallest |2u - 1| of 53-bit uniforms (2**-52), and of any double (2**-53),
-    # are at the bottom of the centre table; there G < 1e-20 (it underflows at
-    # alpha = 30), and G**(1/alpha) = p * Gamma(1 + 1/alpha) * (1 + O(G))
+    # are at the bottom of the centre table; there G < 1e-20 (it underflows from
+    # alpha = 30 on), and G**(1/alpha) = p * Gamma(1 + 1/alpha) * (1 + O(G))
     for u, p in ((0.5 + 2.0 ** -53, 2.0 ** -52), (0.5 - 2.0 ** -53, 2.0 ** -52),
                  (0.5 - 2.0 ** -54, 2.0 ** -53)):
         want = env.scale ** a * math.gamma(1.0 + a) * p
         assert abs(abs(env.quantile(u)) / want - 1.0) <= 1e-13
-    # tail mass exactly 1/2, where the tail table meets the centre table
-    for u in (0.25, 0.75, 0.25 - 2.0 ** -55, 0.75 + 2.0 ** -53):
+    # tail mass exactly 1/2, where the tail table meets the centre table, and
+    # tail masses near it, where G < 1e-20 from alpha about 60 on
+    for u in (0.25, 0.75, 0.25 - 2.0 ** -55, 0.75 + 2.0 ** -53, 0.2, 0.8, 0.18, 0.82):
         assert abs(abs(env.quantile(u)) / gamma_quantile(env, u) - 1.0) <= 1e-13
     with pytest.raises(ValueError):
         env.quantile(np.array([0.3, np.nan]))

@@ -41,8 +41,10 @@ _U_MIN = 2.0 ** -54
 _PIECES = 8
 _DEGREE = 10
 _BINADES = 1 - math.frexp(2.0 * _U_MIN)[1]
-# values per pass of the evaluation: its temporaries stay in cache
-_BLOCK = 1 << 15
+# values per pass of the evaluation: its temporaries (64 KB each) stay in
+# cache, and below the size from which malloc maps fresh pages for each
+# one (128 KB by default in glibc)
+_BLOCK = 1 << 13
 
 
 @functools.lru_cache(maxsize=16)
@@ -73,11 +75,15 @@ def _power_gamma_table(alpha: float) -> np.ndarray:
     return table
 
 
-def _power_gamma_quantile(u: np.ndarray, alpha: float) -> np.ndarray:
-    """``G**(1/alpha)`` where ``P(G > g) = 2 min(u, 1-u)``, for ``u`` in [2**-54, 1)."""
+def _power_gamma_quantile(u: np.ndarray, alpha: float, scale: float) -> np.ndarray:
+    """``sign(u - 1/2) * scale * G**(1/alpha)`` where ``P(G > g) = 2 min(u, 1-u)``.
+
+    For ``u`` in [2**-54, 1).  The result is written over ``u`` block by
+    block, so no array of its size is allocated: each would be faulted in
+    afresh on every call.
+    """
     table = _power_gamma_table(alpha)
     flat = u.reshape(-1)
-    out = np.empty_like(flat)
     for lo in range(0, flat.size, _BLOCK):
         v = flat[lo : lo + _BLOCK]
         q = 2.0 * np.minimum(v, 1.0 - v)  # exact: the minimum is v, or 1 - v with v >= 1/2
@@ -93,8 +99,10 @@ def _power_gamma_quantile(u: np.ndarray, alpha: float) -> np.ndarray:
             y *= t
             y += row.take(piece)
         # at x = 0 (u = 1/2) the piece is out of its binade but finite
-        out[lo : lo + _BLOCK] = y * x
-    return out.reshape(u.shape)
+        y *= x
+        y *= scale
+        np.copysign(y, v - 0.5, out=v)
+    return flat.reshape(u.shape)
 
 
 @dataclass(frozen=True)
@@ -122,6 +130,11 @@ class Environment:
             raise ValueError(f"alpha must be a finite real >= 1, got {self.alpha!r}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "n", int(self.n))
+        if alpha not in (1.0, 2.0):
+            # Build the quantile table now, not on the first draw: worker
+            # processes forked after this inherit it instead of each
+            # rebuilding it for every pool.
+            _power_gamma_table(alpha)
 
     @property
     def scale(self) -> float:
@@ -183,13 +196,13 @@ class Environment:
         Closed forms at alpha 1 and 2.  For other shapes the magnitude
         ``(scale * G)**(1/alpha)``, with ``G`` the Gamma variate of tail
         mass ``2 min(u, 1-u)``, is read from a per-alpha table of
-        polynomials (built on first use, then cached).  Its input never
-        forms ``|2u - 1|`` where that cancels, so the tails stay
-        accurate: the magnitude agrees with scipy's ``gammainccinv``
-        to within a relative 1e-13 (tested at alpha 1.01 to 100), and
-        ``tail_probability(|E|)`` equals ``min(u, 1-u)`` to within a
-        relative 1e-12 for every ``u`` down to 2**-54 (tested at alpha
-        1.01 to 60).  The tail probability magnifies the energy's
+        polynomials (built when the environment is made, then cached).
+        Its input never forms ``|2u - 1|`` where that cancels, so the
+        tails stay accurate: the magnitude agrees with scipy's
+        ``gammainccinv`` to within a relative 1e-13 (tested at alpha
+        1.01 to 100), and ``tail_probability(|E|)`` equals ``min(u,
+        1-u)`` to within a relative 1e-12 for every ``u`` down to
+        2**-54 (tested at alpha 1.01 to 60).  The tail probability magnifies the energy's
         relative error by about ``alpha * log(1/u)``, so beyond that
         range its bound grows with alpha: 1.5e-12 at alpha 100.
         """
@@ -197,13 +210,11 @@ class Environment:
         if not np.all(u < 1.0):
             raise ValueError("quantile is defined on (0, 1)")
         if self.alpha == 1.0:
-            mag = -np.log(2.0 * np.minimum(u, 1.0 - u))
+            out = np.copysign(-np.log(2.0 * np.minimum(u, 1.0 - u)), u - 0.5)
         elif self.alpha == 2.0:
-            mag = np.abs(special.ndtri(u)) * math.sqrt(self.n)
-        else:
-            mag = _power_gamma_quantile(u, self.alpha)
-            mag *= self.scale ** (1.0 / self.alpha)
-        out = np.copysign(mag, u - 0.5)
+            out = np.copysign(np.abs(special.ndtri(u)) * math.sqrt(self.n), u - 0.5)
+        else:  # u is the nudged copy made above, so it may be overwritten
+            out = _power_gamma_quantile(u, self.alpha, self.scale ** (1.0 / self.alpha))
         return out if out.ndim else float(out)
 
     def interval_probability(self, low: float, high: float) -> float:

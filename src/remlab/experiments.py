@@ -152,10 +152,16 @@ def _replica_task(spec: ReplicaSpec):
     return run_replica(spec)
 
 
+# Starting and reaping a process pool costs about 20 ms on 2 CPUs, more
+# than it saves when each process would stream fewer energies than this.
+POOL_MIN_CONFIGS = 1 << 19
+
+
 def _map_tasks(task, items, workers: int) -> list:
     # Results return in submission (replica id) order either way, so the
     # schedule never leaks into the artifacts.
-    if workers <= 1 or len(items) <= 1:
+    processes = min(workers, len(items))
+    if processes <= 1 or sum(spec.size for spec in items) < processes * POOL_MIN_CONFIGS:
         return [task(item) for item in items]
     chunk = max(1, len(items) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:

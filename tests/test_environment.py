@@ -158,7 +158,9 @@ def test_quantile_matches_inverse_gamma(alpha):
     env = Environment(alpha, 8)
     base = 1.2345678 * 2.0 ** -np.arange(2, 54)
     u = np.concatenate([np.random.default_rng(7).random(1 << 16), base, 1.0 - base])
+    before = u.copy()
     x = env.quantile(u)
+    assert np.array_equal(u, before)  # the evaluation overwrites its own copy only
     assert np.max(np.abs(np.abs(x) / gamma_quantile(env, u) - 1.0)) <= 1e-13
     assert np.array_equal(np.sign(x), np.sign(u - 0.5))
 
@@ -172,6 +174,9 @@ def test_quantile_table_edges(alpha):
     assert isinstance(env.quantile(0.5), float)
     assert isinstance(env.quantile(0.3), float)
     assert env.quantile(np.full((2, 3), 0.3)).shape == (2, 3)
+    grid = np.random.default_rng(3).random((3, 5))
+    flat = env.quantile(grid.ravel()).reshape(3, 5)
+    assert np.array_equal(env.quantile(np.asfortranarray(grid)), flat)
     # u = 0 is nudged to 2**-54, tail mass 2**-53 at the bottom of the table
     assert env.quantile(0.0) == env.quantile(2.0 ** -54) < 0.0
     assert abs(env.tail_probability(-env.quantile(0.0)) / 2.0 ** -54 - 1.0) <= 1e-12

@@ -358,6 +358,32 @@ def test_run_experiment_is_deterministic_across_workers(tmp_path):
         assert (a.output_dir / name).read_bytes() == (b.output_dir / name).read_bytes()
 
 
+def test_small_runs_stay_out_of_the_pool(tmp_path, monkeypatch):
+    pools = []
+
+    class Pool:  # records the pool and runs its tasks in this process
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(remlab.experiments, "ProcessPoolExecutor", Pool)
+    # 6 replicas of 2**8 energies: far below POOL_MIN_CONFIGS per process
+    run_experiment(from_dict(tiny_doc(replicas=6)), workers=4, output_dir=tmp_path / "small")
+    assert pools == []
+    # 2 replicas of 2**19: exactly POOL_MIN_CONFIGS for each of 2 processes
+    big = from_dict(tiny_doc(replicas=2, env={"alpha": 1.0, "n": 19}))
+    run_experiment(big, workers=4, output_dir=tmp_path / "big")
+    assert pools == [4]
+
+
 def test_run_experiment_seed_override_changes_results(tmp_path):
     manifest = from_dict(tiny_doc())
     a = run_experiment(manifest, output_dir=tmp_path / "a")

@@ -2,7 +2,7 @@
 
 An environment is the law of a single configuration energy: a symmetric
 density on the real line proportional to ``exp(-|x|**alpha / (alpha *
-n**(alpha-1)))`` with shape ``alpha >= 1`` and system size ``n``.
+n**(alpha-1)))`` with shape ``alpha`` in [1, 100] and system size ``n``.
 ``alpha = 1`` is the double exponential with density ``exp(-|x|)/2``
 (independent of ``n``); ``alpha = 2`` is the centered Gaussian with
 variance ``n``.  The ``n``-dependent scaling keeps the free energy per
@@ -27,6 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+
+# The largest shape accepted: the quantile's tolerances are tested up to it,
+# and the scale alpha * n**(alpha - 1) stays a finite float for every n <= 30
+# (at alpha 500 and n 8 it overflows).
+MAX_ALPHA = 100.0
 
 # Draws of exactly 0 are nudged to this, below the smallest positive
 # value ``random()`` can produce, so every energy is finite.
@@ -107,12 +112,12 @@ def _power_gamma_quantile(u: np.ndarray, alpha: float, scale: float) -> np.ndarr
 
 @dataclass(frozen=True)
 class Environment:
-    """Energy law with shape ``alpha >= 1`` at system size ``n >= 1``.
+    """Energy law with shape ``alpha`` in [1, 100] at system size ``n >= 1``.
 
     Parameters
     ----------
     alpha : float
-        Tail exponent of the density. Must be >= 1.
+        Tail exponent of the density, in [1, ``MAX_ALPHA``].
     n : int
         System size; the density scale is ``alpha * n**(alpha-1)``.
     """
@@ -126,8 +131,8 @@ class Environment:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         alpha = float(self.alpha)
-        if not math.isfinite(alpha) or alpha < 1.0:
-            raise ValueError(f"alpha must be a finite real >= 1, got {self.alpha!r}")
+        if not 1.0 <= alpha <= MAX_ALPHA:
+            raise ValueError(f"alpha must lie in [1, {MAX_ALPHA:g}], got {self.alpha!r}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "n", int(self.n))
         if alpha not in (1.0, 2.0):

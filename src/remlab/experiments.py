@@ -6,10 +6,12 @@ summary.json with a pass/fail record per attached check.  Exceedance
 runs additionally emit positions.csv.
 
 ``REGISTRY`` declares each experiment type once, through the
-``experiment`` and ``check`` decorators: the manifest fields it reads,
-how its replica results become tables, and its checks with their
-parameters.  The manifest parser validates against it, and
-``run_experiment`` runs every type the same way.
+``experiment``, ``draws`` and ``check`` decorators: the manifest fields
+it reads, the keyed draws it needs besides its replicas, how the
+results become tables, and its checks with their parameters.  The
+manifest parser validates against it, and ``run_experiment`` runs every
+type the same way: one task map runs the replicas and the draws, in one
+pool or in this process, and returns their results in id order.
 
 Determinism contract: every random quantity is derived from
 (master_seed, replica or draw id, stream label) through the keyed
@@ -82,8 +84,31 @@ class Check:
 @dataclass(frozen=True)
 class Experiment:
     fields: dict  # manifest field read -> required (True), optional (False) or a narrower kind
-    build: Callable  # (manifest, results) -> ({file: (header, rows)}, data)
+    build: Callable  # (manifest, results, draws) -> ({file: (header, rows)}, data)
     checks: dict  # check name -> Check
+    draws: Callable = lambda manifest: []  # manifest -> [Draw], in draw id order
+
+
+@dataclass(frozen=True)
+class Draw:
+    """One keyed draw, run in the task map next to the replicas.
+
+    Calls ``sampler(*args, rng)``, with the generator of ``(master_seed,
+    draw_id, stream)``, and returns only ``(w1, sumsq)`` of the weights,
+    so a pool sends back two floats per draw.  ``sampler`` names a
+    function of this module, looked up when the draw runs, so that one
+    patched here (as perfbench's spans do) is the one called.
+    """
+
+    sampler: str
+    args: tuple
+    master_seed: int
+    draw_id: int
+    stream: int
+
+    def __call__(self) -> tuple[float, float]:
+        rng = stream_generator(self.master_seed, self.draw_id, self.stream)
+        return _spectrum_stats(globals()[self.sampler](*self.args, rng).entries)
 
 
 REGISTRY: dict[str, Experiment] = {}
@@ -99,14 +124,25 @@ def experiment(name: str, **fields):
     value must have here, narrower than the field's own, such as
     ``alpha="double_exponential"`` where the limit law is derived for
     ``alpha = 1`` only.  ``top_m`` is passed to the engine only where it
-    is listed.  ``build(manifest, results)`` turns the replica results
-    into ``({file name: (header, rows)}, data)``; rows given as a
-    function are called with the CheckResults.
+    is listed.  ``build(manifest, results, draws)`` turns the replica
+    results and the draw results (see ``draws``) into ``({file name:
+    (header, rows)}, data)``; rows given as a function are called with
+    the CheckResults.
     """
 
     def register(build):
         REGISTRY[name] = Experiment(fields, build, {})
         return build
+
+    return register
+
+
+def draws(experiment_name: str):
+    """Register ``declare(manifest) -> [Draw]``: the experiment's keyed draws, in id order."""
+
+    def register(declare):
+        REGISTRY[experiment_name] = dataclasses.replace(REGISTRY[experiment_name], draws=declare)
+        return declare
 
     return register
 
@@ -148,8 +184,9 @@ def resolve_workers(manifest: ExperimentManifest | None, override=None) -> int:
     return count
 
 
-def _replica_task(spec: ReplicaSpec):
-    return run_replica(spec)
+def _run_task(task):
+    # run_replica is looked up when the task runs, like a Draw's sampler
+    return task() if isinstance(task, Draw) else run_replica(task)
 
 
 # Starting and reaping a process pool costs about 20 ms on 2 CPUs, more
@@ -157,15 +194,21 @@ def _replica_task(spec: ReplicaSpec):
 POOL_MIN_CONFIGS = 1 << 19
 
 
-def _map_tasks(task, items, workers: int) -> list:
-    # Results return in submission (replica id) order either way, so the
-    # schedule never leaks into the artifacts.
-    processes = min(workers, len(items))
-    if processes <= 1 or sum(spec.size for spec in items) < processes * POOL_MIN_CONFIGS:
-        return [task(item) for item in items]
-    chunk = max(1, len(items) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, items, chunksize=chunk))
+def _map_tasks(specs: list, draws: list, workers: int) -> tuple[list, int]:
+    """The results of the replicas, then of the draws, and the processes that ran them.
+
+    Only the replicas' energies decide whether a pool pays; the draws go
+    wherever the replicas go.  Results return in submission (id) order
+    either way, so the schedule never leaks into the artifacts.
+    """
+    tasks = [*specs, *draws]
+    streaming = min(workers, len(specs))  # processes the replicas alone would keep busy
+    if streaming <= 1 or sum(spec.size for spec in specs) < streaming * POOL_MIN_CONFIGS:
+        return [_run_task(task) for task in tasks], 1
+    processes = min(workers, len(tasks))
+    chunk = max(1, len(tasks) // (processes * 4))
+    with ProcessPoolExecutor(max_workers=processes) as pool:
+        return list(pool.map(_run_task, tasks, chunksize=chunk)), processes
 
 
 def _cell(value) -> str:
@@ -227,7 +270,7 @@ _INTERVAL_LABEL = "({interval[0]:g},{interval[1]:g})"
 
 
 @experiment("free_energy", betas=True)
-def _free_energy(manifest: ExperimentManifest, results):
+def _free_energy(manifest: ExperimentManifest, results, draws):
     fe = {beta: [free_energy(r, beta) for r in results] for beta in manifest.betas}
     rows = [
         (beta, i, r.log_z[beta], fe[beta][i])
@@ -290,7 +333,7 @@ def _interval_rate_limit(alpha: float, low: float, high: float) -> float:
 
 
 @experiment("rate_function", intervals=True)
-def _rate_function(manifest: ExperimentManifest, results):
+def _rate_function(manifest: ExperimentManifest, results, draws):
     rows = [
         (low, high, i, r.interval_hits[(low, high)], rate_estimate(r, (low, high)))
         for (low, high) in manifest.intervals
@@ -359,7 +402,7 @@ def _outside_fraction_below(manifest, hits: dict, interval, threshold, min_repli
 
 
 @experiment("marginals", betas=True, k_marginal=True)
-def _marginals(manifest: ExperimentManifest, results):
+def _marginals(manifest: ExperimentManifest, results, draws):
     patterns = 1 << manifest.k_marginal
     rows = [
         (beta, i, pattern, float(r.marginal[beta][pattern]))
@@ -394,7 +437,7 @@ def _max_marginal_deviation(manifest: ExperimentManifest, results, beta: float, 
 
 
 @experiment("exceedance", alpha="double_exponential", b_levels=True)
-def _exceedance(manifest: ExperimentManifest, results):
+def _exceedance(manifest: ExperimentManifest, results, draws):
     positions = {b: [r.exceedance[b] for r in results] for b in manifest.b_levels}
     count_rows = [
         (b, i, int(pts.size)) for b in manifest.b_levels for i, pts in enumerate(positions[b])
@@ -467,27 +510,17 @@ def _spectrum_stats(weights: np.ndarray) -> tuple[float, float]:
 
 
 @experiment("pd_compare", alpha="double_exponential", betas=True, top_m=False, pd=True)
-def _pd_compare(manifest: ExperimentManifest, results):
+def _pd_compare(manifest: ExperimentManifest, results, draws):
     (beta,) = manifest.betas
     pd = manifest.pd
     gibbs = [_spectrum_stats(r.spectrum[beta].weights) for r in results]
     rows = [(beta, i, w1, sumsq) for i, (w1, sumsq) in enumerate(gibbs)]
-
-    params = PDParams(m=pd.m, truncation_b=pd.truncation_b, epsilon_mass=pd.epsilon_mass)
-
-    def poisson_draw(draw_id: int):
-        rng = stream_generator(manifest.master_seed, draw_id, POISSON_STREAM)
-        return _spectrum_stats(sample_pd_poisson(beta, params, rng).entries)
-
-    def stick_draw(draw_id: int):
-        rng = stream_generator(manifest.master_seed, draw_id, STICK_STREAM)
-        return _spectrum_stats(sample_pd_stick(pd.m, pd.stick_length, rng).entries)
-
+    first_stick = pd.draws + pd.stick_draws  # see _pd_draws
     samples = {
         "gibbs": gibbs,
-        "pd_poisson": [poisson_draw(i) for i in range(pd.draws)],
-        "pd_poisson_cross": [poisson_draw(pd.draws + j) for j in range(pd.stick_draws)],
-        "pd_stick": [stick_draw(j) for j in range(pd.stick_draws)],
+        "pd_poisson": draws[: pd.draws],
+        "pd_poisson_cross": draws[pd.draws : first_stick],
+        "pd_stick": draws[first_stick:],
     }
     theory_rows = [
         (source, i, w1, sumsq)
@@ -499,6 +532,24 @@ def _pd_compare(manifest: ExperimentManifest, results):
         "theory.csv": (("source", "draw", "w1", "sumsq"), theory_rows),
     }
     return tables, samples
+
+
+@draws("pd_compare")
+def _pd_draws(manifest: ExperimentManifest) -> list:
+    # Poisson draws 0..draws-1, the cross draws on the ids after them, then
+    # stick draws 0..stick_draws-1 on their own stream
+    (beta,) = manifest.betas
+    pd, seed = manifest.pd, manifest.master_seed
+    params = PDParams(m=pd.m, truncation_b=pd.truncation_b, epsilon_mass=pd.epsilon_mass)
+    poisson = [
+        Draw("sample_pd_poisson", (beta, params), seed, i, POISSON_STREAM)
+        for i in range(pd.draws + pd.stick_draws)
+    ]
+    stick = [
+        Draw("sample_pd_stick", (pd.m, pd.stick_length), seed, j, STICK_STREAM)
+        for j in range(pd.stick_draws)
+    ]
+    return poisson + stick
 
 
 def _ks(first: str, second: str, column: int) -> Callable:
@@ -535,7 +586,7 @@ _GAUSS_DELTAS = (1.6651092223153954, 1.8, 2.2)
 
 
 @experiment("diagnostics")
-def _diagnostics(manifest: ExperimentManifest, results):
+def _diagnostics(manifest: ExperimentManifest, results, draws):
     theory_rows = [
         (alpha, 0.25 * k, free_energy_limit(alpha, 0.25 * k))
         for alpha in (1.0, 2.0)
@@ -678,8 +729,9 @@ def run_experiment(
     resolved = dataclasses.replace(manifest, output_dir=str(target), workers=count)
 
     entry = REGISTRY[resolved.experiment]
-    results = _map_tasks(_replica_task, _engine_specs(resolved, entry.fields), count)
-    tables, data = entry.build(resolved, results)
+    specs = _engine_specs(resolved, entry.fields)
+    results, processes = _map_tasks(specs, entry.draws(resolved), count)
+    tables, data = entry.build(resolved, results[: len(specs)], results[len(specs) :])
     checks = [_evaluate(resolved, data, item) for item in resolved.checks]
     for name, (header, rows) in tables.items():
         _write_csv(target / name, header, rows(checks) if callable(rows) else rows)
@@ -699,6 +751,7 @@ def run_experiment(
             "streams": {"energy": ENERGY_STREAM, "poisson": POISSON_STREAM, "stick": STICK_STREAM},
         },
         "workers": count,
+        "processes": processes,
         "versions": {
             "remlab": __version__,
             "python": platform.python_version(),

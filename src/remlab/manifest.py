@@ -23,6 +23,7 @@ import sys
 from dataclasses import dataclass
 
 from .engine import MAX_N
+from .environment import MAX_ALPHA
 from .experiments import REGISTRY
 
 MAX_SEED = 1 << 64
@@ -201,7 +202,7 @@ KINDS = {
     "number": _rule(_number, expected="a finite number"),
     "positive": _rule(_number, lambda v, f: v > 0.0, "a number > 0"),
     "fraction": _rule(_number, lambda v, f: 0.0 < v < 1.0, "a number in (0, 1)"),
-    "shape": _rule(_number, lambda v, f: v >= 1.0, "alpha >= 1"),
+    "shape": _rule(_number, lambda v, f: 1.0 <= v <= MAX_ALPHA, f"alpha in [1, {MAX_ALPHA:g}]"),
     "double_exponential": _rule(
         _number, lambda v, f: v == 1.0, "alpha = 1, the only shape this limit law is derived for"
     ),

@@ -98,8 +98,18 @@ def _slab_points(lo: float, hi: float, rng: np.random.Generator) -> np.ndarray:
             "raise epsilon_mass"
         )
     count = int(rng.poisson(mass))
-    u = rng.random(count)
-    return -np.log(math.exp(-lo) - u * mass)
+    pts = rng.random(count)
+    pts *= mass
+    np.subtract(math.exp(-lo), pts, out=pts)
+    np.log(pts, out=pts)
+    return np.negative(pts, out=pts)
+
+
+def _weights(pts: np.ndarray, beta: float, cmax: float) -> np.ndarray:
+    # exp(beta * (pts - cmax)), written over pts
+    pts -= cmax
+    pts *= beta
+    return np.exp(pts, out=pts)
 
 
 def sample_pd_poisson(beta: float, params: PDParams, rng: np.random.Generator) -> WeightSequence:
@@ -125,8 +135,10 @@ def sample_pd_poisson(beta: float, params: PDParams, rng: np.random.Generator) -
         pts = _slab_points(b - 1.0, b, rng)
         b -= 1.0
     cmax = float(pts.max())
-    mass = float(np.exp(beta * (pts - cmax)).sum())
-    chunks = [pts]
+    # each slab's unnormalized weights, computed once: the stopping rule sums
+    # them and the normalized sequence is built from them
+    chunks = [_weights(pts, beta, cmax)]
+    mass = float(chunks[0].sum())
     added = math.inf
     while True:
         sd_tail = math.exp(0.5 * (2.0 * beta - 1.0) * b - beta * cmax) / math.sqrt(
@@ -136,16 +148,16 @@ def sample_pd_poisson(beta: float, params: PDParams, rng: np.random.Generator) -
             break
         inc = _slab_points(b - 1.0, b, rng)
         b -= 1.0
-        added = float(np.exp(beta * (inc - cmax)).sum()) if inc.size else 0.0
+        chunks.append(_weights(inc, beta, cmax))
+        added = float(chunks[-1].sum())
         mass += added
-        if inc.size:
-            chunks.append(inc)
     # exact conditional mean of the mass below b, in the cmax-shifted units
     mean_tail = math.exp((beta - 1.0) * b - beta * cmax) / (beta - 1.0)
-    total = mass + mean_tail
-    w = np.exp(beta * (np.concatenate(chunks) - cmax)) / total
-    w = np.sort(w)[::-1]
-    return WeightSequence(w[w > 0.0])
+    w = np.concatenate(chunks)
+    w /= mass + mean_tail
+    w[::-1].sort()  # descending, in place
+    # weights that underflowed to 0 sort last; drop them
+    return WeightSequence(w[: np.count_nonzero(w)])
 
 
 def sample_pd_stick(m: float, length: int, rng: np.random.Generator) -> WeightSequence:

@@ -260,7 +260,9 @@ def test_sampler_scalar_and_shape():
     assert sample_energy(env, rng, size=17).shape == (17,)
 
 
-@pytest.mark.parametrize("bad", [(0.5, 4), (1.0, 0), (1.0, -3), (float("nan"), 2), (float("inf"), 2)])
+@pytest.mark.parametrize(
+    "bad", [(0.5, 4), (1.0, 0), (1.0, -3), (float("nan"), 2), (float("inf"), 2), (500.0, 8)]
+)
 def test_environment_rejects_invalid_parameters(bad):
     with pytest.raises(ValueError):
         Environment(*bad)

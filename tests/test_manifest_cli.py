@@ -160,6 +160,8 @@ def test_builtin_unknown_name():
         (lambda d: d.update(replicas=2.5), "replicas"),
         (lambda d: d.update(env={"alpha": 1.0, "n": 31}), "env.n"),
         (lambda d: d.update(env={"alpha": 0.9, "n": 8}), "env.alpha"),
+        # beyond the tested range; alpha * n**(alpha - 1) overflows at 500
+        (lambda d: d.update(env={"alpha": 500, "n": 8}), "env.alpha: expected alpha in [1, 100]"),
         (lambda d: d.update(env={"alpha": 1.0}), "env"),
         (lambda d: d.update(bogus=1), "unknown keys"),
         (lambda d: d.update(experiment="melt"), "experiment"),
@@ -361,9 +363,10 @@ def test_run_experiment_is_deterministic_across_workers(tmp_path):
 def test_small_runs_stay_out_of_the_pool(tmp_path, monkeypatch):
     pools = []
 
-    class Pool:  # records the pool and runs its tasks in this process
+    class Pool:  # records the pool and its tasks, and runs them in this process
         def __init__(self, max_workers):
-            pools.append(max_workers)
+            self.tasks = []
+            pools.append((max_workers, self.tasks))
 
         def __enter__(self):
             return self
@@ -372,16 +375,48 @@ def test_small_runs_stay_out_of_the_pool(tmp_path, monkeypatch):
             return False
 
         def map(self, fn, items, chunksize=1):
-            return map(fn, items)
+            self.tasks.extend(items)
+            return map(fn, self.tasks)
 
     monkeypatch.setattr(remlab.experiments, "ProcessPoolExecutor", Pool)
     # 6 replicas of 2**8 energies: far below POOL_MIN_CONFIGS per process
     run_experiment(from_dict(tiny_doc(replicas=6)), workers=4, output_dir=tmp_path / "small")
     assert pools == []
-    # 2 replicas of 2**19: exactly POOL_MIN_CONFIGS for each of 2 processes
+    # 2 replicas of 2**19: exactly POOL_MIN_CONFIGS for each of 2 processes,
+    # and a pool of as many processes as there are tasks
     big = from_dict(tiny_doc(replicas=2, env={"alpha": 1.0, "n": 19}))
     run_experiment(big, workers=4, output_dir=tmp_path / "big")
-    assert pools == [4]
+    assert [size for size, _ in pools] == [2]
+
+    # pd_compare: the keyed draws go wherever the replicas go; only the
+    # replicas' energies count towards the pool threshold
+    small_pd = tiny_doc(replicas=6)
+    as_pd(small_pd, draws=3, stick_draws=2, stick_length=10, epsilon_mass=0.01)
+    run_experiment(from_dict(small_pd), workers=4, output_dir=tmp_path / "small_pd")
+    assert len(pools) == 1
+    big_pd = tiny_doc(replicas=2, env={"alpha": 1.0, "n": 19})
+    as_pd(big_pd, draws=3, stick_draws=2, stick_length=10, epsilon_mass=0.01)
+    run_experiment(from_dict(big_pd), workers=4, output_dir=tmp_path / "big_pd")
+    assert len(pools) == 2  # one pool for the whole call
+    size, tasks = pools[1]
+    assert size == 4
+    draws = tasks[2:]
+    assert all(isinstance(t, remlab.experiments.ReplicaSpec) for t in tasks[:2])
+    assert [(d.sampler, d.draw_id) for d in draws] == [
+        ("sample_pd_poisson", i) for i in range(5)
+    ] + [("sample_pd_stick", j) for j in range(2)]
+
+
+def test_summary_records_processes(tmp_path):
+    def summary(doc, name):
+        run_experiment(from_dict(doc), workers=2, output_dir=tmp_path / name)
+        return json.loads((tmp_path / name / "summary.json").read_text(encoding="utf-8"))
+
+    # too small to pay for a pool: the calling process runs everything
+    small = summary(tiny_doc(replicas=6), "small")
+    assert (small["workers"], small["processes"]) == (2, 1)
+    big = summary(tiny_doc(replicas=2, env={"alpha": 1.0, "n": 19}), "big")
+    assert (big["workers"], big["processes"]) == (2, 2)
 
 
 def test_run_experiment_seed_override_changes_results(tmp_path):
@@ -532,6 +567,8 @@ def test_cli_run_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["run", str(path), "--workers", "0"]) == 2
     assert main(["run", str(path), "--seed", "-1"]) == 2
     path.write_text(HUGE_LITERAL, encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    path.write_text(json.dumps(tiny_doc(env={"alpha": 500, "n": 8})), encoding="utf-8")
     assert main(["run", str(path)]) == 2
     path.write_text(json.dumps(tiny_doc()), encoding="utf-8")
     capsys.readouterr()

@@ -1,5 +1,6 @@
 """Poisson-Dirichlet samplers: point process and stick breaking."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -180,3 +181,43 @@ def test_stick_deficit_matches_digamma_telescope():
     assert abs(target - -6.568684378603269) < 1e-12
     logs = [math.log(sample_pd_stick(0.5, 200, rng).deficit) for _ in range(500)]
     assert abs(np.mean(logs) - target) < 0.4
+
+
+def _entries_digest(sampler, args: tuple, stream: int, count: int = 24) -> str:
+    """sha256 of the little-endian float64 entries of draws 0..count-1 at master seed 7."""
+    digest = hashlib.sha256()
+    for draw_id in range(count):
+        entries = sampler(*args, stream_generator(7, draw_id, stream)).entries
+        digest.update(entries.astype("<f8").tobytes())
+    return digest.hexdigest()
+
+
+# Recorded from the sampler that evaluated every weight's exp a second time
+# over the concatenated points; computing each weight once must keep the bytes.
+# (200, 1e-4, -8) starts with a window thousands of points deep, whose lowest
+# weights underflow to 0 and are dropped.
+@pytest.mark.parametrize(
+    "beta, eps, b, expected",
+    [
+        (2.0, 1e-4, 0.0, "feb3c3c289ff62621125b4c39ff7d00797619a292bcd701a5a7494d79e707c15"),
+        (3.0, 1e-5, -1.0, "d9bc7dafdcf11d4af79bd6ee7baeeac80aa11cd5f45c12446f2366f24e86250f"),
+        (1.25, 5e-2, 0.0, "101cb04e969f00bb72acf264098380ade79d9f74ec6da2965018c3b1ea7e0494"),
+        (2.5, 1e-3, 3.0, "8482e0791e7dc7ede8d4a74fa1ea1d3f66d8d0665964b33017495347f91accba"),
+        (200.0, 1e-4, -8.0, "dc0f107837e4603e06cf1fac0459ae93c4e5176096145d32dd86bca234daae77"),
+    ],
+)
+def test_pd_poisson_bytes_pinned(beta, eps, b, expected):
+    params = PDParams(m=1.0 / beta, truncation_b=b, epsilon_mass=eps)
+    assert _entries_digest(sample_pd_poisson, (beta, params), POISSON_STREAM) == expected
+
+
+@pytest.mark.parametrize(
+    "m, length, expected",
+    [
+        (0.5, 200, "cbe6ab535e0dabe952faa0cb76228352f212484aa04e061fbb17e28fe25e4ff6"),
+        (0.8, 30, "80c196703e1b5113b8859ce40fc4494d5d49ea45b39f032ddb3b2859f7ec24eb"),
+        (0.4, 1, "094829f0cb345c75212df40604dc7a4d52526ee74d9856360388b5afcf1a0d5c"),
+    ],
+)
+def test_pd_stick_bytes_pinned(m, length, expected):
+    assert _entries_digest(sample_pd_stick, (m, length), STICK_STREAM) == expected

@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import datetime
+import itertools
 import json
 import math
 import os
@@ -86,7 +87,7 @@ class Experiment:
     fields: dict  # manifest field read -> required (True), optional (False) or a narrower kind
     build: Callable  # (manifest, results, draws) -> ({file: (header, rows)}, data)
     checks: dict  # check name -> Check
-    draws: Callable = lambda manifest: []  # manifest -> [Draw], in draw id order
+    draws: Callable = lambda manifest: {}  # manifest -> {sample: [Draw]}, in submission order
 
 
 @dataclass(frozen=True)
@@ -125,9 +126,9 @@ def experiment(name: str, **fields):
     ``alpha="double_exponential"`` where the limit law is derived for
     ``alpha = 1`` only.  ``top_m`` is passed to the engine only where it
     is listed.  ``build(manifest, results, draws)`` turns the replica
-    results and the draw results (see ``draws``) into ``({file name:
-    (header, rows)}, data)``; rows given as a function are called with
-    the CheckResults.
+    results and the draw results (``{sample: [result]}``, see ``draws``)
+    into ``({file name: (header, rows)}, data)``; rows given as a
+    function are called with the CheckResults.
     """
 
     def register(build):
@@ -138,7 +139,11 @@ def experiment(name: str, **fields):
 
 
 def draws(experiment_name: str):
-    """Register ``declare(manifest) -> [Draw]``: the experiment's keyed draws, in id order."""
+    """Register ``declare(manifest) -> {sample: [Draw]}``: the experiment's keyed draws.
+
+    The draws are submitted in the dict's order and their results reach
+    ``build`` under the same sample names, so the layout lives here alone.
+    """
 
     def register(declare):
         REGISTRY[experiment_name] = dataclasses.replace(REGISTRY[experiment_name], draws=declare)
@@ -198,17 +203,23 @@ def _map_tasks(specs: list, draws: list, workers: int) -> tuple[list, int]:
     """The results of the replicas, then of the draws, and the processes that ran them.
 
     Only the replicas' energies decide whether a pool pays; the draws go
-    wherever the replicas go.  Results return in submission (id) order
-    either way, so the schedule never leaks into the artifacts.
+    wherever the replicas go.  In a pool, replicas and draws are chunked
+    apart, each into about four chunks per process, so a long list of
+    cheap draws never packs the heavy replicas into fewer processes; the
+    draw chunks queue behind the replica chunks and fill the processes
+    that finish first.  Results return in submission (id) order either
+    way, so the schedule never leaks into the artifacts.
     """
-    tasks = [*specs, *draws]
     streaming = min(workers, len(specs))  # processes the replicas alone would keep busy
     if streaming <= 1 or sum(spec.size for spec in specs) < streaming * POOL_MIN_CONFIGS:
-        return [_run_task(task) for task in tasks], 1
-    processes = min(workers, len(tasks))
-    chunk = max(1, len(tasks) // (processes * 4))
+        return [_run_task(task) for task in [*specs, *draws]], 1
+    processes = min(workers, len(specs) + len(draws))
     with ProcessPoolExecutor(max_workers=processes) as pool:
-        return list(pool.map(_run_task, tasks, chunksize=chunk)), processes
+        maps = [
+            pool.map(_run_task, tasks, chunksize=max(1, len(tasks) // (processes * 4)))
+            for tasks in (specs, draws)
+        ]
+        return [result for results in maps for result in results], processes
 
 
 def _cell(value) -> str:
@@ -512,44 +523,39 @@ def _spectrum_stats(weights: np.ndarray) -> tuple[float, float]:
 @experiment("pd_compare", alpha="double_exponential", betas=True, top_m=False, pd=True)
 def _pd_compare(manifest: ExperimentManifest, results, draws):
     (beta,) = manifest.betas
-    pd = manifest.pd
     gibbs = [_spectrum_stats(r.spectrum[beta].weights) for r in results]
     rows = [(beta, i, w1, sumsq) for i, (w1, sumsq) in enumerate(gibbs)]
-    first_stick = pd.draws + pd.stick_draws  # see _pd_draws
-    samples = {
-        "gibbs": gibbs,
-        "pd_poisson": draws[: pd.draws],
-        "pd_poisson_cross": draws[pd.draws : first_stick],
-        "pd_stick": draws[first_stick:],
-    }
     theory_rows = [
         (source, i, w1, sumsq)
-        for source in ("pd_poisson", "pd_poisson_cross", "pd_stick")
-        for i, (w1, sumsq) in enumerate(samples[source])
+        for source, sample in draws.items()
+        for i, (w1, sumsq) in enumerate(sample)
     ]
     tables = {
         "results.csv": (("beta", "replica", "w1", "sumsq"), rows),
         "theory.csv": (("source", "draw", "w1", "sumsq"), theory_rows),
     }
-    return tables, samples
+    return tables, {"gibbs": gibbs, **draws}
 
 
 @draws("pd_compare")
-def _pd_draws(manifest: ExperimentManifest) -> list:
+def _pd_draws(manifest: ExperimentManifest) -> dict:
     # Poisson draws 0..draws-1, the cross draws on the ids after them, then
     # stick draws 0..stick_draws-1 on their own stream
     (beta,) = manifest.betas
     pd, seed = manifest.pd, manifest.master_seed
     params = PDParams(m=pd.m, truncation_b=pd.truncation_b, epsilon_mass=pd.epsilon_mass)
-    poisson = [
-        Draw("sample_pd_poisson", (beta, params), seed, i, POISSON_STREAM)
-        for i in range(pd.draws + pd.stick_draws)
-    ]
-    stick = [
-        Draw("sample_pd_stick", (pd.m, pd.stick_length), seed, j, STICK_STREAM)
-        for j in range(pd.stick_draws)
-    ]
-    return poisson + stick
+
+    def poisson(ids):
+        return [Draw("sample_pd_poisson", (beta, params), seed, i, POISSON_STREAM) for i in ids]
+
+    return {
+        "pd_poisson": poisson(range(pd.draws)),
+        "pd_poisson_cross": poisson(range(pd.draws, pd.draws + pd.stick_draws)),
+        "pd_stick": [
+            Draw("sample_pd_stick", (pd.m, pd.stick_length), seed, j, STICK_STREAM)
+            for j in range(pd.stick_draws)
+        ],
+    }
 
 
 def _ks(first: str, second: str, column: int) -> Callable:
@@ -730,8 +736,11 @@ def run_experiment(
 
     entry = REGISTRY[resolved.experiment]
     specs = _engine_specs(resolved, entry.fields)
-    results, processes = _map_tasks(specs, entry.draws(resolved), count)
-    tables, data = entry.build(resolved, results[: len(specs)], results[len(specs) :])
+    samples = entry.draws(resolved)
+    results, processes = _map_tasks(specs, [d for group in samples.values() for d in group], count)
+    drawn = iter(results[len(specs) :])
+    draws = {name: list(itertools.islice(drawn, len(group))) for name, group in samples.items()}
+    tables, data = entry.build(resolved, results[: len(specs)], draws)
     checks = [_evaluate(resolved, data, item) for item in resolved.checks]
     for name, (header, rows) in tables.items():
         _write_csv(target / name, header, rows(checks) if callable(rows) else rows)

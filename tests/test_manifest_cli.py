@@ -365,8 +365,10 @@ def test_small_runs_stay_out_of_the_pool(tmp_path, monkeypatch):
 
     class Pool:  # records the pool and its tasks, and runs them in this process
         def __init__(self, max_workers):
+            self.max_workers = max_workers
             self.tasks = []
-            pools.append((max_workers, self.tasks))
+            self.chunks = []  # (chunksize, task count) of each map call
+            pools.append(self)
 
         def __enter__(self):
             return self
@@ -375,8 +377,10 @@ def test_small_runs_stay_out_of_the_pool(tmp_path, monkeypatch):
             return False
 
         def map(self, fn, items, chunksize=1):
+            items = list(items)
             self.tasks.extend(items)
-            return map(fn, self.tasks)
+            self.chunks.append((chunksize, len(items)))
+            return map(fn, items)
 
     monkeypatch.setattr(remlab.experiments, "ProcessPoolExecutor", Pool)
     # 6 replicas of 2**8 energies: far below POOL_MIN_CONFIGS per process
@@ -386,7 +390,7 @@ def test_small_runs_stay_out_of_the_pool(tmp_path, monkeypatch):
     # and a pool of as many processes as there are tasks
     big = from_dict(tiny_doc(replicas=2, env={"alpha": 1.0, "n": 19}))
     run_experiment(big, workers=4, output_dir=tmp_path / "big")
-    assert [size for size, _ in pools] == [2]
+    assert [pool.max_workers for pool in pools] == [2]
 
     # pd_compare: the keyed draws go wherever the replicas go; only the
     # replicas' energies count towards the pool threshold
@@ -398,13 +402,23 @@ def test_small_runs_stay_out_of_the_pool(tmp_path, monkeypatch):
     as_pd(big_pd, draws=3, stick_draws=2, stick_length=10, epsilon_mass=0.01)
     run_experiment(from_dict(big_pd), workers=4, output_dir=tmp_path / "big_pd")
     assert len(pools) == 2  # one pool for the whole call
-    size, tasks = pools[1]
-    assert size == 4
+    tasks = pools[1].tasks
+    assert pools[1].max_workers == 4
     draws = tasks[2:]
     assert all(isinstance(t, remlab.experiments.ReplicaSpec) for t in tasks[:2])
     assert [(d.sampler, d.draw_id) for d in draws] == [
         ("sample_pd_poisson", i) for i in range(5)
     ] + [("sample_pd_stick", j) for j in range(2)]
+
+    # replicas and draws are chunked apart, each about four chunks per
+    # process, so many cheap draws never crowd the replicas into fewer
+    # processes (one chunk over all 344 tasks would hold 43 replicas)
+    monkeypatch.setattr(remlab.experiments, "POOL_MIN_CONFIGS", 1)
+    many_pd = tiny_doc(replicas=40)
+    as_pd(many_pd, draws=300, stick_draws=2, stick_length=10, epsilon_mass=0.01)
+    run_experiment(from_dict(many_pd), workers=2, output_dir=tmp_path / "many_pd")
+    assert len(pools) == 3
+    assert pools[2].chunks == [(40 // 8, 40), (304 // 8, 304)]
 
 
 def test_summary_records_processes(tmp_path):

@@ -81,5 +81,6 @@ __all__ = [
     "sample_pd_stick",
     "sample_poisson_points",
     "shift_constant",
+    "truncated_exp_moment",
     "__version__",
 ]

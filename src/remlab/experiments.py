@@ -50,9 +50,8 @@ from .theory import (
     critical_beta,
     free_energy_limit,
     poisson_count_pmf,
+    poisson_count_probs,
     rate_function,
-    shift_constant,
-    truncated_exp_moment,
 )
 
 if TYPE_CHECKING:
@@ -127,8 +126,7 @@ def experiment(name: str, **fields):
     ``alpha = 1`` only.  ``top_m`` is passed to the engine only where it
     is listed.  ``build(manifest, results, draws)`` turns the replica
     results and the draw results (``{sample: [result]}``, see ``draws``)
-    into ``({file name: (header, rows)}, data)``; rows given as a
-    function are called with the CheckResults.
+    into ``({file name: (header, rows)}, data)``.
     """
 
     def register(build):
@@ -243,7 +241,7 @@ def _write_csv(path: Path, header, rows) -> None:
 def _engine_specs(manifest: ExperimentManifest, fields: dict) -> list:
     # The parser leaves the fields an experiment does not read at their
     # defaults, which are empty except top_m's; 0 skips the Gibbs pool where
-    # no spectrum is read.  An experiment that reads no field streams no replica.
+    # no spectrum is read.
     env = Environment(manifest.alpha, manifest.n)
     return [
         ReplicaSpec(
@@ -256,7 +254,7 @@ def _engine_specs(manifest: ExperimentManifest, fields: dict) -> list:
             master_seed=manifest.master_seed,
             replica_id=i,
         )
-        for i in range(manifest.replicas if fields else 0)
+        for i in range(manifest.replicas)
     ]
 
 
@@ -484,12 +482,10 @@ def _count_zero_prob(manifest: ExperimentManifest, positions: dict, b: float, to
     }
 
 
-@check("exceedance", "count_chi_square", "(b={b:g})", b=_B_LEVEL, kmax=("count", 5), level=_LEVEL)
+@check("exceedance", "count_chi_square", "(b={b:g})", b=_B_LEVEL, kmax=("bins", 5), level=_LEVEL)
 def _count_chi_square(manifest, positions: dict, b: float, kmax: int, level: float):
     observed = np.bincount(np.minimum(_counts(positions, b), kmax + 1), minlength=kmax + 2)
-    probs = [poisson_count_pmf(b, k) for k in range(kmax + 1)]
-    probs.append(1.0 - sum(probs))
-    report = chi_square_gof(observed, probs, level)
+    report = chi_square_gof(observed, poisson_count_probs(b, kmax), level)
     return report.verdict == "pass", {
         "b": b, "statistic": report.statistic, "p_value": report.p_value,
         "level": level, "bins": report.sample_sizes[1],
@@ -581,138 +577,6 @@ check("pd_compare", "stick_ks_w1", needs="stick_draws", max_statistic=_POSITIVE)
 
 
 # --------------------------------------------------------------------------
-# diagnostics: closed-form consistency suites, no randomness.
-
-_SANDWICH_INTERVALS = ((0.0, 0.5), (0.2, 0.3), (0.5, 2.0), (-0.3, -0.1), (-0.25, 0.5))
-_DIAG_N = (5, 10, 20)
-_LAPLACE_BETAS = (0.1, 0.25, 0.5, 0.75, 0.9)
-_LAPLACE_DELTAS = (0.75, 1.0, 1.5)
-_GAUSS_BETAS = (0.2, 0.5, 0.8, 1.0)
-_GAUSS_DELTAS = (1.6651092223153954, 1.8, 2.2)
-
-
-@experiment("diagnostics")
-def _diagnostics(manifest: ExperimentManifest, results, draws):
-    theory_rows = [
-        (alpha, 0.25 * k, free_energy_limit(alpha, 0.25 * k))
-        for alpha in (1.0, 2.0)
-        for k in range(1, 9)
-    ]
-    tables = {
-        "results.csv": (
-            ("check", "cases", "violations"),
-            lambda checks: [(c.name, c.detail["cases"], c.detail["violations"]) for c in checks],
-        ),
-        "theory.csv": (("alpha", "beta", "limit"), theory_rows),
-    }
-    return tables, None
-
-
-def _suite(name: str, worst_key: str = ""):
-    """Register a generator of case verdicts as a diagnostics check.
-
-    The generator yields ``ok`` per case, or ``(ok, error)`` when
-    ``worst_key`` names the detail entry for the largest error.
-    """
-
-    def register(cases):
-        def evaluate(manifest: ExperimentManifest, data):
-            outcomes = list(cases()) if worst_key else [(ok, 0.0) for ok in cases()]
-            violations = sum(not ok for ok, _ in outcomes)
-            detail = {"cases": len(outcomes), "violations": violations}
-            if worst_key:
-                detail[worst_key] = max(error for _, error in outcomes)
-            return violations == 0, detail
-
-        check("diagnostics", name)(evaluate)
-        return cases
-
-    return register
-
-
-@_suite("bound_suite")
-def _bound_cases():
-    for n in _DIAG_N:
-        env = Environment(1.0, n)
-        for low, high in _SANDWICH_INTERVALS:
-            q = env.interval_probability(low, high)
-            near = 0.0 if low < 0.0 < high else min(abs(low), abs(high))
-            far = max(abs(low), abs(high))
-            gap = (far - near) / 2.0
-            yield q <= math.exp(-n * near) * (1.0 + 1e-12)
-            yield q > 0.5 * gap * math.exp(-(n * near + gap))
-    for beta in _LAPLACE_BETAS:
-        for delta in _LAPLACE_DELTAS:
-            for n in _DIAG_N:
-                dn = delta * n
-                yield dn > math.log((1.0 + beta) / (2.0 * beta)) / (1.0 - beta)
-                first = truncated_exp_moment(1, beta, delta, n, order=1)
-                yield first > 1.0 / (1.0 + beta)
-                second = truncated_exp_moment(1, beta, delta, n, order=2)
-                g = 2.0 * beta
-                if g < 1.0:
-                    yield second <= 1.0 / (1.0 - g * g)
-                elif g == 1.0:
-                    yield second <= 0.5 * (1.0 + dn)
-                else:
-                    yield second <= math.exp((g - 1.0) * dn) / (2.0 * (g - 1.0))
-    for beta in _GAUSS_BETAS:
-        for delta in _GAUSS_DELTAS:
-            for n in _DIAG_N:
-                yield delta > beta
-                first = truncated_exp_moment(2, beta, delta, n, order=1)
-                yield first > 0.5 * math.exp(0.5 * beta * beta * n)
-                second = truncated_exp_moment(2, beta, delta, n, order=2)
-                if beta <= delta / 2.0:
-                    yield second <= math.exp(2.0 * beta * beta * n)
-                else:
-                    bound = math.exp((2.0 * delta * beta - 0.5 * delta * delta) * n) / (
-                        (2.0 * beta - delta) * math.sqrt(2.0 * math.pi * n)
-                    )
-                    yield second <= bound
-
-
-@_suite("limit_continuity", "max_gap")
-def _continuity_gaps():
-    for alpha in (1.0, 1.5, 2.0, 3.0):
-        bc = critical_beta(alpha)
-        gap = abs(free_energy_limit(alpha, bc - 1e-9) - free_energy_limit(alpha, bc + 1e-9))
-        yield gap <= 1e-7, gap
-
-
-@_suite("shift_identity", "max_relative_error")
-def _shift_errors():
-    for n in (2, 11, 24):
-        env = Environment(1.0, n)
-        for b in (0.0, 1.0, 2.5):
-            expected = math.exp(-b)
-            got = (1 << n) * env.tail_probability(shift_constant(n) + b)
-            err = abs(got - expected) / expected
-            yield err <= 1e-12, err
-
-
-@_suite("varadhan_balance", "max_error")
-def _varadhan_errors():
-    for alpha in (1.0, 1.5, 2.0, 3.0):
-        for k in range(1, 9):
-            beta = 0.25 * k
-            if alpha == 1.0:
-                star = 0.0 if beta <= 1.0 else -LOG2
-            else:
-                star = -min(beta ** (1.0 / (alpha - 1.0)), (alpha * LOG2) ** (1.0 / alpha))
-            balance = LOG2 - beta * star - rate_function(alpha, star)
-            err = abs(free_energy_limit(alpha, beta) - balance)
-            yield err <= 1e-12, err
-
-
-@_suite("pmf_normalization", "max_error")
-def _pmf_errors():
-    for b in (-2.0, 0.0, 2.0):
-        err = abs(sum(poisson_count_pmf(b, k) for k in range(201)) - 1.0)
-        yield err <= 1e-10, err
-
-
-# --------------------------------------------------------------------------
 
 
 def run_experiment(
@@ -743,7 +607,7 @@ def run_experiment(
     tables, data = entry.build(resolved, results[: len(specs)], draws)
     checks = [_evaluate(resolved, data, item) for item in resolved.checks]
     for name, (header, rows) in tables.items():
-        _write_csv(target / name, header, rows(checks) if callable(rows) else rows)
+        _write_csv(target / name, header, rows)
     with open(target / "manifest.json", "w", encoding="utf-8") as handle:
         handle.write(resolved.to_json())
 

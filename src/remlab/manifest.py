@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from .engine import MAX_N
 from .environment import MAX_ALPHA
 from .experiments import REGISTRY
+from .stats import pool_right_tail
+from .theory import poisson_count_probs
 
 MAX_SEED = 1 << 64
 
@@ -167,6 +169,17 @@ def _pd(value, path: str, fields: dict) -> PDBlock:
     return pd
 
 
+def _bins(value, path: str, fields: dict) -> int:
+    """``kmax`` of a count chi-square test, whose expected counts must pool into bins."""
+    kmax = _read("count", value, path, fields)
+    expected = [fields["replicas"] * p for p in poisson_count_probs(fields["b"], kmax)]
+    try:
+        pool_right_tail(expected)
+    except ValueError as exc:
+        _fail(path, f"{exc} (b={fields['b']:g}, replicas={fields['replicas']}, kmax={kmax})")
+    return kmax
+
+
 def _checks(value, path: str, fields: dict) -> tuple:
     """Each check with its parameters read by kind and the registry defaults filled in."""
     if not isinstance(value, list):
@@ -188,7 +201,7 @@ def _checks(value, path: str, fields: dict) -> tuple:
         for key, (kind, default) in spec.params.items():
             param = item.get(key, default)
             param = param(fields) if callable(param) else param
-            check[key] = _read(kind, param, f"{at}.{key}", fields)
+            check[key] = _read(kind, param, f"{at}.{key}", {**fields, **check})
         if spec.needs and getattr(fields["pd"], spec.needs) < 1:
             _fail(at, f"{name} requires pd.{spec.needs} >= 1")
         checks.append(check)
@@ -196,7 +209,8 @@ def _checks(value, path: str, fields: dict) -> tuple:
 
 
 # The manifest's value kinds.  A kind reads a JSON value into its Python
-# form, given the fields read before it; a kind in brackets, such as
+# form, given the fields read before it (for a check parameter, also the
+# check's parameters read before it); a kind in brackets, such as
 # "[pair]", is a list of that kind, read as a tuple.
 KINDS = {
     "number": _rule(_number, expected="a finite number"),
@@ -218,6 +232,7 @@ KINDS = {
     "interval": _rule(_pair, lambda v, f: v in f["intervals"], "a pair in the intervals list"),
     "path": _rule(lambda v, p: v, lambda v, f: isinstance(v, str), "a string path"),
     "workers": _rule(_workers, lambda v, f: v == "auto" or v >= 1, "an integer >= 1 or 'auto'"),
+    "bins": _bins,
     "pd": _pd,
     "checks": _checks,
 }

@@ -18,6 +18,7 @@ import numpy as np
 from scipy import special, stats as scipy_stats
 
 DEFAULT_LEVEL = 0.001
+MIN_EXPECTED = 5.0  # the smallest expected count a chi-square bin may hold
 
 
 @dataclass(frozen=True)
@@ -79,19 +80,29 @@ def ks_one_sample(xs, cdf, level: float = DEFAULT_LEVEL) -> TestReport:
     return _report(d, p, (n, 0), level)
 
 
-def chi_square_gof(
-    observed,
-    expected_probs,
-    level: float = DEFAULT_LEVEL,
-    min_expected: float = 5.0,
-) -> TestReport:
+def pool_right_tail(expected) -> list:
+    """``expected`` counts, pooled from the right until the last bin reaches ``MIN_EXPECTED``.
+
+    Fewer than two bins left, or a thin bin before the tail, is an error.
+    """
+    pooled = [float(e) for e in expected]
+    while len(pooled) > 1 and pooled[-1] < MIN_EXPECTED:
+        tail = pooled.pop()
+        pooled[-1] += tail
+    if len(pooled) < 2 or min(pooled) < MIN_EXPECTED:
+        raise ValueError(
+            f"{len(pooled)} bins after pooling the right tail, the thinnest expecting "
+            f"{min(pooled):.3g}; a chi-square test needs >= 2 bins expecting >= {MIN_EXPECTED:g}"
+        )
+    return pooled
+
+
+def chi_square_gof(observed, expected_probs, level: float = DEFAULT_LEVEL) -> TestReport:
     """Pearson goodness-of-fit test with right-tail pooling.
 
     ``observed`` are counts per category; ``expected_probs`` must sum to
-    one.  Categories are pooled from the right until the last bin's
-    expected count reaches ``min_expected`` (the tail of a count
-    distribution is where expected mass gets thin); any other bin still
-    below the threshold is an error, not a silent approximation.
+    one.  Expected counts are pooled by ``pool_right_tail``, observed
+    counts into the same bins.
     """
     obs = np.asarray(observed, dtype=float)
     probs = np.asarray(expected_probs, dtype=float)
@@ -102,22 +113,9 @@ def chi_square_gof(
     if abs(float(probs.sum()) - 1.0) > 1e-9:
         raise ValueError("expected_probs must sum to 1")
     total = float(obs.sum())
-    expected = probs * total
-    obs = list(obs)
-    expected = list(expected)
-    while len(expected) > 1 and expected[-1] < min_expected:
-        tail_expected = expected.pop()
-        tail_observed = obs.pop()
-        expected[-1] += tail_expected
-        obs[-1] += tail_observed
-    expected_arr = np.array(expected)
-    obs_arr = np.array(obs)
-    if np.any(expected_arr < min_expected):
-        raise ValueError(
-            f"expected count below {min_expected} outside the pooled tail; "
-            "coarsen the binning"
-        )
-    statistic = float(np.sum((obs_arr - expected_arr) ** 2 / expected_arr))
-    dof = expected_arr.size - 1
-    p = float(scipy_stats.chi2.sf(statistic, dof))
-    return _report(statistic, p, (int(round(total)), expected_arr.size), level)
+    expected = np.array(pool_right_tail(probs * total))
+    bins = expected.size
+    obs = np.append(obs[: bins - 1], obs[bins - 1 :].sum())
+    statistic = float(np.sum((obs - expected) ** 2 / expected))
+    p = float(scipy_stats.chi2.sf(statistic, bins - 1))
+    return _report(statistic, p, (int(round(total)), bins), level)

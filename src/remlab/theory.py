@@ -100,6 +100,13 @@ def poisson_count_pmf(b: float, k: int) -> float:
     return math.exp(-math.exp(-b) - k * b - math.lgamma(k + 1))
 
 
+def poisson_count_probs(b: float, kmax: int) -> list:
+    """``P(count = k)`` for ``k = 0..kmax``, then ``P(count > kmax)``, held >= 0."""
+    probs = [poisson_count_pmf(b, k) for k in range(kmax + 1)]
+    probs.append(max(0.0, 1.0 - sum(probs)))
+    return probs
+
+
 def truncated_exp_moment(alpha: float, beta: float, delta: float, n: int, order: int = 1) -> float:
     """``E[exp(order*beta*H) * 1{H <= delta*n}]`` for a single energy ``H``.
 

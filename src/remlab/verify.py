@@ -5,8 +5,7 @@ the statistical check that confirms it at desk scale.  A failed
 statistical check is retried exactly once on a derived seed
 (master_seed + 1): with per-check significance at the 0.001 level a
 false alarm survives the retry with probability about 1e-6, while a
-real defect keeps failing.  The diagnostics manifest is deterministic
-and never retried.
+real defect keeps failing.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ BUILTIN_NAMES = (
     "marginals_gaussian",
     "exceedance_poisson",
     "pd_compare",
-    "diagnostics",
 )
 
 
@@ -52,12 +50,8 @@ class VerifyRecord:
 def builtin_manifest(name: str) -> ExperimentManifest:
     if name not in BUILTIN_NAMES:
         raise ValueError(f"unknown built-in manifest {name!r}; valid: {list(BUILTIN_NAMES)}")
-    text = (
-        resources.files("remlab").joinpath("manifests").joinpath(f"{name}.json").read_text(
-            encoding="utf-8"
-        )
-    )
-    return from_json(text)
+    path = resources.files("remlab").joinpath("manifests").joinpath(f"{name}.json")
+    return from_json(path.read_text(encoding="utf-8"))
 
 
 def run_builtin(name: str, workers=None, output_root="remlab-verify") -> VerifyRecord:
@@ -67,16 +61,14 @@ def run_builtin(name: str, workers=None, output_root="remlab-verify") -> VerifyR
     first = run_experiment(manifest, workers=workers, output_dir=root / name)
     duration = time.perf_counter() - start
     final = first
-    retried = False
-    if not first.passed and manifest.experiment != "diagnostics":
-        retried = True
+    if not first.passed:
         final = run_experiment(
             manifest,
             workers=workers,
             output_dir=root / f"{name}-retry",
             master_seed=manifest.master_seed + RETRY_SEED_INCREMENT,
         )
-    return VerifyRecord(name, final, first, retried, duration)
+    return VerifyRecord(name, final, first, final is not first, duration)
 
 
 def run_all(workers=None, output_root="remlab-verify", names=None) -> list:

@@ -234,20 +234,6 @@ def test_pd_poisson_matches_stick(verified):
     assert check.passed
 
 
-def test_closed_form_bounds_hold(verified):
-    record = verified["diagnostics"]
-    ok = True
-    for check in record.outcome.checks:
-        violations = check.detail["violations"]
-        announce(
-            f"diagnostics {check.name}",
-            check.passed,
-            f"cases={check.detail['cases']} violations={violations}",
-        )
-        ok = ok and check.passed and violations == 0
-    assert ok
-
-
 def _random_spec(rng):
     alpha = float(rng.choice([1.0, 1.0, 1.5, 2.0, 2.5, 3.0]))
     n = int(rng.integers(4, 13))

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from remlab.manifest import (
 )
 from remlab.rng import seed_derivation
 from remlab.theory import critical_beta, free_energy_limit
-from remlab.verify import BUILTIN_NAMES, builtin_manifest, run_builtin
+from remlab.verify import BUILTIN_NAMES, builtin_manifest
 
 # Key layout golden values, fixed at first release: master_seed=42,
 # replica_id 0..7, stream 0..1.  These must never change.
@@ -74,6 +75,12 @@ def as_rate(doc, checks=(), intervals=((0.1, 0.2),)):
 def as_exceedance(doc, checks=(), b_levels=(0.0,), alpha=1.0):
     doc.update(experiment="exceedance", env={"alpha": alpha, "n": 8}, betas=[],
                checks=list(checks), b_levels=list(b_levels))
+
+
+def as_thin_chi_square(doc, b, replicas):
+    # count_chi_square whose expected counts, replicas * P(count = k), are too thin
+    as_exceedance(doc, [{"check": "count_chi_square", "b": b}], (b,))
+    doc.update(replicas=replicas)
 
 
 def test_seed_derivation_golden_keys():
@@ -148,6 +155,14 @@ def test_every_declared_kind_is_known():
     assert declared <= set(KINDS)
 
 
+def test_package_all_matches_its_bindings():
+    public = {
+        name for name, value in vars(remlab).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert sorted(remlab.__all__) == sorted(public | {"__version__"})
+
+
 def test_builtin_unknown_name():
     with pytest.raises(ValueError):
         builtin_manifest("nonexistent")
@@ -187,7 +202,8 @@ def test_builtin_unknown_name():
             lambda d: d.update(experiment="exceedance", b_levels=[0.0], checks=[]),
             "betas: not read by exceedance",
         ),
-        (lambda d: d.update(experiment="diagnostics", checks=[]), "betas: not read by diagnostics"),
+        # an experiment that no longer exists
+        (lambda d: d.update(experiment="diagnostics", checks=[]), "experiment: expected one of"),
         (lambda d: d.update(intervals=[[0.1, 0.2]]), "intervals: not read by free_energy"),
         (lambda d: d.update(b_levels=[-3.0]), "b_levels: not read by free_energy"),
         (lambda d: d.update(k_marginal=1), "k_marginal: not read by free_energy"),
@@ -227,6 +243,10 @@ def test_builtin_unknown_name():
         (lambda d: d.update(checks=[{"check": "mean_within", "beta": 0.5, "tol": 0}]),
          "checks[0].tol:"),
         (lambda d: as_rate(d, [{"check": "zero_hits", "interval": [0.1]}]), "checks[0].interval:"),
+        # expected counts too thin for a chi-square test: every bin pools into one,
+        # or bins before the pooled tail stay below 5
+        (lambda d: as_thin_chi_square(d, 0.0, 5), "checks[0].kmax: 1 bins after pooling"),
+        (lambda d: as_thin_chi_square(d, -3.0, 200), "checks[0].kmax: 7 bins after pooling"),
         (
             lambda d: d.update(checks=[{"check": "mean_within", "beta": 0.5, "tol": 0.1, "x": 1}]),
             "checks[0]: unknown keys",
@@ -285,6 +305,16 @@ def test_json_syntax_error_reports_position():
 
 
 HUGE_LITERAL = json.dumps(tiny_doc()).replace("[0.5]", "[" + "1" * 5001 + "]")
+# the built-in manifest of the removed diagnostics experiment
+OLD_DIAGNOSTICS = json.dumps({
+    "experiment": "diagnostics",
+    "env": {"alpha": 1.0, "n": 10},
+    "master_seed": 42,
+    "checks": [{"check": name} for name in (
+        "bound_suite", "limit_continuity", "shift_identity", "varadhan_balance",
+        "pmf_normalization",
+    )],
+})
 
 
 @pytest.mark.parametrize(
@@ -456,6 +486,16 @@ def test_curve_shape_defaults_to_critical_beta(tmp_path):
     assert outcome.checks[0].detail["center_beta"] == critical_beta(2.0)
 
 
+def test_count_chi_square_where_the_tail_rounds_negative(tmp_path):
+    # at b=-2, kmax=39 one minus P(count <= 39) rounds to -2.2e-16; the tail
+    # bin must hold 0, which chi_square_gof accepts, not a negative probability
+    doc = tiny_doc()
+    as_exceedance(doc, [{"check": "count_chi_square", "b": -2.0, "kmax": 39}], (-2.0,))
+    doc.update(replicas=10000)
+    outcome = run_experiment(from_dict(doc), workers=1, output_dir=tmp_path)
+    assert 0.0 <= outcome.checks[0].detail["p_value"] <= 1.0
+
+
 def test_exceedance_artifacts_consistent(tmp_path):
     doc = {
         "experiment": "exceedance",
@@ -550,16 +590,6 @@ def test_pd_compare_artifacts(tmp_path):
     assert {c.name for c in outcome.checks} == {"ks_w1", "stick_ks_w1"}
 
 
-def test_diagnostics_runs_clean(tmp_path):
-    record = run_builtin("diagnostics", output_root=tmp_path)
-    assert record.passed
-    assert not record.retried
-    rows = (record.outcome.output_dir / "results.csv").read_text().splitlines()
-    assert rows[0] == "check,cases,violations"
-    for line in rows[1:]:
-        assert line.split(",")[2] == "0"
-
-
 def test_cli_run_exit_codes(tmp_path, capsys, monkeypatch):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(tiny_doc()), encoding="utf-8")
@@ -584,6 +614,13 @@ def test_cli_run_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["run", str(path)]) == 2
     path.write_text(json.dumps(tiny_doc(env={"alpha": 500, "n": 8})), encoding="utf-8")
     assert main(["run", str(path)]) == 2
+    for b, replicas in ((0.0, 5), (-3.0, 200)):
+        doc = tiny_doc()
+        as_thin_chi_square(doc, b, replicas)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "thin")]) == 2
+    path.write_text(OLD_DIAGNOSTICS, encoding="utf-8")
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "old")]) == 2
     path.write_text(json.dumps(tiny_doc()), encoding="utf-8")
     capsys.readouterr()
 
@@ -618,13 +655,13 @@ def test_cli_theory_output(capsys):
 
 
 def test_cli_verify_subset(tmp_path, capsys):
-    code = main(["verify", "--only", "diagnostics", "--output-dir", str(tmp_path)])
+    code = main(["verify", "--only", "marginals_laplace", "--output-dir", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 0
-    assert "[PASS] diagnostics" in out
+    assert "[PASS] marginals_laplace" in out
     assert "verification passed" in out
     assert main(["verify", "--only", "nonsense"]) == 2
-    assert main(["verify", "--only", "diagnostics", "--workers", "0"]) == 2
+    assert main(["verify", "--only", "marginals_laplace", "--workers", "0"]) == 2
     capsys.readouterr()
 
 

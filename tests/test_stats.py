@@ -141,6 +141,13 @@ def test_chi_square_rejects_thin_interior_bin():
         chi_square_gof([1, 60, 39], [0.01, 0.6, 0.39])
 
 
+def test_chi_square_rejects_a_single_pooled_bin():
+    # every expected count is 2, so the whole table pools into one bin and
+    # no degree of freedom is left
+    with pytest.raises(ValueError, match="1 bins after pooling"):
+        chi_square_gof([3, 1], [0.5, 0.5])
+
+
 def test_chi_square_rejects_bad_probabilities():
     with pytest.raises(ValueError):
         chi_square_gof([10, 10], [0.5, 0.4])

@@ -7,13 +7,6 @@ import pytest
 from scipy import integrate, stats
 
 from remlab.environment import Environment
-from remlab.experiments import (
-    _DIAG_N,
-    _GAUSS_BETAS,
-    _GAUSS_DELTAS,
-    _LAPLACE_BETAS,
-    _LAPLACE_DELTAS,
-)
 from remlab.theory import (
     LOG2,
     PhaseDiagnosis,
@@ -22,12 +15,19 @@ from remlab.theory import (
     critical_beta,
     free_energy_limit,
     poisson_count_pmf,
+    poisson_count_probs,
     rate_function,
     shift_constant,
     truncated_exp_moment,
 )
 
 ALPHAS = [1.0, 1.5, 2.0, 3.0]
+# the grids of the truncated-moment bounds
+BOUND_N = (5, 10, 20)
+LAPLACE_BETAS = (0.1, 0.25, 0.5, 0.75, 0.9)
+LAPLACE_DELTAS = (0.75, 1.0, 1.5)
+GAUSS_BETAS = (0.2, 0.5, 0.8, 1.0)
+GAUSS_DELTAS = (1.6651092223153954, 1.8, 2.2)  # starting at 2 sqrt(log 2)
 
 
 def test_critical_beta_values():
@@ -51,6 +51,7 @@ def test_free_energy_limit_continuous_at_critical_point(alpha):
     high = bc * (alpha * LOG2) ** (1.0 / alpha)
     assert abs(low - high) < 1e-12
     assert abs(free_energy_limit(alpha, bc) - high) < 1e-12
+    assert abs(free_energy_limit(alpha, bc - 1e-9) - free_energy_limit(alpha, bc + 1e-9)) <= 1e-7
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
@@ -95,7 +96,8 @@ def test_rate_function_even_and_convex(alpha):
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
-@pytest.mark.parametrize("beta", [0.3, 0.9, 1.0, 1.2, 2.5])
+# 1.0 and the last seven make up the grid 0.25 k, k = 1..8
+@pytest.mark.parametrize("beta", [0.3, 0.9, 1.0, 1.2, 2.5, 0.25, 0.5, 0.75, 1.25, 1.5, 1.75, 2.0])
 def test_varadhan_balance_reproduces_free_energy(alpha, beta):
     # sup_x {log 2 - beta*x - I(x)} over the rate function's domain equals
     # the limiting free energy; the sup sits at -beta^{1/(alpha-1)} capped
@@ -122,6 +124,12 @@ def test_shift_constant_values_and_identity():
     for b in (-1.0, 0.0, 0.7, 3.0):
         lhs = 2.0 ** 11 * env.tail_probability(b + shift_constant(11))
         assert abs(lhs - math.exp(-b)) < 1e-12
+    # and to a relative 1e-12 at small and large n
+    for n in (2, 11, 24):
+        env = Environment(1.0, n)
+        for b in (0.0, 1.0, 2.5):
+            lhs = (1 << n) * env.tail_probability(shift_constant(n) + b)
+            assert abs(lhs - math.exp(-b)) <= 1e-12 * math.exp(-b)
     with pytest.raises(ValueError):
         shift_constant(0)
 
@@ -140,6 +148,14 @@ def test_poisson_count_pmf_sums_to_one(b):
     oracle = stats.poisson.pmf(np.arange(50), mean)
     mine = np.array([poisson_count_pmf(b, k) for k in range(50)])
     assert np.max(np.abs(mine - oracle)) < 1e-13
+
+
+def test_poisson_count_probs_bins():
+    probs = poisson_count_probs(0.0, 5)
+    assert probs[:6] == [poisson_count_pmf(0.0, k) for k in range(6)]
+    assert abs(sum(probs) - 1.0) < 1e-15
+    # at b=-2, kmax=39 one minus the rest rounds to -2.2e-16; the tail bin holds 0
+    assert poisson_count_probs(-2.0, 39)[-1] == 0.0
 
 
 def test_poisson_count_pmf_rejects_bad_input():
@@ -213,10 +229,9 @@ def test_truncated_exp_moment_rejects_bad_input():
         truncated_exp_moment(1.0, 0.5, 1.0, 4, order=3)
 
 
-# the grids of the diagnostics bound_suite
-@pytest.mark.parametrize("beta", _LAPLACE_BETAS)
-@pytest.mark.parametrize("delta", _LAPLACE_DELTAS)
-@pytest.mark.parametrize("n", _DIAG_N)
+@pytest.mark.parametrize("beta", LAPLACE_BETAS)
+@pytest.mark.parametrize("delta", LAPLACE_DELTAS)
+@pytest.mark.parametrize("n", BOUND_N)
 def test_double_exponential_moment_bounds(beta, delta, n):
     # lower bound 1/(1+beta) on the first truncated moment; valid whenever
     # delta*n > log((1+beta)/(2*beta))/(1-beta), which this grid satisfies
@@ -236,9 +251,9 @@ def test_double_exponential_moment_bounds(beta, delta, n):
         assert second <= cap
 
 
-@pytest.mark.parametrize("beta", _GAUSS_BETAS)
-@pytest.mark.parametrize("delta", _GAUSS_DELTAS)
-@pytest.mark.parametrize("n", _DIAG_N)
+@pytest.mark.parametrize("beta", GAUSS_BETAS)
+@pytest.mark.parametrize("delta", GAUSS_DELTAS)
+@pytest.mark.parametrize("n", BOUND_N)
 def test_gaussian_moment_bounds(beta, delta, n):
     # delta grid starts at 2*sqrt(log 2) and stays above every beta, so the
     # lower bound (1/2)exp(beta^2 n / 2) applies throughout

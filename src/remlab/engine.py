@@ -6,17 +6,20 @@ counter-based stream, so any index range can be regenerated on demand
 and never needs to be held in memory at once.
 
 ``run_replica`` makes one deterministic pass over the configuration
-space in fixed chunks.  Each chunk's energies are generated once and
-update every measured quantity: the ground state energy, interval hit
-counts for the empirical energy-per-site measure, the positions of the
-shifted extremes above each threshold, the ``top_m`` lowest energies,
-and, per beta, the partition function and the spin-block marginals.
-The per-beta sums are kept relative to the running minimum, so nothing
-overflows at any beta; when a chunk lowers the minimum, the sums of the
-earlier chunks are rescaled to it first.  Chunk boundaries and
-accumulation order are fixed by the ``ReplicaSpec`` fields alone, which
-makes results bit-identical no matter how replicas are scheduled across
-processes.
+space in fixed chunks, in three steps.  ``summarize`` generates each
+chunk's energies once and reduces them to a :class:`ChunkSummary`: the
+chunk's minimum, interval hit counts for the empirical energy-per-site
+measure, the positions of the shifted extremes above each threshold,
+the ``top_m`` lowest energies, and, per beta, the Gibbs-factor sum and
+the spin-block marginals relative to the chunk's minimum, so nothing
+overflows at any beta.  ``merge`` combines two summaries, rescaling the
+per-beta sums to the smaller minimum; ``fold`` merges a replica's
+summaries strictly left to right, in chunk order.  ``finish`` turns the
+folded summary into a :class:`ReplicaResult`.  A process pool may
+summarize the chunks of one replica in different processes; chunk
+boundaries and the merge order are fixed by the ``ReplicaSpec`` alone,
+so results are bit-identical no matter how replicas or their chunks
+are scheduled across processes.
 
 Configuration index convention: bit ``j`` of the index is spin ``j``,
 with bit value 1 for spin +1.  A marginal block of size ``k`` is the low
@@ -26,6 +29,7 @@ weights over all indices ``i`` with ``i & (2**k - 1) == p``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -35,8 +39,14 @@ from remlab.environment import Environment
 from remlab.rng import ENERGY_STREAM, seed_derivation, uniform_block
 from remlab.theory import shift_constant
 
-CHUNK = 1 << 20
+CHUNK_BITS = 20
+CHUNK = 1 << CHUNK_BITS
 MAX_N = 30
+# Energies drawn per pass of the uniform and quantile layers: their
+# temporaries (512 KB each) stay in the caches, so generation does not
+# wait on memory, nor do processes that stream chunks side by side
+# contend for it.
+_ENERGY_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -74,8 +84,10 @@ class ReplicaSpec:
                 raise ValueError(f"betas must be finite and >= 0, got {b!r}")
         object.__setattr__(self, "betas", betas)
         k = self.k_marginal
-        if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= self.env.n:
-            raise ValueError(f"k_marginal must be an integer in [0, n], got {k!r}")
+        # at most CHUNK_BITS, so a chunk's marginal vector is never longer than the chunk
+        top = min(self.env.n, CHUNK_BITS)
+        if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= top:
+            raise ValueError(f"k_marginal must be an integer in [0, min(n, {CHUNK_BITS})], got {k!r}")
         intervals = tuple((float(a), float(b)) for a, b in self.intervals)
         for a, b in intervals:
             if math.isnan(a) or math.isnan(b) or a >= b:
@@ -149,88 +161,152 @@ def energy_block(spec: ReplicaSpec, lo: int, hi: int) -> np.ndarray:
     if not 0 <= lo <= hi <= spec.size:
         raise ValueError(f"index range [{lo}, {hi}) out of [0, {spec.size})")
     key = seed_derivation(spec.master_seed, spec.replica_id, ENERGY_STREAM)
-    return spec.env.quantile(uniform_block(key, lo, hi))
+    out = np.empty(hi - lo)
+    for start in range(lo, hi, _ENERGY_BLOCK):
+        stop = min(start + _ENERGY_BLOCK, hi)
+        out[start - lo : stop - lo] = spec.env.quantile(uniform_block(key, start, stop))
+    return out
 
 
-def run_replica(spec: ReplicaSpec) -> ReplicaResult:
-    """Measure one replica exhaustively; see the module docstring."""
+@dataclass(frozen=True)
+class ChunkSummary:
+    """What a replica keeps of a run of consecutive chunks.
+
+    ``z`` and ``y`` map each beta to the Gibbs-factor sum and the
+    marginal vector of the run, relative to its own ``min_energy``:
+    ``sum exp(-beta (E - min_energy))``, in total and per pattern of the
+    low ``k_marginal`` bits.  ``positions`` holds one array per chunk and
+    b level, ``best`` the lowest ``keep`` energies, unordered.
+    """
+
+    min_energy: float
+    hits: tuple[int, ...]
+    positions: tuple[tuple[np.ndarray, ...], ...]
+    keep: int
+    best: np.ndarray
+    z: dict[float, float]
+    y: dict[float, np.ndarray]
+
+
+def chunks(spec: ReplicaSpec) -> list[tuple[int, int]]:
+    """The replica's chunks, as index ranges ``(lo, hi)`` in order."""
+    return [(lo, min(lo + CHUNK, spec.size)) for lo in range(0, spec.size, CHUNK)]
+
+
+def summarize(spec: ReplicaSpec, lo: int, hi: int):
+    """One :class:`ChunkSummary` per chunk of ``[lo, hi)``, in index order.
+
+    ``lo`` and ``hi`` must be chunk boundaries (``hi`` may be the size),
+    so that the chunks are the replica's own, whoever asks for them.
+    """
+    if not 0 <= lo <= hi <= spec.size or lo % CHUNK or (hi % CHUNK and hi != spec.size):
+        raise ValueError(f"[{lo}, {hi}) is not a run of whole chunks of [0, {spec.size})")
     n = spec.n
-    size = spec.size
     shift = shift_constant(n)
     betas = spec.betas
     mask = (1 << spec.k_marginal) - 1
     patterns = 1 << spec.k_marginal
-    keep = min(spec.top_m, size) if betas else 0
-
-    min_energy = math.inf  # running minimum; the per-beta sums are relative to it
-    hits = [0] * len(spec.intervals)
-    positions = [[] for _ in spec.b_levels]
-    best = np.empty(0, dtype=float)
-    z_total = {beta: 0.0 for beta in betas}
-    y = {beta: np.zeros(patterns, dtype=float) for beta in betas}
+    keep = min(spec.top_m, spec.size) if betas else 0
     # one Gibbs-factor buffer for every chunk and beta: writing into it
     # in place avoids faulting in fresh pages for each temporary
-    z_buffer = np.empty(min(CHUNK, size) if betas else 0, dtype=float)
-    for lo in range(0, size, CHUNK):
-        hi = min(lo + CHUNK, size)
-        e = energy_block(spec, lo, hi)
-        for j, (a, b) in enumerate(spec.intervals):
-            hits[j] += int(np.count_nonzero((e > a * n) & (e < b * n)))
-        if spec.b_levels:
-            shifted_extremes = -(e + shift)
-            for j, b in enumerate(spec.b_levels):
-                positions[j].append(shifted_extremes[shifted_extremes >= b])
+    buffer = np.empty(min(CHUNK, hi - lo) if betas else 0, dtype=float)
+    for start in range(lo, hi, CHUNK):
+        stop = min(start + CHUNK, hi)
+        e = energy_block(spec, start, stop)
         chunk_min = float(e.min())
-        if chunk_min < min_energy:
-            # rescale the earlier chunks' sums to the new minimum; the first
-            # chunk has none (and its factor exp(-0 * inf) is nan at beta = 0)
-            if min_energy < math.inf:
-                for beta in betas:
-                    factor = math.exp(-beta * (min_energy - chunk_min))
-                    z_total[beta] *= factor
-                    y[beta] *= factor
-            min_energy = chunk_min
-        if keep:
-            pool = np.concatenate([best, e])
-            if pool.size > keep:
-                pool = np.partition(pool, keep - 1)[:keep]
-            best = pool
-        if not betas:
-            continue
-        shifted = e - min_energy
-        z = z_buffer[: hi - lo]
-        if mask:
-            pat = np.arange(lo, hi, dtype=np.int64) & mask
-        for beta in betas:
-            np.multiply(shifted, -beta, out=z)
-            np.exp(z, out=z)
-            z_sum = float(z.sum())
-            z_total[beta] += z_sum
-            # with no marginal spins the one pattern holds the whole sum
-            y[beta] += np.bincount(pat, weights=z, minlength=patterns) if mask else z_sum
-    best = np.sort(best)
+        positions = ()
+        if spec.b_levels:
+            extremes = -(e + shift)
+            positions = tuple((extremes[extremes >= b],) for b in spec.b_levels)
+        # a copy: a view would keep the whole chunk alive with the summary
+        best = (np.partition(e, keep - 1) if e.size > keep > 0 else e)[:keep].copy()
+        z, y = {}, {}
+        if betas:
+            shifted = e - chunk_min
+            g = buffer[: stop - start]
+            if mask:
+                pat = np.arange(start, stop, dtype=np.int64) & mask
+            for beta in betas:
+                np.multiply(shifted, -beta, out=g)
+                np.exp(g, out=g)
+                z[beta] = float(g.sum())
+                # with no marginal spins the one pattern holds the whole sum
+                y[beta] = (
+                    np.bincount(pat, weights=g, minlength=patterns) if mask else np.full(1, z[beta])
+                )
+        yield ChunkSummary(
+            min_energy=chunk_min,
+            hits=tuple(int(np.count_nonzero((e > a * n) & (e < b * n))) for a, b in spec.intervals),
+            positions=positions,
+            keep=keep,
+            best=best,
+            z=z,
+            y=y,
+        )
 
+
+def merge(left: ChunkSummary, right: ChunkSummary) -> ChunkSummary:
+    """The summary of ``left``'s chunks followed by ``right``'s.
+
+    The per-beta sums of both are rescaled to the smaller minimum; the
+    side that holds it is multiplied by exactly 1.
+    """
+    low = min(left.min_energy, right.min_energy)
+    z, y = {}, {}
+    for beta in left.z:
+        lf = math.exp(-beta * (left.min_energy - low))
+        rf = math.exp(-beta * (right.min_energy - low))
+        z[beta] = left.z[beta] * lf + right.z[beta] * rf
+        y[beta] = left.y[beta] * lf + right.y[beta] * rf
+    best = np.concatenate([left.best, right.best])
+    if best.size > left.keep:
+        best = np.partition(best, left.keep - 1)[: left.keep]
+    return ChunkSummary(
+        min_energy=low,
+        hits=tuple(a + b for a, b in zip(left.hits, right.hits)),
+        positions=tuple(a + b for a, b in zip(left.positions, right.positions)),
+        keep=left.keep,
+        best=best,
+        z=z,
+        y=y,
+    )
+
+
+def fold(summaries) -> ChunkSummary:
+    """Merge summaries strictly left to right, the one order every schedule uses."""
+    return functools.reduce(merge, summaries)
+
+
+def finish(spec: ReplicaSpec, summary: ChunkSummary) -> ReplicaResult:
+    """The replica's result from the summary of all its chunks."""
+    min_energy = summary.min_energy
+    best = np.sort(summary.best)
     log_z = {}
     spectrum = {}
     marginal = {}
-    for beta in betas:
-        total = z_total[beta]
+    for beta in spec.betas:
+        total = summary.z[beta]
         log_z[beta] = math.log(total) - beta * min_energy
-        marginal[beta] = y[beta] / total
-        if keep:
+        marginal[beta] = summary.y[beta] / total
+        if summary.keep:
             w = np.exp(-beta * (best - min_energy)) / total
             w = w[w > 0.0]
             spectrum[beta] = GibbsSpectrum(w, max(0.0, 1.0 - float(w.sum())))
     return ReplicaResult(
-        n=n,
+        n=spec.n,
         replica_id=spec.replica_id,
         min_energy=min_energy,
         log_z=log_z,
         spectrum=spectrum,
         marginal=marginal,
-        interval_hits={iv: hits[j] for j, iv in enumerate(spec.intervals)},
-        exceedance={b: np.concatenate(positions[j]) for j, b in enumerate(spec.b_levels)},
+        interval_hits=dict(zip(spec.intervals, summary.hits)),
+        exceedance={b: np.concatenate(p) for b, p in zip(spec.b_levels, summary.positions)},
     )
+
+
+def run_replica(spec: ReplicaSpec) -> ReplicaResult:
+    """Measure one replica exhaustively; see the module docstring."""
+    return finish(spec, fold(summarize(spec, 0, spec.size)))
 
 
 def free_energy(result: ReplicaResult, beta: float) -> float:

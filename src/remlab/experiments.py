@@ -40,7 +40,16 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .engine import ReplicaSpec, free_energy, rate_estimate, run_replica
+from .engine import (
+    ReplicaSpec,
+    chunks,
+    finish,
+    fold,
+    free_energy,
+    rate_estimate,
+    run_replica,
+    summarize,
+)
 from .environment import Environment
 from .pointprocess import PDParams, sample_pd_poisson, sample_pd_stick
 from .rng import ENERGY_STREAM, POISSON_STREAM, STICK_STREAM, stream_generator
@@ -189,7 +198,12 @@ def resolve_workers(manifest: ExperimentManifest | None, override=None) -> int:
 
 def _run_task(task):
     # run_replica is looked up when the task runs, like a Draw's sampler
-    return task() if isinstance(task, Draw) else run_replica(task)
+    if isinstance(task, Draw):
+        return task()
+    if isinstance(task, ReplicaSpec):
+        return run_replica(task)
+    (summary,) = summarize(*task)  # a (spec, lo, hi) chunk task
+    return summary
 
 
 # Starting and reaping a process pool costs about 20 ms on 2 CPUs, more
@@ -200,24 +214,36 @@ POOL_MIN_CONFIGS = 1 << 19
 def _map_tasks(specs: list, draws: list, workers: int) -> tuple[list, int]:
     """The results of the replicas, then of the draws, and the processes that ran them.
 
+    With fewer replicas than workers, each chunk of a replica is a task
+    of its own, a ``(spec, lo, hi)`` that ``engine.summarize`` reduces;
+    this process folds each replica's chunk summaries in chunk order, as
+    ``run_replica`` does, and finishes it.  Otherwise, or when a replica
+    is a single chunk, each replica is one task, finished where it runs.
     Only the replicas' energies decide whether a pool pays; the draws go
-    wherever the replicas go.  In a pool, replicas and draws are chunked
-    apart, each into about four chunks per process, so a long list of
-    cheap draws never packs the heavy replicas into fewer processes; the
-    draw chunks queue behind the replica chunks and fill the processes
-    that finish first.  Results return in submission (id) order either
-    way, so the schedule never leaks into the artifacts.
+    wherever the replicas go.  In a pool, chunk tasks go one at a time,
+    while whole replicas and draws are chunked apart, each into about
+    four chunks per process, so a long list of cheap draws never packs
+    the heavy replicas into fewer processes; the draws queue behind the
+    replicas and fill the processes that finish first.  Results return
+    in submission (id) order either way, so the schedule never leaks
+    into the artifacts.
     """
-    streaming = min(workers, len(specs))  # processes the replicas alone would keep busy
+    split = len(specs) < workers and any(len(chunks(spec)) > 1 for spec in specs)
+    tasks = [(spec, lo, hi) for spec in specs for lo, hi in chunks(spec)] if split else specs
+    streaming = min(workers, len(tasks))  # processes the replica tasks alone would keep busy
     if streaming <= 1 or sum(spec.size for spec in specs) < streaming * POOL_MIN_CONFIGS:
         return [_run_task(task) for task in [*specs, *draws]], 1
-    processes = min(workers, len(specs) + len(draws))
+    processes = min(workers, len(tasks) + len(draws))
     with ProcessPoolExecutor(max_workers=processes) as pool:
-        maps = [
-            pool.map(_run_task, tasks, chunksize=max(1, len(tasks) // (processes * 4)))
-            for tasks in (specs, draws)
-        ]
-        return [result for results in maps for result in results], processes
+        slots = processes * 4  # whole replicas and draws go about four chunks per process
+        # a chunk summary may hold long marginal vectors, so chunk tasks go one at a time
+        replicas = pool.map(_run_task, tasks, chunksize=1 if split else max(1, len(tasks) // slots))
+        drawn = pool.map(_run_task, draws, chunksize=max(1, len(draws) // slots))
+        if split:
+            replicas = [
+                finish(spec, fold(itertools.islice(replicas, len(chunks(spec))))) for spec in specs
+            ]
+        return [*replicas, *drawn], processes
 
 
 def _cell(value) -> str:

@@ -22,7 +22,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .engine import MAX_N
+from .engine import CHUNK_BITS, MAX_N
 from .environment import MAX_ALPHA
 from .experiments import REGISTRY
 from .stats import pool_right_tail
@@ -225,7 +225,11 @@ KINDS = {
     "count": _rule(_integer, lambda v, f: v >= 1, "an integer >= 1"),
     "natural": _rule(_integer, lambda v, f: v >= 0, "an integer >= 0"),
     "spins": _rule(_integer, lambda v, f: 1 <= v <= MAX_N, f"an integer in [1, {MAX_N}]"),
-    "size": _rule(_integer, lambda v, f: 0 <= v <= f["n"], "an integer in [0, n]"),
+    "size": _rule(
+        _integer,
+        lambda v, f: 0 <= v <= min(f["n"], CHUNK_BITS),
+        f"an integer in [0, min(n, {CHUNK_BITS})]",
+    ),
     "seed": _rule(_integer, lambda v, f: 0 <= v < MAX_SEED, "an integer in [0, 2^64)"),
     "replicas": _rule(_integer, lambda v, f: 1 <= v <= f["replicas"], "a count <= replicas"),
     "pair": _rule(_pair, lambda v, f: v[0] < v[1], "low < high"),

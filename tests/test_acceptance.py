@@ -9,14 +9,18 @@ brute-force oracle on randomized ``ReplicaSpec`` inputs, and
 byte-identical artifacts across worker counts.
 """
 
+import json
+
 import numpy as np
 import pytest
 
+import remlab.experiments
 from naive_oracle import naive_replica
 from remlab import engine
 from remlab.engine import ReplicaSpec, run_replica
 from remlab.environment import Environment
-from remlab.experiments import run_experiment
+from remlab.experiments import _map_tasks, run_experiment
+from remlab.manifest import from_dict
 from remlab.verify import BUILTIN_NAMES, builtin_manifest, run_builtin
 
 
@@ -257,38 +261,94 @@ def _random_spec(rng):
     )
 
 
+class InlinePool:
+    """Stands in for the process pool: records the tasks, runs them in this process."""
+
+    tasks = []
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        items = list(items)
+        InlinePool.tasks.extend(items)
+        return map(fn, items)
+
+
 def test_engine_matches_naive_oracle_random_specs(monkeypatch):
     # The default chunk holds every spec here in one chunk; 64 and 7 split
-    # them, so the per-beta sums are folded across chunk boundaries.
+    # them, so the per-beta sums are folded across chunk boundaries.  Each
+    # spec also runs through the task map at workers=2, where a replica of
+    # several chunks is split into one task per chunk and folded here.
+    monkeypatch.setattr(remlab.experiments, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(remlab.experiments, "POOL_MIN_CONFIGS", 1)
     for chunk in (1 << 20, 64, 7):
         monkeypatch.setattr(engine, "CHUNK", chunk)
         rng = np.random.default_rng(424242)
         worst = 0.0
+        split = 0
         for _ in range(50):
             spec = _random_spec(rng)
-            got = run_replica(spec)
+            InlinePool.tasks = []
+            (from_tasks,), _ = _map_tasks([spec], [], 2)
+            # a replica of one chunk is one task: it stays in this process
+            assert InlinePool.tasks == [
+                (spec, lo, min(lo + chunk, spec.size)) for lo in range(0, spec.size, chunk)
+            ] * (spec.size > chunk)
+            split += len(InlinePool.tasks) > 1
             want = naive_replica(spec)
-            worst = max(worst, abs(got.min_energy - want["min_energy"]))
-            assert abs(got.min_energy - want["min_energy"]) <= 1e-10
-            for beta in spec.betas:
-                worst = max(worst, abs(got.log_z[beta] - want["log_z"][beta]))
-                assert abs(got.log_z[beta] - want["log_z"][beta]) <= 1e-10
-                assert np.allclose(
-                    got.marginal[beta], want["marginal"][beta], rtol=0.0, atol=1e-10
-                )
-                weights, tail = want["spectrum"][beta]
-                assert got.spectrum[beta].weights.size == weights.size
-                assert np.allclose(got.spectrum[beta].weights, weights, rtol=0.0, atol=1e-10)
-                assert abs(got.spectrum[beta].tail_mass - tail) <= 1e-10
-            for interval in spec.intervals:
-                assert got.interval_hits[interval] == want["interval_hits"][interval]
-            for level in spec.b_levels:
-                assert np.array_equal(got.exceedance[level], want["exceedance"][level])
+            for got in (run_replica(spec), from_tasks):
+                worst = max(worst, abs(got.min_energy - want["min_energy"]))
+                assert abs(got.min_energy - want["min_energy"]) <= 1e-10
+                for beta in spec.betas:
+                    worst = max(worst, abs(got.log_z[beta] - want["log_z"][beta]))
+                    assert abs(got.log_z[beta] - want["log_z"][beta]) <= 1e-10
+                    assert np.allclose(
+                        got.marginal[beta], want["marginal"][beta], rtol=0.0, atol=1e-10
+                    )
+                    weights, tail = want["spectrum"][beta]
+                    assert got.spectrum[beta].weights.size == weights.size
+                    assert np.allclose(got.spectrum[beta].weights, weights, rtol=0.0, atol=1e-10)
+                    assert abs(got.spectrum[beta].tail_mass - tail) <= 1e-10
+                for interval in spec.intervals:
+                    assert got.interval_hits[interval] == want["interval_hits"][interval]
+                for level in spec.b_levels:
+                    assert np.array_equal(got.exceedance[level], want["exceedance"][level])
         announce(
             "engine vs naive oracle",
             True,
-            f"CHUNK={chunk}, 50 random specs, worst |diff|={worst:.2e}",
+            f"CHUNK={chunk}, 50 random specs ({split} split into chunk tasks), "
+            f"worst |diff|={worst:.2e}",
         )
+
+
+# One replica of two chunks each, so that at workers=8 the chunks run as
+# tasks of their own and positions, hits and the top-m pool are merged
+# across them.
+ONE_REPLICA_DOCS = {
+    "exceedance": {"b_levels": [-2.0, 0.0]},
+    "rate_function": {"intervals": [[-0.3, 0.1], [0.2, 0.4]]},
+    "pd_compare": {
+        "betas": [2.0],
+        "pd": {"m": 0.5, "epsilon_mass": 0.01, "draws": 4, "stick_draws": 2, "stick_length": 10},
+    },
+}
+
+
+def assert_same_csvs(label, base, rerun):
+    base_files = sorted(p.name for p in base.glob("*.csv"))
+    rerun_files = sorted(p.name for p in rerun.glob("*.csv"))
+    assert base_files == rerun_files and base_files
+    for filename in base_files:
+        identical = (base / filename).read_bytes() == (rerun / filename).read_bytes()
+        announce(f"workers 1 vs 8, {label}/{filename}", identical, "byte-identical")
+        assert identical
 
 
 def test_worker_count_invariance(verified, tmp_path_factory):
@@ -301,14 +361,16 @@ def test_worker_count_invariance(verified, tmp_path_factory):
         "pd_compare",
     )
     for name in names:
-        base = verified[name].first_outcome.output_dir
         rerun = run_experiment(builtin_manifest(name), workers=8, output_dir=root / name)
-        base_files = sorted(p.name for p in base.glob("*.csv"))
-        rerun_files = sorted(p.name for p in rerun.output_dir.glob("*.csv"))
-        assert base_files == rerun_files and base_files
-        for filename in base_files:
-            identical = (base / filename).read_bytes() == (
-                rerun.output_dir / filename
-            ).read_bytes()
-            announce(f"workers 1 vs 8, {name}/{filename}", identical, "byte-identical")
-            assert identical
+        assert_same_csvs(name, verified[name].first_outcome.output_dir, rerun.output_dir)
+    for name, fields in ONE_REPLICA_DOCS.items():
+        manifest = from_dict(
+            {"experiment": name, "env": {"alpha": 1.0, "n": 21}, "master_seed": 5, **fields}
+        )
+        base, rerun = (
+            run_experiment(manifest, workers=w, output_dir=root / f"one-{name}-{w}").output_dir
+            for w in (1, 8)
+        )
+        summary = json.loads((rerun / "summary.json").read_text(encoding="utf-8"))
+        assert summary["processes"] > 1
+        assert_same_csvs(f"one replica {name}", base, rerun)

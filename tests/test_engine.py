@@ -13,12 +13,17 @@ from remlab.engine import (
     CHUNK,
     GibbsSpectrum,
     ReplicaSpec,
+    chunks,
     energy_block,
+    finish,
+    fold,
     free_energy,
     rate_estimate,
     run_replica,
+    summarize,
 )
 from remlab.environment import Environment
+from remlab.rng import ENERGY_STREAM, seed_derivation, uniform_block
 from remlab.theory import LOG2, shift_constant
 
 E_CONST = math.e
@@ -53,6 +58,12 @@ def test_energy_block_window_consistency():
     spec = make_spec()
     whole = energy_block(spec, 0, 4096)
     assert np.array_equal(energy_block(spec, 777, 3001), whole[777:3001])
+    # generated in blocks, bit-identical to one pass of the uniform and quantile layers
+    for alpha in (1.0, 1.5, 2.0):
+        wide = make_spec(env=Environment(alpha, 17))
+        key = seed_derivation(wide.master_seed, wide.replica_id, ENERGY_STREAM)
+        once = wide.env.quantile(uniform_block(key, 1001, wide.size))
+        assert np.array_equal(energy_block(wide, 1001, wide.size), once)
     with pytest.raises(ValueError):
         energy_block(spec, 0, spec.size + 1)
     with pytest.raises(ValueError):
@@ -90,6 +101,9 @@ def test_replica_spec_validation():
         ReplicaSpec(env=env, betas=(1.0,), b_levels=(float("inf"),))
     with pytest.raises(ValueError):
         ReplicaSpec(env=Environment(1.0, 31), betas=(1.0,))
+    # a chunk's marginal vector is never longer than the chunk: k <= 20
+    with pytest.raises(ValueError, match="k_marginal"):
+        ReplicaSpec(env=Environment(1.0, 21), betas=(1.0,), k_marginal=21)
     with pytest.raises(ValueError):
         ReplicaSpec(env=env, betas=(1.0,), master_seed=-1)
     # beta = 0 is legal: the infinite-temperature closed forms are exact
@@ -295,6 +309,53 @@ def test_ground_state_in_last_chunk(monkeypatch):
         assert np.allclose(res.spectrum[beta].weights, w_ref, rtol=1e-10, atol=0)
         assert abs(res.spectrum[beta].tail_mass - tail_ref) < 1e-10
     assert np.array_equal(res.exceedance[-1.0], ref["exceedance"][-1.0])
+
+
+def assert_results_identical(a, b):
+    assert a.n == b.n and a.replica_id == b.replica_id
+    assert a.min_energy == b.min_energy
+    assert a.log_z == b.log_z
+    assert a.interval_hits == b.interval_hits
+    assert a.marginal.keys() == b.marginal.keys() and a.spectrum.keys() == b.spectrum.keys()
+    for beta in a.marginal:
+        assert np.array_equal(a.marginal[beta], b.marginal[beta])
+    for beta in a.spectrum:
+        assert np.array_equal(a.spectrum[beta].weights, b.spectrum[beta].weights)
+        assert a.spectrum[beta].tail_mass == b.spectrum[beta].tail_mass
+    assert a.exceedance.keys() == b.exceedance.keys()
+    for level in a.exceedance:
+        assert np.array_equal(a.exceedance[level], b.exceedance[level])
+
+
+@pytest.mark.parametrize("chunk", [7, 64])
+def test_run_replica_is_split_invariant(monkeypatch, chunk):
+    # Summaries of any chunk-aligned split, folded left to right, are the
+    # ones run_replica folds: the result is bit-identical however a
+    # replica's chunks are shared out.
+    monkeypatch.setattr(engine, "CHUNK", chunk)
+    spec = make_spec(
+        env=Environment(1.0, 8),
+        betas=(0.7, 2.5),
+        k_marginal=2,
+        top_m=16,
+        intervals=((-0.5, 0.2), (0.1, 0.9)),
+        b_levels=(-1.0, 0.5),
+        master_seed=77,
+    )
+    whole = run_replica(spec)
+    bounds = [lo for lo, _ in chunks(spec)][1:]
+    assert len(bounds) >= 3
+    splits = [()] + [(c,) for c in bounds] + [
+        (c, d) for i, c in enumerate(bounds) for d in bounds[i + 1 :]
+    ]
+    for cuts in splits:
+        edges = [0, *cuts, spec.size]
+        parts = [summarize(spec, lo, hi) for lo, hi in zip(edges, edges[1:])]
+        assert_results_identical(finish(spec, fold(s for part in parts for s in part)), whole)
+    with pytest.raises(ValueError, match="whole chunks"):
+        next(summarize(spec, 1, spec.size))
+    with pytest.raises(ValueError, match="whole chunks"):
+        next(summarize(spec, 0, chunk + 1))
 
 
 def test_run_replica_deterministic():

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import remlab
+import remlab.engine
 import remlab.experiments
 from remlab.cli import main
 from remlab.experiments import REGISTRY, resolve_workers, run_experiment
@@ -75,6 +76,11 @@ def as_rate(doc, checks=(), intervals=((0.1, 0.2),)):
 def as_exceedance(doc, checks=(), b_levels=(0.0,), alpha=1.0):
     doc.update(experiment="exceedance", env={"alpha": alpha, "n": 8}, betas=[],
                checks=list(checks), b_levels=list(b_levels))
+
+
+def as_wide_marginals(doc):
+    doc.update(experiment="marginals", env={"alpha": 1.0, "n": 30}, k_marginal=30,
+               betas=[0.5, 2], checks=[])
 
 
 def as_thin_chi_square(doc, b, replicas):
@@ -187,6 +193,9 @@ def test_builtin_unknown_name():
         (lambda d: d.update(master_seed=-1), "master_seed"),
         (lambda d: d.update(master_seed=1 << 64), "master_seed"),
         (lambda d: d.update(k_marginal=9), "k_marginal"),
+        # at most 20 marginal spins, the bits of a chunk: 30 would ask for
+        # 2**30 floats per beta and 2**31 CSV rows
+        (as_wide_marginals, "k_marginal: expected an integer in [0, min(n, 20)]"),
         (lambda d: d.update(top_m=0), "top_m"),
         (lambda d: d.update(workers=0), "workers"),
         (lambda d: d.update(workers="many"), "workers"),
@@ -440,18 +449,32 @@ def test_small_runs_stay_out_of_the_pool(tmp_path, monkeypatch):
         ("sample_pd_poisson", i) for i in range(5)
     ] + [("sample_pd_stick", j) for j in range(2)]
 
+    # fewer replicas than workers: each chunk is a task, sent one at a
+    # time, and the pool pays by the same rule (2**19 energies per process)
+    monkeypatch.setattr(remlab.engine, "CHUNK", 1 << 18)
+    one = from_dict(tiny_doc(replicas=1, env={"alpha": 1.0, "n": 20}))
+    run_experiment(one, workers=2, output_dir=tmp_path / "one")
+    assert len(pools) == 3
+    assert pools[2].max_workers == 2
+    assert [(spec.replica_id, lo, hi) for spec, lo, hi in pools[2].tasks] == [
+        (0, lo, lo + (1 << 18)) for lo in range(0, 1 << 20, 1 << 18)
+    ]
+    assert pools[2].chunks == [(1, 4), (1, 0)]
+
     # replicas and draws are chunked apart, each about four chunks per
     # process, so many cheap draws never crowd the replicas into fewer
-    # processes (one chunk over all 344 tasks would hold 43 replicas)
+    # processes (one chunk over all 344 tasks would hold 43 replicas);
+    # with as many replicas as workers, each replica is one task
     monkeypatch.setattr(remlab.experiments, "POOL_MIN_CONFIGS", 1)
     many_pd = tiny_doc(replicas=40)
     as_pd(many_pd, draws=300, stick_draws=2, stick_length=10, epsilon_mass=0.01)
     run_experiment(from_dict(many_pd), workers=2, output_dir=tmp_path / "many_pd")
-    assert len(pools) == 3
-    assert pools[2].chunks == [(40 // 8, 40), (304 // 8, 304)]
+    assert len(pools) == 4
+    assert pools[3].chunks == [(40 // 8, 40), (304 // 8, 304)]
+    assert all(isinstance(t, remlab.experiments.ReplicaSpec) for t in pools[3].tasks[:40])
 
 
-def test_summary_records_processes(tmp_path):
+def test_summary_records_processes(tmp_path, monkeypatch):
     def summary(doc, name):
         run_experiment(from_dict(doc), workers=2, output_dir=tmp_path / name)
         return json.loads((tmp_path / name / "summary.json").read_text(encoding="utf-8"))
@@ -461,6 +484,10 @@ def test_summary_records_processes(tmp_path):
     assert (small["workers"], small["processes"]) == (2, 1)
     big = summary(tiny_doc(replicas=2, env={"alpha": 1.0, "n": 19}), "big")
     assert (big["workers"], big["processes"]) == (2, 2)
+    # one replica of four chunks: its chunks run in 2 processes
+    monkeypatch.setattr(remlab.engine, "CHUNK", 1 << 18)
+    one = summary(tiny_doc(replicas=1, env={"alpha": 1.0, "n": 20}), "one")
+    assert (one["workers"], one["processes"]) == (2, 2)
 
 
 def test_run_experiment_seed_override_changes_results(tmp_path):
@@ -619,6 +646,10 @@ def test_cli_run_exit_codes(tmp_path, capsys, monkeypatch):
         as_thin_chi_square(doc, b, replicas)
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["run", str(path), "--output-dir", str(tmp_path / "thin")]) == 2
+    doc = tiny_doc()
+    as_wide_marginals(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "wide")]) == 2
     path.write_text(OLD_DIAGNOSTICS, encoding="utf-8")
     assert main(["run", str(path), "--output-dir", str(tmp_path / "old")]) == 2
     path.write_text(json.dumps(tiny_doc()), encoding="utf-8")

@@ -42,11 +42,11 @@ from remlab.theory import shift_constant
 CHUNK_BITS = 20
 CHUNK = 1 << CHUNK_BITS
 MAX_N = 30
-# Energies drawn per pass of the uniform and quantile layers: their
-# temporaries (512 KB each) stay in the caches, so generation does not
-# wait on memory, nor do processes that stream chunks side by side
-# contend for it.
-_ENERGY_BLOCK = 1 << 16
+# Energies drawn per pass of the uniform and quantile layers, the one
+# place energies are blocked: their temporaries (256 KB each) stay in
+# the caches, so generation does not wait on memory, nor do processes
+# that stream chunks side by side contend for it.
+_ENERGY_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -193,6 +193,14 @@ def chunks(spec: ReplicaSpec) -> list[tuple[int, int]]:
     return [(lo, min(lo + CHUNK, spec.size)) for lo in range(0, spec.size, CHUNK)]
 
 
+@functools.lru_cache(maxsize=1)
+def _gibbs_buffer(size: int) -> np.ndarray:
+    # One Gibbs-factor buffer for every chunk and beta, kept for this
+    # process's later calls: writing into it in place avoids faulting in
+    # fresh pages for each temporary, and for each chunk task.
+    return np.empty(size)
+
+
 def summarize(spec: ReplicaSpec, lo: int, hi: int):
     """One :class:`ChunkSummary` per chunk of ``[lo, hi)``, in index order.
 
@@ -207,9 +215,7 @@ def summarize(spec: ReplicaSpec, lo: int, hi: int):
     mask = (1 << spec.k_marginal) - 1
     patterns = 1 << spec.k_marginal
     keep = min(spec.top_m, spec.size) if betas else 0
-    # one Gibbs-factor buffer for every chunk and beta: writing into it
-    # in place avoids faulting in fresh pages for each temporary
-    buffer = np.empty(min(CHUNK, hi - lo) if betas else 0, dtype=float)
+    buffer = _gibbs_buffer(min(CHUNK, hi - lo)) if betas else None
     for start in range(lo, hi, CHUNK):
         stop = min(start + CHUNK, hi)
         e = energy_block(spec, start, stop)
@@ -249,7 +255,9 @@ def merge(left: ChunkSummary, right: ChunkSummary) -> ChunkSummary:
     """The summary of ``left``'s chunks followed by ``right``'s.
 
     The per-beta sums of both are rescaled to the smaller minimum; the
-    side that holds it is multiplied by exactly 1.
+    side that holds it is multiplied by exactly 1, which is skipped.
+    Both summaries are consumed: the marginal vectors are rescaled and
+    summed in place, in ``left``'s arrays, so a fold allocates none.
     """
     low = min(left.min_energy, right.min_energy)
     z, y = {}, {}
@@ -257,7 +265,12 @@ def merge(left: ChunkSummary, right: ChunkSummary) -> ChunkSummary:
         lf = math.exp(-beta * (left.min_energy - low))
         rf = math.exp(-beta * (right.min_energy - low))
         z[beta] = left.z[beta] * lf + right.z[beta] * rf
-        y[beta] = left.y[beta] * lf + right.y[beta] * rf
+        y[beta] = left.y[beta]
+        if lf != 1.0:
+            y[beta] *= lf
+        if rf != 1.0:
+            right.y[beta] *= rf
+        y[beta] += right.y[beta]
     best = np.concatenate([left.best, right.best])
     if best.size > left.keep:
         best = np.partition(best, left.keep - 1)[: left.keep]

@@ -46,10 +46,6 @@ _U_MIN = 2.0 ** -54
 _PIECES = 8
 _DEGREE = 10
 _BINADES = 1 - math.frexp(2.0 * _U_MIN)[1]
-# values per pass of the evaluation: its temporaries (64 KB each) stay in
-# cache, and below the size from which malloc maps fresh pages for each
-# one (128 KB by default in glibc)
-_BLOCK = 1 << 13
 
 
 @functools.lru_cache(maxsize=16)
@@ -83,31 +79,29 @@ def _power_gamma_table(alpha: float) -> np.ndarray:
 def _power_gamma_quantile(u: np.ndarray, alpha: float, scale: float) -> np.ndarray:
     """``sign(u - 1/2) * scale * G**(1/alpha)`` where ``P(G > g) = 2 min(u, 1-u)``.
 
-    For ``u`` in [2**-54, 1).  The result is written over ``u`` block by
-    block, so no array of its size is allocated: each would be faulted in
-    afresh on every call.
+    For ``u`` in [2**-54, 1).  The result is written over ``u``.  The
+    temporaries are the size of ``u``; ``engine.energy_block`` passes
+    blocks small enough for them to stay in the caches.
     """
     table = _power_gamma_table(alpha)
-    flat = u.reshape(-1)
-    for lo in range(0, flat.size, _BLOCK):
-        v = flat[lo : lo + _BLOCK]
-        q = 2.0 * np.minimum(v, 1.0 - v)  # exact: the minimum is v, or 1 - v with v >= 1/2
-        centre = q > 0.5
-        x = np.where(centre, 1.0 - q, q)  # 1 - q = |2u - 1| is exact there (Sterbenz)
-        mantissa, exponent = np.frexp(x)
-        z = mantissa * (2 * _PIECES) - _PIECES  # position in the binade, in pieces
-        piece = z.astype(np.intp)
-        t = z - piece
-        piece += _PIECES * (np.where(centre, _BINADES, 0) - exponent)
-        y = table[-1].take(piece)
-        for row in table[-2::-1]:
-            y *= t
-            y += row.take(piece)
-        # at x = 0 (u = 1/2) the piece is out of its binade but finite
-        y *= x
-        y *= scale
-        np.copysign(y, v - 0.5, out=v)
-    return flat.reshape(u.shape)
+    v = u.reshape(-1)
+    q = 2.0 * np.minimum(v, 1.0 - v)  # exact: the minimum is v, or 1 - v with v >= 1/2
+    centre = q > 0.5
+    x = np.where(centre, 1.0 - q, q)  # 1 - q = |2u - 1| is exact there (Sterbenz)
+    mantissa, exponent = np.frexp(x)
+    z = mantissa * (2 * _PIECES) - _PIECES  # position in the binade, in pieces
+    piece = z.astype(np.intp)
+    t = z - piece
+    piece += _PIECES * (np.where(centre, _BINADES, 0) - exponent)
+    y = table[-1].take(piece)
+    for row in table[-2::-1]:
+        y *= t
+        y += row.take(piece)
+    # at x = 0 (u = 1/2) the piece is out of its binade but finite
+    y *= x
+    y *= scale
+    np.copysign(y, v - 0.5, out=v)
+    return v.reshape(u.shape)
 
 
 @dataclass(frozen=True)

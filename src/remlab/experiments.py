@@ -214,11 +214,11 @@ POOL_MIN_CONFIGS = 1 << 19
 def _map_tasks(specs: list, draws: list, workers: int) -> tuple[list, int]:
     """The results of the replicas, then of the draws, and the processes that ran them.
 
-    With fewer replicas than workers, each chunk of a replica is a task
-    of its own, a ``(spec, lo, hi)`` that ``engine.summarize`` reduces;
-    this process folds each replica's chunk summaries in chunk order, as
-    ``run_replica`` does, and finishes it.  Otherwise, or when a replica
-    is a single chunk, each replica is one task, finished where it runs.
+    When a replica spans more than one chunk, each of its chunks is a
+    task of its own, a ``(spec, lo, hi)`` that ``engine.summarize``
+    reduces; this process folds each replica's chunk summaries in chunk
+    order, as ``run_replica`` does, and finishes it.  Replicas of one
+    chunk are one task each, finished where they run.
     Only the replicas' energies decide whether a pool pays; the draws go
     wherever the replicas go.  In a pool, chunk tasks go one at a time,
     while whole replicas and draws are chunked apart, each into about
@@ -228,7 +228,7 @@ def _map_tasks(specs: list, draws: list, workers: int) -> tuple[list, int]:
     in submission (id) order either way, so the schedule never leaks
     into the artifacts.
     """
-    split = len(specs) < workers and any(len(chunks(spec)) > 1 for spec in specs)
+    split = any(len(chunks(spec)) > 1 for spec in specs)
     tasks = [(spec, lo, hi) for spec in specs for lo, hi in chunks(spec)] if split else specs
     streaming = min(workers, len(tasks))  # processes the replica tasks alone would keep busy
     if streaming <= 1 or sum(spec.size for spec in specs) < streaming * POOL_MIN_CONFIGS:

@@ -449,8 +449,9 @@ def test_small_runs_stay_out_of_the_pool(tmp_path, monkeypatch):
         ("sample_pd_poisson", i) for i in range(5)
     ] + [("sample_pd_stick", j) for j in range(2)]
 
-    # fewer replicas than workers: each chunk is a task, sent one at a
-    # time, and the pool pays by the same rule (2**19 energies per process)
+    # a replica of more than one chunk: each chunk is a task, sent one
+    # at a time, and the pool pays by the same rule (2**19 energies per
+    # process)
     monkeypatch.setattr(remlab.engine, "CHUNK", 1 << 18)
     one = from_dict(tiny_doc(replicas=1, env={"alpha": 1.0, "n": 20}))
     run_experiment(one, workers=2, output_dir=tmp_path / "one")
@@ -460,21 +461,28 @@ def test_small_runs_stay_out_of_the_pool(tmp_path, monkeypatch):
         (0, lo, lo + (1 << 18)) for lo in range(0, 1 << 20, 1 << 18)
     ]
     assert pools[2].chunks == [(1, 4), (1, 0)]
+    # more such replicas than workers split the same way, in replica order
+    three = from_dict(tiny_doc(replicas=3, env={"alpha": 1.0, "n": 20}))
+    run_experiment(three, workers=2, output_dir=tmp_path / "three")
+    assert len(pools) == 4
+    assert [(spec.replica_id, lo) for spec, lo, _ in pools[3].tasks] == [
+        (r, lo) for r in range(3) for lo in range(0, 1 << 20, 1 << 18)
+    ]
 
     # replicas and draws are chunked apart, each about four chunks per
     # process, so many cheap draws never crowd the replicas into fewer
     # processes (one chunk over all 344 tasks would hold 43 replicas);
-    # with as many replicas as workers, each replica is one task
+    # replicas of one chunk are one task each
     monkeypatch.setattr(remlab.experiments, "POOL_MIN_CONFIGS", 1)
     many_pd = tiny_doc(replicas=40)
     as_pd(many_pd, draws=300, stick_draws=2, stick_length=10, epsilon_mass=0.01)
     run_experiment(from_dict(many_pd), workers=2, output_dir=tmp_path / "many_pd")
-    assert len(pools) == 4
-    assert pools[3].chunks == [(40 // 8, 40), (304 // 8, 304)]
-    assert all(isinstance(t, remlab.experiments.ReplicaSpec) for t in pools[3].tasks[:40])
+    assert len(pools) == 5
+    assert pools[4].chunks == [(40 // 8, 40), (304 // 8, 304)]
+    assert all(isinstance(t, remlab.experiments.ReplicaSpec) for t in pools[4].tasks[:40])
 
 
-def test_summary_records_processes(tmp_path, monkeypatch):
+def test_summary_records_processes(tmp_path):
     def summary(doc, name):
         run_experiment(from_dict(doc), workers=2, output_dir=tmp_path / name)
         return json.loads((tmp_path / name / "summary.json").read_text(encoding="utf-8"))
@@ -484,9 +492,8 @@ def test_summary_records_processes(tmp_path, monkeypatch):
     assert (small["workers"], small["processes"]) == (2, 1)
     big = summary(tiny_doc(replicas=2, env={"alpha": 1.0, "n": 19}), "big")
     assert (big["workers"], big["processes"]) == (2, 2)
-    # one replica of four chunks: its chunks run in 2 processes
-    monkeypatch.setattr(remlab.engine, "CHUNK", 1 << 18)
-    one = summary(tiny_doc(replicas=1, env={"alpha": 1.0, "n": 20}), "one")
+    # one replica of two chunks: its chunks run in 2 processes
+    one = summary(tiny_doc(replicas=1, env={"alpha": 1.0, "n": 21}), "one")
     assert (one["workers"], one["processes"]) == (2, 2)
 
 

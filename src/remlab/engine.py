@@ -12,7 +12,12 @@ chunk's minimum, interval hit counts for the empirical energy-per-site
 measure, the positions of the shifted extremes above each threshold,
 the ``top_m`` lowest energies, and, per beta, the Gibbs-factor sum and
 the spin-block marginals relative to the chunk's minimum, so nothing
-overflows at any beta.  ``merge`` combines two summaries, rescaling the
+overflows at any beta.  Energies are drawn in blocks of
+``_ENERGY_BLOCK``, and every reduction but the minimum and the
+``top_m`` pool then runs one block at a time too, so each pass works on
+data that stays in the caches.  The per-beta sums are added up in numpy's
+own pairwise-summation tree, so each is bit-identical to one ``np.sum``
+over the chunk.  ``merge`` combines two summaries, rescaling the
 per-beta sums to the smaller minimum; ``fold`` merges a replica's
 summaries strictly left to right, in chunk order.  ``finish`` turns the
 folded summary into a :class:`ReplicaResult`.  A process pool may
@@ -42,10 +47,12 @@ from remlab.theory import shift_constant
 CHUNK_BITS = 20
 CHUNK = 1 << CHUNK_BITS
 MAX_N = 30
-# Energies drawn per pass of the uniform and quantile layers, the one
-# place energies are blocked: their temporaries (256 KB each) stay in
-# the caches, so generation does not wait on memory, nor do processes
-# that stream chunks side by side contend for it.
+# Configurations per pass of every layer below the chunk: the uniform
+# and quantile layers draw energies in blocks of this size, and
+# ``summarize`` reduces them in blocks of at most this size.  Their
+# temporaries (256 KB each) stay in the caches, so neither generation nor
+# reduction waits on memory, nor do processes that stream chunks side by
+# side contend for it.
 _ENERGY_BLOCK = 1 << 15
 
 
@@ -193,12 +200,44 @@ def chunks(spec: ReplicaSpec) -> list[tuple[int, int]]:
     return [(lo, min(lo + CHUNK, spec.size)) for lo in range(0, spec.size, CHUNK)]
 
 
-@functools.lru_cache(maxsize=1)
-def _gibbs_buffer(size: int) -> np.ndarray:
-    # One Gibbs-factor buffer for every chunk and beta, kept for this
-    # process's later calls: writing into it in place avoids faulting in
-    # fresh pages for each temporary, and for each chunk task.
-    return np.empty(size)
+def _pairwise(reduce_block, lo: int, hi: int):
+    """Sum ``reduce_block(a, b)`` over blocks of ``[lo, hi)`` in numpy's pairwise tree.
+
+    numpy sums a contiguous run by halving it (each half a multiple of 8
+    long) down to pieces of at most 128, and adds the pieces' sums back up
+    the tree.  Halving the same way down to ``_ENERGY_BLOCK`` and summing
+    each block with ``np.sum`` adds the same numbers in the same order, so
+    the total is bit-identical to one ``np.sum`` over the run.  The blocks
+    are visited in index order.
+    """
+    if hi - lo <= _ENERGY_BLOCK:
+        return reduce_block(lo, hi)
+    half = (hi - lo) // 2
+    half -= half % 8
+    return _pairwise(reduce_block, lo, lo + half) + _pairwise(reduce_block, lo + half, hi)
+
+
+def _add_by_pattern(y: np.ndarray, work: np.ndarray, lead: int, count: int, first: int) -> None:
+    """Add the factors ``work[lead : lead + count]`` of indices ``first, first + 1, ...`` into ``y``.
+
+    Index ``i`` adds into pattern ``i % y.size``, each pattern's factors
+    one at a time in index order, as ``np.bincount`` adds them.  Whole rows
+    of ``y.size`` factors are added by one reduction along the first axis
+    of ``(rows + 1, y.size)``, whose row 0 is ``y`` copied into the slots
+    just before the rows: ``lead`` (``y.size``, when a row fits in a
+    block) slots kept free for it, or factors already added.
+    """
+    size = y.size
+    g = work[lead : lead + count]
+    done = min(-first % size, count)
+    y[first % size : first % size + done] += g[:done]
+    rows = (count - done) // size
+    if rows:
+        top = lead + done - size
+        work[top : top + size] = y
+        np.sum(work[top : top + (rows + 1) * size].reshape(rows + 1, size), axis=0, out=y)
+        done += rows * size
+    y[: count - done] += g[done:]
 
 
 def summarize(spec: ReplicaSpec, lo: int, hi: int):
@@ -206,44 +245,61 @@ def summarize(spec: ReplicaSpec, lo: int, hi: int):
 
     ``lo`` and ``hi`` must be chunk boundaries (``hi`` may be the size),
     so that the chunks are the replica's own, whoever asks for them.
+    Each chunk's minimum and lowest energies are taken over the whole
+    chunk; every other reduction runs block by block, in index order, on
+    buffers of one block.
     """
     if not 0 <= lo <= hi <= spec.size or lo % CHUNK or (hi % CHUNK and hi != spec.size):
         raise ValueError(f"[{lo}, {hi}) is not a run of whole chunks of [0, {spec.size})")
     n = spec.n
     shift = shift_constant(n)
     betas = spec.betas
-    mask = (1 << spec.k_marginal) - 1
     patterns = 1 << spec.k_marginal
     keep = min(spec.top_m, spec.size) if betas else 0
-    buffer = _gibbs_buffer(min(CHUNK, hi - lo)) if betas else None
+    bounds = [(a * n, b * n) for a, b in spec.intervals]
+    width = min(_ENERGY_BLOCK, CHUNK, hi - lo)
+    # the Gibbs factors of one block, after room for a row of the marginals
+    lead = patterns if patterns <= width else 0
+    work = np.empty(lead + width)
+    shifted = np.empty(width)
     for start in range(lo, hi, CHUNK):
         stop = min(start + CHUNK, hi)
         e = energy_block(spec, start, stop)
         chunk_min = float(e.min())
-        positions = ()
-        if spec.b_levels:
-            extremes = -(e + shift)
-            positions = tuple((extremes[extremes >= b],) for b in spec.b_levels)
         # a copy: a view would keep the whole chunk alive with the summary
         best = (np.partition(e, keep - 1) if e.size > keep > 0 else e)[:keep].copy()
-        z, y = {}, {}
-        if betas:
-            shifted = e - chunk_min
-            g = buffer[: stop - start]
-            if mask:
-                pat = np.arange(start, stop, dtype=np.int64) & mask
-            for beta in betas:
-                np.multiply(shifted, -beta, out=g)
-                np.exp(g, out=g)
-                z[beta] = float(g.sum())
-                # with no marginal spins the one pattern holds the whole sum
-                y[beta] = (
-                    np.bincount(pat, weights=g, minlength=patterns) if mask else np.full(1, z[beta])
-                )
+        hits = [0] * len(bounds)
+        found = [[] for _ in spec.b_levels]
+        y = {beta: np.zeros(patterns) for beta in betas} if patterns > 1 else {}
+
+        def reduce_block(a: int, b: int) -> np.ndarray:
+            block = e[a:b]
+            for i, (low, high) in enumerate(bounds):
+                hits[i] += int(np.count_nonzero((block > low) & (block < high)))
+            if found:
+                extremes = -(block + shift)
+                for level, into in zip(spec.b_levels, found):
+                    into.append(extremes[extremes >= level])
+            sums = np.empty(len(betas))
+            if betas:
+                rel = np.subtract(block, chunk_min, out=shifted[: b - a])
+                g = work[lead : lead + b - a]
+                for i, beta in enumerate(betas):
+                    np.multiply(rel, -beta, out=g)
+                    np.exp(g, out=g)
+                    sums[i] = g.sum()
+                    if y:
+                        _add_by_pattern(y[beta], work, lead, b - a, start + a)
+            return sums
+
+        z = dict(zip(betas, map(float, _pairwise(reduce_block, 0, stop - start))))
+        if patterns == 1:
+            # with no marginal spins the one pattern holds the whole sum
+            y = {beta: np.full(1, z[beta]) for beta in betas}
         yield ChunkSummary(
             min_energy=chunk_min,
-            hits=tuple(int(np.count_nonzero((e > a * n) & (e < b * n))) for a, b in spec.intervals),
-            positions=positions,
+            hits=tuple(hits),
+            positions=tuple((np.concatenate(into),) for into in found),
             keep=keep,
             best=best,
             z=z,

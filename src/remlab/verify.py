@@ -40,7 +40,7 @@ class VerifyRecord:
     outcome: RunOutcome
     first_outcome: RunOutcome
     retried: bool
-    duration: float
+    duration: float  # seconds, the retry included
 
     @property
     def passed(self) -> bool:
@@ -59,7 +59,6 @@ def run_builtin(name: str, workers=None, output_root="remlab-verify") -> VerifyR
     root = Path(output_root)
     start = time.perf_counter()
     first = run_experiment(manifest, workers=workers, output_dir=root / name)
-    duration = time.perf_counter() - start
     final = first
     if not first.passed:
         final = run_experiment(
@@ -68,7 +67,7 @@ def run_builtin(name: str, workers=None, output_root="remlab-verify") -> VerifyR
             output_dir=root / f"{name}-retry",
             master_seed=manifest.master_seed + RETRY_SEED_INCREMENT,
         )
-    return VerifyRecord(name, final, first, final is not first, duration)
+    return VerifyRecord(name, final, first, final is not first, time.perf_counter() - start)
 
 
 def run_all(workers=None, output_root="remlab-verify", names=None) -> list:

@@ -358,6 +358,67 @@ def test_run_replica_is_split_invariant(monkeypatch, chunk):
         next(summarize(spec, 0, chunk + 1))
 
 
+@pytest.mark.parametrize("bits", range(15, 21))
+def test_block_sums_follow_numpy_pairwise_tree(bits):
+    # numpy sums 2^bits floats as a binary tree over whole 2^15 blocks: the
+    # tree of the blocks' own sums is the one sum, bit for bit.  A numpy
+    # whose summation order changes fails here before any artifact drifts.
+    x = np.random.default_rng(bits).exponential(size=1 << bits)
+    sums = [np.sum(x[lo : lo + (1 << 15)]) for lo in range(0, x.size, 1 << 15)]
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+    assert sums[0] == np.sum(x)
+    # the engine's split agrees, also on runs of no power-of-two length
+    for size in (x.size, x.size - 1, 3 * x.size // 4 + 37):
+        part = x[:size]
+        assert engine._pairwise(lambda lo, hi: np.sum(part[lo:hi]), 0, size) == np.sum(part)
+
+
+@pytest.mark.parametrize(
+    "n,chunk,k",
+    [(21, CHUNK, 0), (21, CHUNK, 3), (21, CHUNK, 15), (21, CHUNK, 16), (21, CHUNK, 20),
+     (8, 7, 2), (8, 7, 3), (8, 64, 2), (18, 3 * 2**15 + 36, 3), (18, 3 * 2**15 + 36, 17)],
+)
+def test_summarize_matches_whole_chunk_reductions(monkeypatch, n, chunk, k):
+    # Block-wise reductions give what one pass over the whole chunk gives,
+    # bit for bit: the per-beta sums as one np.sum, the marginals as
+    # bincount, also for chunks that are no multiple of the block or of
+    # the pattern count.
+    monkeypatch.setattr(engine, "CHUNK", chunk)
+    spec = make_spec(
+        env=Environment(1.0, n),
+        betas=(0.6, 2.2),
+        k_marginal=k,
+        top_m=32,
+        intervals=((-0.5, 0.2), (0.1, 0.9)),
+        b_levels=(-1.0, 0.5),
+        master_seed=5,
+    )
+    shift = shift_constant(n)
+    got = list(summarize(spec, 0, spec.size))
+    assert len(got) == len(chunks(spec))
+    for (lo, hi), summary in zip(chunks(spec), got):
+        e = energy_block(spec, lo, hi)
+        chunk_min = e.min()
+        assert summary.min_energy == chunk_min
+        assert summary.hits == tuple(
+            int(np.count_nonzero((e > a * n) & (e < b * n))) for a, b in spec.intervals
+        )
+        extremes = -(e + shift)
+        for level, (pos,) in zip(spec.b_levels, summary.positions):
+            assert np.array_equal(pos, extremes[extremes >= level])
+        assert np.array_equal(np.sort(summary.best), np.sort(e)[:32])
+        for beta in spec.betas:
+            g = np.exp((e - chunk_min) * -beta)
+            assert summary.z[beta] == g.sum()
+            want = (
+                np.bincount(np.arange(lo, hi) & ((1 << k) - 1), weights=g, minlength=1 << k)
+                if k
+                else np.full(1, g.sum())
+            )
+            assert np.array_equal(summary.y[beta], want)
+
+
 def test_run_replica_deterministic():
     spec = make_spec(env=Environment(2.0, 12), betas=(1.1,), k_marginal=2)
     a = run_replica(spec)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -13,8 +14,9 @@ import pytest
 import remlab
 import remlab.engine
 import remlab.experiments
+import remlab.verify
 from remlab.cli import main
-from remlab.experiments import REGISTRY, resolve_workers, run_experiment
+from remlab.experiments import REGISTRY, RunOutcome, resolve_workers, run_experiment
 from remlab.manifest import (
     KINDS,
     ExperimentManifest,
@@ -24,9 +26,9 @@ from remlab.manifest import (
     from_json,
     load,
 )
-from remlab.rng import seed_derivation
+from remlab.rng import RETRY_SEED_INCREMENT, seed_derivation
 from remlab.theory import critical_beta, free_energy_limit
-from remlab.verify import BUILTIN_NAMES, builtin_manifest
+from remlab.verify import BUILTIN_NAMES, builtin_manifest, run_builtin
 
 # Key layout golden values, fixed at first release: master_seed=42,
 # replica_id 0..7, stream 0..1.  These must never change.
@@ -711,6 +713,25 @@ def test_cli_verify_runtime_fault_exit_code(tmp_path, capsys, monkeypatch):
     assert main(["verify", "--only", "marginals_laplace", "--output-dir", str(tmp_path)]) == 3
     assert "engine fault" in capsys.readouterr().err
 
+
+
+def test_verify_duration_includes_the_retry(tmp_path, monkeypatch):
+    # each stubbed run advances the verify clock by 5 s; the first fails
+    clock = [0.0]
+    seeds = []
+
+    def run_once(manifest, workers=None, output_dir=None, master_seed=None):
+        clock[0] += 5.0
+        seeds.append(master_seed)
+        return RunOutcome(manifest, Path(output_dir), (), passed=len(seeds) > 1)
+
+    monkeypatch.setattr(remlab.verify, "run_experiment", run_once)
+    monkeypatch.setattr(remlab.verify, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    record = run_builtin("marginals_laplace", output_root=tmp_path)
+    base = builtin_manifest("marginals_laplace").master_seed
+    assert seeds == [None, base + RETRY_SEED_INCREMENT]
+    assert record.retried and record.passed and not record.first_outcome.passed
+    assert record.duration == 10.0
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 

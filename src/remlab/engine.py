@@ -223,9 +223,9 @@ def _add_by_pattern(y: np.ndarray, work: np.ndarray, lead: int, count: int, firs
     Index ``i`` adds into pattern ``i % y.size``, each pattern's factors
     one at a time in index order, as ``np.bincount`` adds them.  Whole rows
     of ``y.size`` factors are added by one reduction along the first axis
-    of ``(rows + 1, y.size)``, whose row 0 is ``y`` copied into the slots
-    just before the rows: ``lead`` (``y.size``, when a row fits in a
-    block) slots kept free for it, or factors already added.
+    of a ``(rows + 1, y.size)`` view whose row 0 is a copy of ``y``, made
+    in the ``y.size`` slots just before the rows: the ``lead`` slots kept
+    free in front of the factors, then any factors already added.
     """
     size = y.size
     g = work[lead : lead + count]

@@ -6,25 +6,40 @@ counter-based stream, so any index range can be regenerated on demand
 and never needs to be held in memory at once.
 
 ``run_replica`` makes one deterministic pass over the configuration
-space in fixed chunks, in three steps.  ``summarize`` generates each
-chunk's energies once and reduces them to a :class:`ChunkSummary`: the
-chunk's minimum, interval hit counts for the empirical energy-per-site
-measure, the positions of the shifted extremes above each threshold,
-the ``top_m`` lowest energies, and, per beta, the Gibbs-factor sum and
-the spin-block marginals relative to the chunk's minimum, so nothing
-overflows at any beta.  Energies are drawn in blocks of
-``_ENERGY_BLOCK``, and every reduction but the minimum and the
-``top_m`` pool then runs one block at a time too, so each pass works on
-data that stays in the caches.  The per-beta sums are added up in numpy's
-own pairwise-summation tree, so each is bit-identical to one ``np.sum``
-over the chunk.  ``merge`` combines two summaries, rescaling the
-per-beta sums to the smaller minimum; ``fold`` merges a replica's
-summaries strictly left to right, in chunk order.  ``finish`` turns the
-folded summary into a :class:`ReplicaResult`.  A process pool may
-summarize the chunks of one replica in different processes; chunk
-boundaries and the merge order are fixed by the ``ReplicaSpec`` alone,
-so results are bit-identical no matter how replicas or their chunks
-are scheduled across processes.
+space in fixed chunks, in three steps.  ``summarize`` reduces each chunk
+to a :class:`ChunkSummary`: the chunk's minimum, interval hit counts for
+the empirical energy-per-site measure, the positions of the shifted
+extremes above each threshold, the ``top_m`` lowest energies, and, per
+beta, the Gibbs-factor sum and the spin-block marginals relative to the
+chunk's minimum, so nothing overflows at any beta.  Each chunk's
+uniforms come from one generator, block of ``_ENERGY_BLOCK`` after
+block, so each pass works on data that stays in the caches.  Which of
+two paths reduces them depends on the spec alone:
+
+- The energy path, for a spec with betas: ``energy_block`` runs the
+  quantile in place on each block of uniforms, and every reduction but
+  the minimum and the ``top_m`` pool then runs one block at a time.  The
+  per-beta sums are added up in numpy's own pairwise-summation tree, so
+  each is bit-identical to one ``np.sum`` over the chunk.
+- The order-only path, for a spec without betas, where every result
+  depends only on where energies fall against fixed cuts, reduces the
+  uniforms themselves.  The quantile is increasing up to its stated
+  error, so ``Environment.uniform_window`` gives, per cut, an interval
+  of uniforms outside of which the side of the cut follows from the
+  uniform alone (the proof is in its docstring).  The quantile runs
+  only on the draws inside a window, on the draws that may exceed a b
+  level, and on the draws next to a block's smallest uniform, which
+  hold the minimum: 1e-4 of the draws or fewer at the built-in sizes.  The hits,
+  exceedance positions and minimum are those of the energy path, bit
+  for bit.
+
+``merge`` combines two summaries, rescaling the per-beta sums to the
+smaller minimum; ``fold`` merges a replica's summaries strictly left to
+right, in chunk order.  ``finish`` turns the folded summary into a
+:class:`ReplicaResult`.  A process pool may summarize the chunks of one
+replica in different processes; chunk boundaries and the merge order are
+fixed by the ``ReplicaSpec`` alone, so results are bit-identical no
+matter how replicas or their chunks are scheduled across processes.
 
 Configuration index convention: bit ``j`` of the index is spin ``j``,
 with bit value 1 for spin +1.  A marginal block of size ``k`` is the low
@@ -41,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from remlab.environment import Environment
-from remlab.rng import ENERGY_STREAM, seed_derivation, uniform_block
+from remlab.rng import ENERGY_STREAM, seed_derivation, uniform_block, uniform_stream
 from remlab.theory import shift_constant
 
 CHUNK_BITS = 20
@@ -54,6 +69,9 @@ MAX_N = 30
 # reduction waits on memory, nor do processes that stream chunks side by
 # side contend for it.
 _ENERGY_BLOCK = 1 << 15
+# Up to this many marginal patterns a running sum adds a block's rows
+# faster than a reduction along the first axis (measured at 2, 4 and 8).
+_ACCUMULATE_PATTERNS = 4
 
 
 @dataclass(frozen=True)
@@ -118,6 +136,11 @@ class ReplicaSpec:
     def size(self) -> int:
         return 1 << self.env.n
 
+    @property
+    def key(self) -> int:
+        """The key of the replica's energy stream."""
+        return seed_derivation(self.master_seed, self.replica_id, ENERGY_STREAM)
+
 
 @dataclass(frozen=True)
 class GibbsSpectrum:
@@ -163,15 +186,18 @@ def energy_block(spec: ReplicaSpec, lo: int, hi: int) -> np.ndarray:
     """Energies of configurations ``lo .. hi-1``, regenerated from the key.
 
     Pure function of (master_seed, replica_id, index range): any two
-    calls covering an index agree bit for bit.
+    calls covering an index agree bit for bit.  One generator draws the
+    uniforms of the range block by block, straight into the output, and
+    the quantile runs in place on each block.
     """
     if not 0 <= lo <= hi <= spec.size:
         raise ValueError(f"index range [{lo}, {hi}) out of [0, {spec.size})")
-    key = seed_derivation(spec.master_seed, spec.replica_id, ENERGY_STREAM)
     out = np.empty(hi - lo)
+    stream = uniform_stream(spec.key, lo)
     for start in range(lo, hi, _ENERGY_BLOCK):
         stop = min(start + _ENERGY_BLOCK, hi)
-        out[start - lo : stop - lo] = spec.env.quantile(uniform_block(key, start, stop))
+        block = out[start - lo : stop - lo]
+        spec.env.quantile(uniform_block(stream, start, stop, out=block), out=block)
     return out
 
 
@@ -225,7 +251,9 @@ def _add_by_pattern(y: np.ndarray, work: np.ndarray, lead: int, count: int, firs
     of ``y.size`` factors are added by one reduction along the first axis
     of a ``(rows + 1, y.size)`` view whose row 0 is a copy of ``y``, made
     in the ``y.size`` slots just before the rows: the ``lead`` slots kept
-    free in front of the factors, then any factors already added.
+    free in front of the factors, then any factors already added.  Up to
+    ``_ACCUMULATE_PATTERNS`` patterns the rows are added by a running sum
+    down the view, which adds in the same order and is faster there.
     """
     size = y.size
     g = work[lead : lead + count]
@@ -235,7 +263,12 @@ def _add_by_pattern(y: np.ndarray, work: np.ndarray, lead: int, count: int, firs
     if rows:
         top = lead + done - size
         work[top : top + size] = y
-        np.sum(work[top : top + (rows + 1) * size].reshape(rows + 1, size), axis=0, out=y)
+        view = work[top : top + (rows + 1) * size].reshape(rows + 1, size)
+        if size <= _ACCUMULATE_PATTERNS:
+            np.add.accumulate(view, axis=0, out=view)
+            y[:] = view[-1]
+        else:
+            np.sum(view, axis=0, out=y)
         done += rows * size
     y[: count - done] += g[done:]
 
@@ -245,17 +278,26 @@ def summarize(spec: ReplicaSpec, lo: int, hi: int):
 
     ``lo`` and ``hi`` must be chunk boundaries (``hi`` may be the size),
     so that the chunks are the replica's own, whoever asks for them.
-    Each chunk's minimum and lowest energies are taken over the whole
-    chunk; every other reduction runs block by block, in index order, on
-    buffers of one block.
+    A spec with betas takes the energy path, one without the order-only
+    path; see the module docstring.
     """
     if not 0 <= lo <= hi <= spec.size or lo % CHUNK or (hi % CHUNK and hi != spec.size):
         raise ValueError(f"[{lo}, {hi}) is not a run of whole chunks of [0, {spec.size})")
+    yield from (_energy_summaries if spec.betas else _order_summaries)(spec, lo, hi)
+
+
+def _energy_summaries(spec: ReplicaSpec, lo: int, hi: int):
+    """Chunk summaries from the chunks' energies.
+
+    Each chunk's minimum and lowest energies are taken over the whole
+    chunk; every other reduction runs block by block, in index order, on
+    buffers of one block, and a chunk of one block is reduced in one call.
+    """
     n = spec.n
     shift = shift_constant(n)
     betas = spec.betas
     patterns = 1 << spec.k_marginal
-    keep = min(spec.top_m, spec.size) if betas else 0
+    keep = min(spec.top_m, spec.size)
     bounds = [(a * n, b * n) for a, b in spec.intervals]
     width = min(_ENERGY_BLOCK, CHUNK, hi - lo)
     # the Gibbs factors of one block, after room for a row of the marginals
@@ -281,21 +323,22 @@ def summarize(spec: ReplicaSpec, lo: int, hi: int):
                 for level, into in zip(spec.b_levels, found):
                     into.append(extremes[extremes >= level])
             sums = np.empty(len(betas))
-            if betas:
-                rel = np.subtract(block, chunk_min, out=shifted[: b - a])
-                g = work[lead : lead + b - a]
-                for i, beta in enumerate(betas):
-                    np.multiply(rel, -beta, out=g)
-                    np.exp(g, out=g)
-                    sums[i] = g.sum()
-                    if y:
-                        _add_by_pattern(y[beta], work, lead, b - a, start + a)
+            rel = np.subtract(block, chunk_min, out=shifted[: b - a])
+            g = work[lead : lead + b - a]
+            for i, beta in enumerate(betas):
+                np.multiply(rel, -beta, out=g)
+                np.exp(g, out=g)
+                sums[i] = g.sum()
+                if y:
+                    _add_by_pattern(y[beta], work, lead, b - a, start + a)
             return sums
 
-        z = dict(zip(betas, map(float, _pairwise(reduce_block, 0, stop - start))))
+        size = stop - start
+        sums = reduce_block(0, size) if size <= _ENERGY_BLOCK else _pairwise(reduce_block, 0, size)
+        z = dict(zip(betas, sums.tolist()))
         if patterns == 1:
             # with no marginal spins the one pattern holds the whole sum
-            y = {beta: np.full(1, z[beta]) for beta in betas}
+            y = {beta: np.array([z[beta]]) for beta in betas}
         yield ChunkSummary(
             min_energy=chunk_min,
             hits=tuple(hits),
@@ -304,6 +347,74 @@ def summarize(spec: ReplicaSpec, lo: int, hi: int):
             best=best,
             z=z,
             y=y,
+        )
+
+
+def _exceedance_cut(level: float, shift: float) -> float:
+    """An energy above which ``-(E + shift) >= level`` fails for every computed ``E``.
+
+    The exact cut is ``-(shift + level)``.  The margin, a relative 1e-15,
+    exceeds the rounding of that sum, of ``E + shift`` and an ulp of
+    ``level`` together.
+    """
+    cut = -(shift + level)
+    return cut + 1e-15 * (abs(cut) + abs(level))
+
+
+def _order_summaries(spec: ReplicaSpec, lo: int, hi: int):
+    """Chunk summaries of a spec without betas, from the uniforms alone.
+
+    The quantile is increasing up to its stated error, so the place of an
+    energy against a cut follows from its uniform, except for draws in
+    the cut's ``Environment.uniform_window``.  Only those, the draws that
+    may exceed a b level and the draws next to a block's smallest
+    uniform get an energy; the results are those of the energy path, bit
+    for bit.
+    """
+    env = spec.env
+    n = spec.n
+    shift = shift_constant(n)
+    levels = spec.b_levels
+    # the ends of each interval, low then high: hits = #(E < high) - #(E <= low)
+    ends = [(env.uniform_window(x), x) for a, b in spec.intervals for x in (a * n, b * n)]
+    # every draw that may exceed a b level lies at or below ``reach``
+    reach = max((env.uniform_window(_exceedance_cut(b, shift))[1] for b in levels), default=0.0)
+    buf = np.empty(min(_ENERGY_BLOCK, CHUNK, hi - lo))
+    for start in range(lo, hi, CHUNK):
+        stop = min(start + CHUNK, hi)
+        stream = uniform_stream(spec.key, start)
+        # every draw above ``top`` has an energy above ``low``
+        low = top = math.inf
+        below = [0] * len(ends)
+        found = [[] for _ in levels]
+        for a in range(start, stop, _ENERGY_BLOCK):
+            b = min(a + _ENERGY_BLOCK, stop)
+            u = uniform_block(stream, a, b, out=buf[: b - a])
+            smallest = u.min()
+            if smallest <= top:
+                # the block's lowest energy is that of a draw next to its smallest
+                near = u[u <= env.uniform_window(env.quantile(smallest))[1]]
+                low = min(low, float(env.quantile(near).min()))
+                top = env.uniform_window(low)[1]
+            for i, ((u_lo, u_hi), x) in enumerate(ends):
+                count = np.count_nonzero(u < u_lo)
+                if np.count_nonzero(u <= u_hi) > count:
+                    e = env.quantile(u[(u >= u_lo) & (u <= u_hi)])
+                    count += np.count_nonzero(e < x if i % 2 else e <= x)
+                below[i] += int(count)
+            near = u[u <= reach] if levels else u[:0]
+            if near.size:
+                extremes = -(env.quantile(near) + shift)
+                for level, into in zip(levels, found):
+                    into.append(extremes[extremes >= level])
+        yield ChunkSummary(
+            min_energy=low,
+            hits=tuple(h - l for l, h in zip(below[::2], below[1::2])),
+            positions=tuple((np.concatenate(into) if into else np.empty(0),) for into in found),
+            keep=0,
+            best=np.empty(0),
+            z={},
+            y={},
         )
 
 

@@ -16,7 +16,9 @@ function.  The quantile is a closed form at ``alpha`` 1 and 2; for other
 shapes it evaluates a per-``alpha`` table of polynomials, accurate to a
 relative 1e-13 in the energy (tested at alpha 1.01 to 100) and 1e-12 in
 the tail probability it inverts (tested at alpha 1.01 to 60; see
-``Environment.quantile``).
+``Environment.quantile``).  From those bounds ``Environment.uniform_window``
+gives, around any energy, the uniforms outside of which the quantile
+falls on a known side of it.
 """
 
 from __future__ import annotations
@@ -36,6 +38,13 @@ MAX_ALPHA = 100.0
 # Draws of exactly 0 are nudged to this, below the smallest positive
 # value ``random()`` can produce, so every energy is finite.
 _U_MIN = 2.0 ** -54
+
+# Relative half-width of ``Environment.uniform_window`` on the tail-mass
+# scale.  The errors it must cover sum to under 3e-12 (see there); the
+# window is wider by a factor of over 300, so that error bounds which were
+# tested, not proven, still hold with room, and costs only the quantile of
+# about a 1e-9 share of the draws near each cut.
+_WINDOW = 1e-9
 
 # Layout of the general-alpha quantile table.  Its input is the tail mass
 # q = 2 min(u, 1-u) for q <= 1/2 and the centre mass |2u - 1| = 1 - q
@@ -185,12 +194,15 @@ class Environment:
         out = np.where(x <= 0, half, 1.0 - half)
         return out if out.ndim else float(out)
 
-    def quantile(self, u):
+    def quantile(self, u, out=None):
         """Inverse cdf on (0, 1); the transform used for keyed streams.
 
-        Vectorized.  Draws of exactly 0 are nudged to 2**-54 (below the
-        smallest positive value ``random()`` can produce) so the output
-        is always finite.
+        Vectorized, and elementwise: the energy of a draw does not depend
+        on the other draws passed with it.  Draws of exactly 0 are nudged
+        to 2**-54 (below the smallest positive value ``random()`` can
+        produce) so the output is always finite.  With ``out``, a
+        C-contiguous array of ``u``'s shape (it may be ``u`` itself), the
+        energies are written there.
 
         Closed forms at alpha 1 and 2.  For other shapes the magnitude
         ``(scale * G)**(1/alpha)``, with ``G`` the Gamma variate of tail
@@ -205,16 +217,68 @@ class Environment:
         relative error by about ``alpha * log(1/u)``, so beyond that
         range its bound grows with alpha: 1.5e-12 at alpha 100.
         """
-        u = np.maximum(np.asarray(u, dtype=float), _U_MIN)
+        u = np.asarray(u, dtype=float)
         if not np.all(u < 1.0):
             raise ValueError("quantile is defined on (0, 1)")
+        v = np.maximum(u, _U_MIN, out=np.empty(u.shape) if out is None else out)
+        # copysign takes only the magnitude of its first argument
         if self.alpha == 1.0:
-            out = np.copysign(-np.log(2.0 * np.minimum(u, 1.0 - u)), u - 0.5)
+            t = np.subtract(1.0, v, out=np.empty_like(v))
+            np.minimum(v, t, out=t)
+            t *= 2.0
+            np.log(t, out=t)  # -log(2 min(u, 1-u)) up to sign
+            np.copysign(t, v - 0.5, out=v)
         elif self.alpha == 2.0:
-            out = np.copysign(np.abs(special.ndtri(u)) * math.sqrt(self.n), u - 0.5)
-        else:  # u is the nudged copy made above, so it may be overwritten
-            out = _power_gamma_quantile(u, self.alpha, self.scale ** (1.0 / self.alpha))
-        return out if out.ndim else float(out)
+            t = special.ndtri(v)
+            t *= math.sqrt(self.n)
+            np.copysign(t, v - 0.5, out=v)
+        else:
+            v = _power_gamma_quantile(v, self.alpha, self.scale ** (1.0 / self.alpha))
+        return v if v.ndim else float(v)
+
+    def uniform_window(self, x: float) -> tuple[float, float]:
+        """Uniforms ``(lo, hi)`` around the draws whose energy may lie on either side of ``x``.
+
+        Every draw ``u < lo`` has ``quantile(u) < x`` and every draw
+        ``u > hi`` has ``quantile(u) > x``, so a count of the energies
+        below ``x`` needs the quantile only of the draws in ``[lo, hi]``.
+        ``x`` may be infinite.
+
+        Proof.  Let ``T`` be the exact tail ``P(E > y)``, strictly
+        decreasing where positive, and ``p = min(u, 1-u)`` the tail mass
+        of a draw (``u = 0`` counts as 2**-54, as ``quantile`` nudges it;
+        ``1 - u`` is exact for ``u >= 1/2``).  ``quantile(u)`` is negative
+        for ``u < 1/2`` and nonnegative otherwise, and its magnitude ``y``
+        has ``T(y) = p (1 + eta)`` with ``|eta| <= 1.5e-12`` (the bound
+        stated in ``quantile``; the closed forms at alpha 1 and 2 are
+        within 1e-13).  ``tail_probability`` returns ``m = T(|x|) (1 +
+        tau)`` with ``|tau| <= 1e-12`` wherever ``m`` is a normal number:
+        its argument and the function each carry a few ulps, magnified
+        by at most the log of the tail mass.  With ``w = 1e-9``, wider
+        than ``eta + tau`` and the roundings of this method together:
+
+        - ``x <= 0``: ``lo = m (1 - w)`` and ``hi = m (1 + w)``.  A draw
+          below ``lo`` has ``T(y) <= p (1 + eta) < T(|x|)``, so ``y > |x|``
+          and its negative energy lies below ``x``.  A draw above ``hi``
+          either has ``u >= 1/2`` (energy ``>= 0 >= x``; when ``x = 0``,
+          ``hi > 1/2`` and ``T(y) < 1/2`` make it positive) or ``T(y) >=
+          p (1 - eta) > T(|x|)``, so ``y < |x|`` and its energy lies above
+          ``x``.  Where ``lo <= 2**-54`` it is set to 0, so a draw of 0
+          is placed by its energy.
+        - ``x > 0``: the mirror image on ``1 - u``: ``lo = 1 - m (1 + w)``
+          and ``hi = 1 - m (1 - w)``, each rounded outward.
+
+        Where ``m`` is below 2**-60, subnormal or 0 (``x`` beyond every
+        draw), no relative accuracy is needed: every draw outside the
+        window has a tail mass of at least 2**-53, far above ``T(|x|)``.
+        """
+        with np.errstate(over="ignore"):  # a power past the float range: the tail is 0
+            m = float(self.tail_probability(abs(x)))
+        if x <= 0.0:
+            lo = m * (1.0 - _WINDOW)
+            return (lo if lo > _U_MIN else 0.0), m * (1.0 + _WINDOW)
+        lo = math.nextafter(1.0 - m * (1.0 + _WINDOW), 0.0)
+        return lo, math.nextafter(1.0 - m * (1.0 - _WINDOW), 2.0)
 
     def interval_probability(self, low: float, high: float) -> float:
         """P(energy / n in (low, high)) for an open interval.

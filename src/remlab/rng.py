@@ -9,7 +9,12 @@ the same stream, regardless of process, worker count, or call order.
 Philox is counter based: constructing it with ``counter=c`` positions
 the stream at 64-bit draw ``4*c`` (one 256-bit counter block yields four
 64-bit outputs, and one ``random()`` double consumes one output).  That
-gives O(1) random access into a replica's energy stream.
+gives O(1) random access into a replica's energy stream.  The generator
+buffers the rest of a counter block, so drawing from it again continues
+at the next position: ``uniform_stream`` positions one generator at the
+start of a run of positions, and ``uniform_block`` draws the run block
+after block from it into a buffer the caller reuses.  The doubles are the
+same, bit for bit, however the run is split into blocks.
 """
 
 from __future__ import annotations
@@ -54,8 +59,23 @@ def stream_generator(master_seed: int, replica_id: int, stream_label: int = 0) -
     return Generator(Philox(key=seed_derivation(master_seed, replica_id, stream_label)))
 
 
-def uniform_block(key: int, start: int, stop: int) -> np.ndarray:
-    """Uniform [0, 1) doubles at positions [start, stop) of the keyed stream.
+def uniform_stream(key: int, start: int) -> Generator:
+    """A Generator whose next ``random()`` double is position ``start`` of the keyed stream."""
+    if start < 0:
+        raise ValueError(f"invalid stream position {start}")
+    block, skip = divmod(start, 4)
+    gen = Generator(Philox(key=key, counter=block))
+    gen.random(skip)  # the positions of the counter block before start
+    return gen
+
+
+def uniform_block(stream, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Uniform [0, 1) doubles at positions [start, stop) of a keyed stream.
+
+    ``stream`` is the stream's key, or a Generator from ``uniform_stream``
+    that has drawn exactly the positions before ``start``; it then stands
+    at ``stop``.  The doubles are written into ``out`` when it is given, a
+    float64 array of ``stop - start`` entries, and returned.
 
     Deterministic random access: the same (key, position) always yields
     the same double, whether positions are visited in one sweep or in
@@ -63,9 +83,10 @@ def uniform_block(key: int, start: int, stop: int) -> np.ndarray:
     """
     if start < 0 or stop < start:
         raise ValueError(f"invalid block [{start}, {stop})")
-    if stop == start:
-        return np.empty(0)
-    block, skip = divmod(start, 4)
-    gen = Generator(Philox(key=key, counter=block))
-    out = gen.random(stop - start + skip)
-    return out[skip:] if skip else out
+    if not isinstance(stream, Generator):
+        stream = uniform_stream(stream, start)
+    if out is None:
+        out = np.empty(stop - start)
+    elif out.shape != (stop - start,):
+        raise ValueError(f"out has shape {out.shape}, not ({stop - start},)")
+    return stream.random(out=out)

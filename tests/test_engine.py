@@ -1,5 +1,6 @@
 """Streaming engine: energy streams and exhaustive replica runs."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -41,9 +42,26 @@ def make_spec(**kw):
 
 
 def pinned(monkeypatch, values):
-    """Make ``run_replica`` read ``values`` in place of the keyed energy stream."""
+    """Make ``run_replica`` read ``values`` in place of the keyed energy stream.
+
+    Only the energy path reads energies; a spec without betas, which
+    would draw uniforms instead and never see the pinned values, fails.
+    """
     arr = np.asarray(values, dtype=float)
+
+    def unpinned(*args, **kwargs):
+        raise AssertionError("a run with pinned energies drew uniforms")
+
     monkeypatch.setattr(engine, "energy_block", lambda spec, lo, hi: arr[lo:hi])
+    monkeypatch.setattr(engine, "uniform_block", unpinned)
+
+
+def test_pinned_energies_reach_the_engine(monkeypatch):
+    spec = make_spec(env=Environment(1.0, 2), betas=(1.0,), intervals=((-0.6, 0.1),))
+    pinned(monkeypatch, [-1.0, 0.0, 0.0, 0.0])
+    assert run_replica(spec).min_energy == -1.0
+    with pytest.raises(AssertionError, match="drew uniforms"):
+        run_replica(dataclasses.replace(spec, betas=()))
 
 
 def test_energy_at_matches_block():
@@ -241,7 +259,9 @@ def test_exceedance_positions_match_run_counts():
         assert np.all(pos >= b)
 
 
-@pytest.mark.parametrize("alpha,beta_set", [(1.0, (0.0, 0.7, 2.5)), (2.0, (0.5, 1.3)), (1.5, (1.0,))])
+@pytest.mark.parametrize(
+    "alpha,beta_set", [(1.0, (0.0, 0.7, 2.5)), (2.0, (0.5, 1.3)), (1.5, (1.0,)), (1.5, ())]
+)
 def test_engine_agrees_with_naive_oracle(alpha, beta_set):
     spec = make_spec(
         env=Environment(alpha, 10),
@@ -376,7 +396,8 @@ def test_block_sums_follow_numpy_pairwise_tree(bits):
 
 @pytest.mark.parametrize(
     "n,chunk,k",
-    [(21, CHUNK, 0), (21, CHUNK, 3), (21, CHUNK, 15), (21, CHUNK, 16), (21, CHUNK, 20),
+    [(21, CHUNK, 0), (21, CHUNK, 1), (21, CHUNK, 2), (21, CHUNK, 3), (21, CHUNK, 15),
+     (21, CHUNK, 16), (21, CHUNK, 20),
      (8, 7, 2), (8, 7, 3), (8, 64, 2), (18, 3 * 2**15 + 36, 3), (18, 3 * 2**15 + 36, 17)],
 )
 def test_summarize_matches_whole_chunk_reductions(monkeypatch, n, chunk, k):
@@ -438,3 +459,126 @@ def test_free_energy_concentrates_at_high_temperature():
         if abs(free_energy(res, 0.5) - LOG2) <= 0.05:
             good += 1
     assert good >= 95
+
+
+# The order-only path is checked against the energy path at both closed
+# forms, the general table and the largest shape, on intervals that
+# straddle 0, have an infinite end, lie beyond the edge (alpha log 2)**(1/alpha)
+# or cover the line, and on b levels with few and with many exceedances.
+ORDER_ALPHAS = [1.0, 1.5, 2.0, 7.3, 100.0]
+ORDER_INTERVALS = (
+    (-0.3, 0.2), (-0.05, 0.0), (-math.inf, -0.5), (0.4, math.inf), (1.5, 2.0), (-math.inf, math.inf)
+)
+ORDER_LEVELS = (-2.0, 0.0, 1.5)
+
+
+def assert_order_path_matches_energy_path(spec):
+    bare = run_replica(spec)
+    full = run_replica(dataclasses.replace(spec, betas=(1.0,), top_m=0))
+    assert bare.log_z == {} and full.log_z.keys() == {1.0}
+    assert bare.min_energy == full.min_energy
+    assert bare.interval_hits == full.interval_hits
+    assert bare.exceedance.keys() == full.exceedance.keys()
+    for level in spec.b_levels:
+        assert np.array_equal(bare.exceedance[level], full.exceedance[level])
+    return bare
+
+
+@pytest.mark.parametrize("alpha", ORDER_ALPHAS)
+@pytest.mark.parametrize("n", [13, 21])
+def test_order_only_path_matches_energy_path(alpha, n):
+    # n = 21 spans two chunks
+    spec = make_spec(
+        env=Environment(alpha, n), betas=(), intervals=ORDER_INTERVALS, b_levels=ORDER_LEVELS,
+        master_seed=31, replica_id=n,
+    )
+    res = assert_order_path_matches_energy_path(spec)
+    assert res.interval_hits[(-math.inf, math.inf)] == spec.size
+
+
+@pytest.mark.parametrize("alpha", ORDER_ALPHAS)
+def test_order_only_path_at_window_edges(monkeypatch, alpha):
+    # Draws at each cut's tail mass, at its window's edges and a few ulps
+    # either side of them, so that draws fall in every window, just inside
+    # and just outside it.  Both paths read them through uniform_block.
+    n = 13
+    spec = make_spec(
+        env=Environment(alpha, n), betas=(), intervals=ORDER_INTERVALS, b_levels=ORDER_LEVELS,
+        master_seed=4,
+    )
+    env = spec.env
+    shift = shift_constant(n)
+    cuts = [x * n for interval in spec.intervals for x in interval]
+    cuts += [-(shift + level) for level in spec.b_levels]
+    values, inside = [0.0, 0.5, 2.0 ** -53, 1.0 - 2.0 ** -53], []
+    for x in cuts:
+        lo, hi = env.uniform_window(x)
+        m = env.tail_probability(abs(x))
+        centre = m if x <= 0 else 1.0 - m
+        for edge in (lo, hi, centre):
+            down = up = edge
+            for _ in range(3):
+                values += [down, up]
+                down, up = np.nextafter(down, 0.0), np.nextafter(up, 1.0)
+        inside += [v for v in values[-18:] if lo <= v <= hi and v < 1.0]
+        assert lo <= centre <= hi
+    values = np.array([v for v in values if 0.0 <= v < 1.0])
+    assert values.size < 4096
+    draw = engine.uniform_block
+
+    def injected(stream, start, stop, out=None):
+        u = draw(stream, start, stop, out=out)
+        k = max(0, min(stop, values.size) - start)
+        u[:k] = values[start : start + k]
+        return u
+
+    monkeypatch.setattr(engine, "uniform_block", injected)
+    evaluated = []
+    quantile = Environment.quantile
+
+    def recorded(self, u, out=None):
+        evaluated.append(np.array(u, dtype=float, ndmin=1))
+        return quantile(self, u, out=out)
+
+    monkeypatch.setattr(Environment, "quantile", recorded)
+    run_replica(spec)
+    # every draw in a window was placed by its energy on the order-only path
+    assert np.isin(inside, np.concatenate(evaluated)).all()
+    assert_order_path_matches_energy_path(spec)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+def test_order_only_path_needs_no_monotone_quantile(monkeypatch, alpha):
+    # A quantile that is not monotone, but within its stated error: the
+    # magnitude of every draw with an odd last mantissa bit is raised by a
+    # relative 2**-46, which moves its tail mass by well under 1.5e-12
+    # here.  The lowest energy then sits one ulp above the smallest draw,
+    # and the order-only path must still find it.
+    quantile = Environment.quantile
+
+    def wobbly(self, u, out=None):
+        u = np.array(u, dtype=float)
+        e = quantile(self, u)
+        e = np.where(u.view(np.uint64) & 1, e * (1.0 + 2.0 ** -46), e)
+        if out is None:
+            return e if e.ndim else float(e)
+        out[...] = e
+        return out
+
+    monkeypatch.setattr(Environment, "quantile", wobbly)
+    smallest = 2.0 ** -45
+    values = np.array([0.3, smallest, np.nextafter(smallest, 1.0), 0.7])
+    draw = engine.uniform_block
+
+    def injected(stream, start, stop, out=None):
+        u = draw(stream, start, stop, out=out)
+        k = max(0, min(stop, values.size) - start)
+        u[:k] = values[start : start + k]
+        return u
+
+    monkeypatch.setattr(engine, "uniform_block", injected)
+    env = Environment(alpha, 13)
+    low = env.quantile(values[2])
+    assert low < env.quantile(values[1]) < env.quantile(values[0])
+    spec = make_spec(env=env, betas=(), intervals=ORDER_INTERVALS, b_levels=ORDER_LEVELS)
+    assert assert_order_path_matches_energy_path(spec).min_energy == low

@@ -194,6 +194,52 @@ def test_quantile_table_edges(alpha):
         env.quantile(np.array([0.3, np.nan]))
 
 
+# the shapes the order-only path of the engine is checked at: both closed
+# forms, the general table, and the largest shape accepted
+EXACT_ALPHAS = [1.0, 1.5, 2.0, 7.3, 100.0]
+
+
+@pytest.mark.parametrize("alpha", EXACT_ALPHAS)
+def test_quantile_is_elementwise_and_in_place(alpha):
+    # The energy of a draw does not depend on the draws passed with it, so
+    # the engine may evaluate any subset of a block, or a block in place.
+    env = Environment(alpha, 18)
+    u = np.random.default_rng(11).random(1 << 15)
+    u[:5] = (0.0, 0.5, 2.0 ** -53, 1.0 - 2.0 ** -53, 0.5 - 2.0 ** -53)
+    whole = env.quantile(u)
+    pick = np.random.default_rng(12).random(u.size) < 0.01
+    for subset in (pick, np.flatnonzero(~pick)[::7], slice(5, 9000), slice(1, 2)):
+        assert np.array_equal(env.quantile(u[subset]), whole[subset])
+    assert [env.quantile(v) for v in u[:64]] == whole[:64].tolist()
+    block = u[3:20003].copy()
+    env.quantile(block, out=block)
+    assert np.array_equal(block, whole[3:20003])
+
+
+@pytest.mark.parametrize("alpha", EXACT_ALPHAS)
+def test_uniform_window_brackets_the_crossing(alpha):
+    # Every draw below the window has its energy below the cut, every draw
+    # above it has its energy above: checked one ulp at a time at both
+    # edges and at the cut's own tail mass, and on random draws.
+    env = Environment(alpha, 18)
+    rng = np.random.default_rng(int(alpha * 10))
+    for x in (-math.inf, -1e6, -40.0, -7.0, -0.3, -0.0, 0.0, 1e-9, 0.3, 7.0, 40.0, 1e6, math.inf):
+        lo, hi = env.uniform_window(x)
+        with np.errstate(over="ignore"):
+            m = env.tail_probability(abs(x))
+        assert 0.0 <= lo <= hi and hi - lo <= 1e-9 + 2.0 ** -51
+        near = []
+        for centre in (lo, hi, m if x <= 0 else 1.0 - m, 0.0, 2.0 ** -53, 1.0 - 2.0 ** -53):
+            v = w = centre
+            for _ in range(4):
+                near += [v, w]
+                v, w = np.nextafter(v, 0.0), np.nextafter(w, 1.0)
+        u = np.concatenate([np.array(near), rng.random(4096)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        e = env.quantile(u)
+        assert np.all(e[u < lo] < x) and np.all(e[u > hi] > x)
+
+
 def test_tail_probability_values_and_errors():
     env = Environment(1.0, 5)
     assert abs(env.tail_probability(2.0) - 0.5 * math.exp(-2.0)) < 1e-16

@@ -11,6 +11,7 @@ from remlab.rng import (
     seed_derivation,
     stream_generator,
     uniform_block,
+    uniform_stream,
 )
 
 
@@ -77,6 +78,35 @@ def test_uniform_block_interior_window():
     key = seed_derivation(9, 2, ENERGY_STREAM)
     whole = uniform_block(key, 0, 3000)
     assert np.array_equal(uniform_block(key, 1237, 2741), whole[1237:2741])
+
+
+def philox_window(key, start, stop):
+    """Positions [start, stop) from a fresh generator, drawn from their counter block on."""
+    skip = start % 4
+    return Generator(Philox(key=key, counter=start // 4)).random(stop - start + skip)[skip:]
+
+
+@pytest.mark.parametrize("lo", [0, 1, 3, 1001, (1 << 20) - 5001])
+def test_uniform_stream_draws_what_random_access_draws(lo):
+    # One generator, drawn block after block into one reused buffer, gives
+    # the doubles of a fresh generator per position range, also from an
+    # unaligned start and across 2**20, the engine's chunk edge.
+    key = seed_derivation(3, 5, ENERGY_STREAM)
+    hi = lo + 9000
+    stream = uniform_stream(key, lo)
+    buf = np.empty(1000)
+    got = []
+    for start in range(lo, hi, 997):
+        stop = min(start + 997, hi)
+        u = uniform_block(stream, start, stop, out=buf[: stop - start])
+        assert np.shares_memory(u, buf)
+        got.append(u.copy())
+    got = np.concatenate(got)
+    assert np.array_equal(got, philox_window(key, lo, hi))
+    assert np.array_equal(got, uniform_block(key, lo, hi))
+    assert np.array_equal(got[7:], philox_window(key, lo + 7, hi))
+    with pytest.raises(ValueError):
+        uniform_block(stream, hi, hi + 3, out=buf)
 
 
 def test_uniform_block_empty_and_invalid():

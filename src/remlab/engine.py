@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from remlab.environment import Environment
-from remlab.rng import ENERGY_STREAM, seed_derivation, uniform_block, uniform_stream
+from remlab.rng import ENERGY_STREAM, UniformStream, seed_derivation, uniform_block
 from remlab.theory import shift_constant
 
 CHUNK_BITS = 20
@@ -69,9 +69,6 @@ MAX_N = 30
 # reduction waits on memory, nor do processes that stream chunks side by
 # side contend for it.
 _ENERGY_BLOCK = 1 << 15
-# Up to this many marginal patterns a running sum adds a block's rows
-# faster than a reduction along the first axis (measured at 2, 4 and 8).
-_ACCUMULATE_PATTERNS = 4
 
 
 @dataclass(frozen=True)
@@ -193,7 +190,7 @@ def energy_block(spec: ReplicaSpec, lo: int, hi: int) -> np.ndarray:
     if not 0 <= lo <= hi <= spec.size:
         raise ValueError(f"index range [{lo}, {hi}) out of [0, {spec.size})")
     out = np.empty(hi - lo)
-    stream = uniform_stream(spec.key, lo)
+    stream = UniformStream(spec.key, lo)
     for start in range(lo, hi, _ENERGY_BLOCK):
         stop = min(start + _ENERGY_BLOCK, hi)
         block = out[start - lo : stop - lo]
@@ -251,9 +248,7 @@ def _add_by_pattern(y: np.ndarray, work: np.ndarray, lead: int, count: int, firs
     of ``y.size`` factors are added by one reduction along the first axis
     of a ``(rows + 1, y.size)`` view whose row 0 is a copy of ``y``, made
     in the ``y.size`` slots just before the rows: the ``lead`` slots kept
-    free in front of the factors, then any factors already added.  Up to
-    ``_ACCUMULATE_PATTERNS`` patterns the rows are added by a running sum
-    down the view, which adds in the same order and is faster there.
+    free in front of the factors, then any factors already added.
     """
     size = y.size
     g = work[lead : lead + count]
@@ -263,12 +258,7 @@ def _add_by_pattern(y: np.ndarray, work: np.ndarray, lead: int, count: int, firs
     if rows:
         top = lead + done - size
         work[top : top + size] = y
-        view = work[top : top + (rows + 1) * size].reshape(rows + 1, size)
-        if size <= _ACCUMULATE_PATTERNS:
-            np.add.accumulate(view, axis=0, out=view)
-            y[:] = view[-1]
-        else:
-            np.sum(view, axis=0, out=y)
+        np.sum(work[top : top + (rows + 1) * size].reshape(rows + 1, size), axis=0, out=y)
         done += rows * size
     y[: count - done] += g[done:]
 
@@ -291,7 +281,7 @@ def _energy_summaries(spec: ReplicaSpec, lo: int, hi: int):
 
     Each chunk's minimum and lowest energies are taken over the whole
     chunk; every other reduction runs block by block, in index order, on
-    buffers of one block, and a chunk of one block is reduced in one call.
+    buffers of one block.
     """
     n = spec.n
     shift = shift_constant(n)
@@ -333,9 +323,7 @@ def _energy_summaries(spec: ReplicaSpec, lo: int, hi: int):
                     _add_by_pattern(y[beta], work, lead, b - a, start + a)
             return sums
 
-        size = stop - start
-        sums = reduce_block(0, size) if size <= _ENERGY_BLOCK else _pairwise(reduce_block, 0, size)
-        z = dict(zip(betas, sums.tolist()))
+        z = dict(zip(betas, _pairwise(reduce_block, 0, stop - start).tolist()))
         if patterns == 1:
             # with no marginal spins the one pattern holds the whole sum
             y = {beta: np.array([z[beta]]) for beta in betas}
@@ -382,7 +370,7 @@ def _order_summaries(spec: ReplicaSpec, lo: int, hi: int):
     buf = np.empty(min(_ENERGY_BLOCK, CHUNK, hi - lo))
     for start in range(lo, hi, CHUNK):
         stop = min(start + CHUNK, hi)
-        stream = uniform_stream(spec.key, start)
+        stream = UniformStream(spec.key, start)
         # every draw above ``top`` has an energy above ``low``
         low = top = math.inf
         below = [0] * len(ends)

@@ -11,10 +11,12 @@ the stream at 64-bit draw ``4*c`` (one 256-bit counter block yields four
 64-bit outputs, and one ``random()`` double consumes one output).  That
 gives O(1) random access into a replica's energy stream.  The generator
 buffers the rest of a counter block, so drawing from it again continues
-at the next position: ``uniform_stream`` positions one generator at the
-start of a run of positions, and ``uniform_block`` draws the run block
-after block from it into a buffer the caller reuses.  The doubles are the
-same, bit for bit, however the run is split into blocks.
+at the next position: a ``UniformStream`` keeps one generator and the
+position it stands at, and ``uniform_block`` draws a run of positions
+block after block from it into a buffer the caller reuses, making a new
+generator only where a block does not start where the last one stopped.
+The doubles are the same, bit for bit, however the run is split into
+blocks.
 """
 
 from __future__ import annotations
@@ -59,23 +61,43 @@ def stream_generator(master_seed: int, replica_id: int, stream_label: int = 0) -
     return Generator(Philox(key=seed_derivation(master_seed, replica_id, stream_label)))
 
 
-def uniform_stream(key: int, start: int) -> Generator:
-    """A Generator whose next ``random()`` double is position ``start`` of the keyed stream."""
-    if start < 0:
-        raise ValueError(f"invalid stream position {start}")
-    block, skip = divmod(start, 4)
-    gen = Generator(Philox(key=key, counter=block))
-    gen.random(skip)  # the positions of the counter block before start
-    return gen
+class UniformStream:
+    """One keyed stream read in order by one Philox generator.
+
+    ``position`` is the stream position of the generator's next double.
+    ``uniform_block`` draws from it and moves it on; asked for positions
+    that do not start at ``position``, it first moves the generator there.
+    """
+
+    __slots__ = ("key", "position", "_gen")
+
+    def __init__(self, key: int, position: int = 0) -> None:
+        self.key = key
+        self.seek(position)
+
+    def seek(self, position: int) -> None:
+        """Stand the generator at ``position``."""
+        if position < 0:
+            raise ValueError(f"invalid stream position {position}")
+        block, skip = divmod(position, 4)
+        self._gen = Generator(Philox(key=self.key, counter=block))
+        self._gen.random(skip)  # the positions of the counter block before ``position``
+        self.position = position
+
+    def draw(self, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with the next ``out.size`` doubles."""
+        self._gen.random(out=out)
+        self.position += out.size
+        return out
 
 
 def uniform_block(stream, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
     """Uniform [0, 1) doubles at positions [start, stop) of a keyed stream.
 
-    ``stream`` is the stream's key, or a Generator from ``uniform_stream``
-    that has drawn exactly the positions before ``start``; it then stands
-    at ``stop``.  The doubles are written into ``out`` when it is given, a
-    float64 array of ``stop - start`` entries, and returned.
+    ``stream`` is the stream's key or a ``UniformStream`` of it, which
+    then stands at ``stop``; one that stands at ``start`` draws on
+    without a new generator.  The doubles are written into ``out`` when it
+    is given, a float64 array of ``stop - start`` entries, and returned.
 
     Deterministic random access: the same (key, position) always yields
     the same double, whether positions are visited in one sweep or in
@@ -83,10 +105,12 @@ def uniform_block(stream, start: int, stop: int, out: np.ndarray | None = None) 
     """
     if start < 0 or stop < start:
         raise ValueError(f"invalid block [{start}, {stop})")
-    if not isinstance(stream, Generator):
-        stream = uniform_stream(stream, start)
+    if not isinstance(stream, UniformStream):
+        stream = UniformStream(stream, start)
+    elif stream.position != start:
+        stream.seek(start)
     if out is None:
         out = np.empty(stop - start)
     elif out.shape != (stop - start,):
         raise ValueError(f"out has shape {out.shape}, not ({stop - start},)")
-    return stream.random(out=out)
+    return stream.draw(out)

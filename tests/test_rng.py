@@ -8,10 +8,10 @@ from remlab.rng import (
     ENERGY_STREAM,
     POISSON_STREAM,
     STICK_STREAM,
+    UniformStream,
     seed_derivation,
     stream_generator,
     uniform_block,
-    uniform_stream,
 )
 
 
@@ -93,7 +93,7 @@ def test_uniform_stream_draws_what_random_access_draws(lo):
     # unaligned start and across 2**20, the engine's chunk edge.
     key = seed_derivation(3, 5, ENERGY_STREAM)
     hi = lo + 9000
-    stream = uniform_stream(key, lo)
+    stream = UniformStream(key, lo)
     buf = np.empty(1000)
     got = []
     for start in range(lo, hi, 997):
@@ -105,8 +105,23 @@ def test_uniform_stream_draws_what_random_access_draws(lo):
     assert np.array_equal(got, philox_window(key, lo, hi))
     assert np.array_equal(got, uniform_block(key, lo, hi))
     assert np.array_equal(got[7:], philox_window(key, lo + 7, hi))
+    assert stream.position == hi
     with pytest.raises(ValueError):
         uniform_block(stream, hi, hi + 3, out=buf)
+
+
+def test_uniform_stream_moves_to_the_asked_start():
+    # A block that does not start where the stream stands is still drawn
+    # from its own positions, behind or ahead of the stream, at any offset
+    # within a counter block; the stream then stands at the block's end.
+    key = seed_derivation(3, 5, ENERGY_STREAM)
+    whole = philox_window(key, 0, 4000)
+    stream = UniformStream(key, 1001)
+    for start, stop in [(1001, 1500), (7, 300), (300, 302), (2999, 4000), (1002, 1003)]:
+        assert np.array_equal(uniform_block(stream, start, stop), whole[start:stop])
+        assert stream.position == stop
+    with pytest.raises(ValueError):
+        UniformStream(key, -1)
 
 
 def test_uniform_block_empty_and_invalid():

@@ -27,7 +27,6 @@ from remlab.pointprocess import (
     WeightSequence,
     sample_pd_poisson,
     sample_pd_stick,
-    sample_poisson_points,
 )
 from remlab.stats import (
     TestReport,
@@ -79,7 +78,6 @@ __all__ = [
     "run_replica",
     "sample_pd_poisson",
     "sample_pd_stick",
-    "sample_poisson_points",
     "shift_constant",
     "truncated_exp_moment",
     "__version__",

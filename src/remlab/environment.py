@@ -181,7 +181,8 @@ class Environment:
         elif self.alpha == 2.0:
             out = special.ndtr(-x / math.sqrt(self.n))
         else:
-            out = 0.5 * special.gammaincc(1.0 / self.alpha, x ** self.alpha / self.scale)
+            with np.errstate(over="ignore"):  # a power past the float range: the tail is 0
+                out = 0.5 * special.gammaincc(1.0 / self.alpha, x ** self.alpha / self.scale)
         return out if out.ndim else float(out)
 
     def cdf(self, x):
@@ -272,8 +273,7 @@ class Environment:
         draw), no relative accuracy is needed: every draw outside the
         window has a tail mass of at least 2**-53, far above ``T(|x|)``.
         """
-        with np.errstate(over="ignore"):  # a power past the float range: the tail is 0
-            m = float(self.tail_probability(abs(x)))
+        m = float(self.tail_probability(abs(x)))
         if x <= 0.0:
             lo = m * (1.0 - _WINDOW)
             return (lo if lo > _U_MIN else 0.0), m * (1.0 + _WINDOW)

@@ -1,6 +1,7 @@
 """Exponential-type site distribution: density, cdf, quantile, sampling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -225,8 +226,7 @@ def test_uniform_window_brackets_the_crossing(alpha):
     rng = np.random.default_rng(int(alpha * 10))
     for x in (-math.inf, -1e6, -40.0, -7.0, -0.3, -0.0, 0.0, 1e-9, 0.3, 7.0, 40.0, 1e6, math.inf):
         lo, hi = env.uniform_window(x)
-        with np.errstate(over="ignore"):
-            m = env.tail_probability(abs(x))
+        m = env.tail_probability(abs(x))
         assert 0.0 <= lo <= hi and hi - lo <= 1e-9 + 2.0 ** -51
         near = []
         for centre in (lo, hi, m if x <= 0 else 1.0 - m, 0.0, 2.0 ** -53, 1.0 - 2.0 ** -53):
@@ -248,6 +248,19 @@ def test_tail_probability_values_and_errors():
         env.tail_probability(-0.1)
     g = Environment(2.0, 9)
     assert abs(g.tail_probability(3.0) - stats.norm.sf(1.0)) < 1e-15
+
+
+@pytest.mark.parametrize("alpha", [60.0, 100.0])
+def test_tail_past_the_float_range_is_silent(alpha):
+    # x**alpha overflows to inf here; the tail is exactly 0, without a warning
+    env = Environment(alpha, 18)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert env.tail_probability(1e6) == 0.0
+        assert env.cdf(1e6) == 1.0
+        assert env.cdf(-1e6) == 0.0
+        mass = env.interval_probability(0.5, 1e5)
+        assert mass == env.tail_probability(9.0) and 0.0 < mass < 0.5
 
 
 def test_interval_probability_known_value():

@@ -765,6 +765,57 @@ def test_console_script_installed(tmp_path):
     assert "regime low_temperature" in proc.stdout
 
 
+IMPORT_GRAPH_CHILD = """
+import json, sys
+import remlab, remlab.cli
+for path in sys.argv[1:]:
+    code = remlab.cli.main(["run", path, "--workers", "1", "--output-dir", path + ".out"])
+    assert code == 0, (path, code)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "stats"])))
+"""
+
+
+def test_no_entry_point_imports_scipy_stats(tmp_path):
+    # scipy.stats more than doubles the import time and adds about 45 MB to
+    # every process, pool workers included.  This process imports it for the
+    # tests' own references, so a fresh interpreter runs the package: the
+    # import, the CLI and one tiny manifest of every experiment, with every
+    # chi-square and KS check.
+    docs = [tiny_doc(env={"alpha": 1.0, "n": 8})]
+    doc = tiny_doc()
+    as_rate(doc, [{"check": "zero_hits", "interval": [0.8, 0.9]}], ((0.8, 0.9),))
+    docs.append(doc)
+    docs.append(tiny_doc(experiment="marginals", k_marginal=2, checks=[
+        {"check": "max_marginal_deviation", "beta": 0.5, "tol": 1.0}]))
+    doc = tiny_doc()
+    as_exceedance(doc, [{"check": "count_chi_square", "b": 0.0, "level": 1e-12},
+                        {"check": "positions_ks", "b": 0.0, "level": 1e-12}])
+    doc.update(replicas=40)
+    docs.append(doc)
+    doc = tiny_doc(env={"alpha": 1.0, "n": 10}, replicas=8)
+    as_pd(doc, [{"check": name, "max_statistic": 1.0}
+                for name in ("ks_w1", "ks_sumsq", "stick_ks_w1")],
+          stick_draws=5, stick_length=20)
+    docs.append(doc)
+    assert {d["experiment"] for d in docs} == set(REGISTRY)
+    paths = []
+    for d in docs:
+        paths.append(tmp_path / f"{d['experiment']}.json")
+        paths[-1].write_text(json.dumps(d), encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(remlab.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GRAPH_CHILD, *map(str, paths)],
+        capture_output=True,
+        text=True,
+        check=False,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

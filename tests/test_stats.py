@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats as scipy_stats
+from scipy import special, stats as scipy_stats
 
 from remlab.stats import (
     DEFAULT_LEVEL,
@@ -123,6 +123,32 @@ def test_chi_square_matches_scipy_without_pooling():
         ref = scipy_stats.chisquare(obs, probs * obs.sum())
         assert ours.statistic == pytest.approx(ref.statistic, abs=1e-9)
         assert ours.p_value == pytest.approx(ref.pvalue, abs=1e-12)
+
+
+@pytest.mark.parametrize("bins", range(2, 13))
+def test_chi_square_p_value_is_scipy_stats_to_the_bit(bins):
+    # Dyadic probabilities over 2**40 counts keep every expected count exact.
+    # Moving d counts from the last bin to the first gives a statistic of
+    # about d**2 (1/e0 + 1/e_last): targets 0, one count's ulp (1e-300 lies
+    # below any statistic counts of this size can give), 0.5, bins, 1e3, 1e5.
+    units = np.array([1.0] * (bins - 1) + [16.0 - (bins - 1)])
+    expected = units * 2.0 ** 36
+    for target in (0.0, None, 0.5, float(bins), 1e3, 1e5):
+        if target is None:
+            d = np.spacing(expected[0])
+        else:
+            d = math.sqrt(target / (1.0 / expected[0] + 1.0 / expected[-1]))
+        obs = expected.copy()
+        obs[0] += d
+        obs[-1] -= d
+        report = chi_square_gof(obs, units / 16.0)
+        assert report.sample_sizes == (2 ** 40, bins)
+        if target is not None:
+            assert report.statistic == pytest.approx(target, rel=1e-6)
+        assert report.p_value == scipy_stats.chi2.sf(report.statistic, bins - 1)
+    # the law itself, at the grid's exact statistics
+    for statistic in (0.0, 1e-300, 0.5, float(bins), 1e3, 1e5, math.inf):
+        assert special.chdtrc(bins - 1, statistic) == scipy_stats.chi2.sf(statistic, bins - 1)
 
 
 def test_chi_square_pools_right_tail():

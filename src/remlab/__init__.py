@@ -11,7 +11,6 @@ Poisson-Dirichlet laws, and Poisson convergence of extreme energies.
 __version__ = "0.1.0"
 
 from remlab.engine import (
-    GibbsSpectrum,
     ReplicaResult,
     ReplicaSpec,
     energy_block,
@@ -36,35 +35,27 @@ from remlab.stats import (
 )
 from remlab.theory import (
     LOG2,
-    PhaseDiagnosis,
-    Regime,
-    classify_phase,
     critical_beta,
     free_energy_limit,
     poisson_count_pmf,
     rate_function,
     shift_constant,
-    truncated_exp_moment,
 )
 
 __all__ = [
     "CheckResult",
     "Environment",
     "ExperimentManifest",
-    "GibbsSpectrum",
     "LOG2",
     "ManifestError",
     "PDBlock",
     "PDParams",
-    "PhaseDiagnosis",
-    "Regime",
     "ReplicaResult",
     "ReplicaSpec",
     "RunOutcome",
     "TestReport",
     "WeightSequence",
     "chi_square_gof",
-    "classify_phase",
     "critical_beta",
     "energy_block",
     "free_energy",
@@ -79,6 +70,5 @@ __all__ = [
     "sample_pd_poisson",
     "sample_pd_stick",
     "shift_constant",
-    "truncated_exp_moment",
     "__version__",
 ]

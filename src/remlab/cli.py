@@ -13,7 +13,7 @@ import sys
 
 from .experiments import resolve_workers, run_experiment
 from .manifest import ManifestError, from_dict, load
-from .theory import classify_phase
+from .theory import critical_beta, free_energy_limit
 from .verify import BUILTIN_NAMES, run_all
 
 
@@ -71,8 +71,14 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = None
-    if args.only:
+    if args.only is not None:
         names = [item.strip() for item in args.only.split(",") if item.strip()]
+        if not names:
+            print(
+                f"error: --only names no manifest; valid: {list(BUILTIN_NAMES)}",
+                file=sys.stderr,
+            )
+            return 2
         unknown = [name for name in names if name not in BUILTIN_NAMES]
         if unknown:
             print(
@@ -101,15 +107,22 @@ def _cmd_verify(args) -> int:
 
 def _cmd_theory(args) -> int:
     try:
-        diagnosis = classify_phase(args.alpha, args.beta)
+        bc = critical_beta(args.alpha)
+        fe = free_energy_limit(args.alpha, args.beta)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"alpha {repr(diagnosis.alpha)}")
-    print(f"beta {repr(diagnosis.beta)}")
-    print(f"critical_beta {repr(diagnosis.beta_critical)}")
-    print(f"free_energy_limit {repr(diagnosis.free_energy)}")
-    print(f"regime {diagnosis.regime.value}")
+    if args.beta < bc:
+        regime = "high_temperature"
+    elif args.beta == bc:
+        regime = "critical"
+    else:
+        regime = "low_temperature"
+    print(f"alpha {args.alpha!r}")
+    print(f"beta {args.beta!r}")
+    print(f"critical_beta {bc!r}")
+    print(f"free_energy_limit {fe!r}")
+    print(f"regime {regime}")
     return 0
 
 

@@ -56,6 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from remlab.environment import Environment
+from remlab.pointprocess import WeightSequence
 from remlab.rng import ENERGY_STREAM, UniformStream, seed_derivation, uniform_block
 from remlab.theory import shift_constant
 
@@ -140,31 +141,11 @@ class ReplicaSpec:
 
 
 @dataclass(frozen=True)
-class GibbsSpectrum:
-    """Largest Gibbs weights in nonincreasing order plus the remaining mass."""
-
-    weights: np.ndarray
-    tail_mass: float
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must be a nonempty 1-d array")
-        if np.any(np.diff(w) > 0):
-            raise ValueError("weights must be nonincreasing")
-        if w[-1] <= 0.0 or w[0] > 1.0:
-            raise ValueError("weights must lie in (0, 1]")
-        if not -1e-9 <= self.tail_mass < 1.0:
-            raise ValueError(f"tail_mass must lie in [0, 1), got {self.tail_mass}")
-        if abs(float(w.sum()) + self.tail_mass - 1.0) > 1e-9:
-            raise ValueError("weights and tail_mass must sum to 1")
-
-
-@dataclass(frozen=True)
 class ReplicaResult:
     """Everything measured on one replica; per-beta maps are keyed by beta.
 
+    ``spectrum`` maps each beta to the largest Gibbs weights, a
+    ``WeightSequence`` whose ``deficit`` is the mass of the rest.
     ``exceedance`` maps each b level to the shifted positions
     ``-(H + shift_constant(n)) >= b`` in configuration-index order.
     """
@@ -173,7 +154,7 @@ class ReplicaResult:
     replica_id: int
     min_energy: float
     log_z: dict[float, float]
-    spectrum: dict[float, GibbsSpectrum]
+    spectrum: dict[float, WeightSequence]
     marginal: dict[float, np.ndarray]
     interval_hits: dict[tuple[float, float], int] = field(default_factory=dict)
     exceedance: dict[float, np.ndarray] = field(default_factory=dict)
@@ -458,8 +439,7 @@ def finish(spec: ReplicaSpec, summary: ChunkSummary) -> ReplicaResult:
         marginal[beta] = summary.y[beta] / total
         if summary.keep:
             w = np.exp(-beta * (best - min_energy)) / total
-            w = w[w > 0.0]
-            spectrum[beta] = GibbsSpectrum(w, max(0.0, 1.0 - float(w.sum())))
+            spectrum[beta] = WeightSequence(w[w > 0.0])
     return ReplicaResult(
         n=spec.n,
         replica_id=spec.replica_id,

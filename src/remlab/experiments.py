@@ -545,7 +545,7 @@ def _spectrum_stats(weights: np.ndarray) -> tuple[float, float]:
 @experiment("pd_compare", alpha="double_exponential", betas=True, top_m=False, pd=True)
 def _pd_compare(manifest: ExperimentManifest, results, draws):
     (beta,) = manifest.betas
-    gibbs = [_spectrum_stats(r.spectrum[beta].weights) for r in results]
+    gibbs = [_spectrum_stats(r.spectrum[beta].entries) for r in results]
     rows = [(beta, i, w1, sumsq) for i, (w1, sumsq) in enumerate(gibbs)]
     theory_rows = [
         (source, i, w1, sumsq)

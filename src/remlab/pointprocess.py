@@ -32,7 +32,10 @@ MAX_WINDOW_POINTS = 1 << 26
 
 @dataclass(frozen=True)
 class WeightSequence:
-    """Nonincreasing nonnegative weights with total mass at most one."""
+    """Nonincreasing nonnegative weights with total mass at most one.
+
+    The PD samplers' draws and the engine's Gibbs spectra are both one.
+    """
 
     entries: np.ndarray
 
@@ -50,7 +53,7 @@ class WeightSequence:
 
     @property
     def deficit(self) -> float:
-        """Mass missing from one: truncated tail (sticks) or unseen points."""
+        """Mass missing from one: truncated tail, unseen points or weights past the pool."""
         return max(0.0, 1.0 - float(self.entries.sum()))
 
 

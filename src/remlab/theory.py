@@ -2,17 +2,13 @@
 
 Collects the exact expressions the simulator is tested against: the
 limiting free energy and its critical inverse temperature, the large
-deviation rate of the energy per site, the limiting law of shifted
-extreme energies, and truncated exponential moments of a single energy.
+deviation rate of the energy per site, and the limiting law of shifted
+extreme energies.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
-
-from scipy import special
 
 LOG2 = math.log(2.0)
 
@@ -105,75 +101,3 @@ def poisson_count_probs(b: float, kmax: int) -> list:
     probs = [poisson_count_pmf(b, k) for k in range(kmax + 1)]
     probs.append(max(0.0, 1.0 - sum(probs)))
     return probs
-
-
-def truncated_exp_moment(alpha: float, beta: float, delta: float, n: int, order: int = 1) -> float:
-    """``E[exp(order*beta*H) * 1{H <= delta*n}]`` for a single energy ``H``.
-
-    Exact closed forms, available for the two shapes with elementary
-    tails.  With ``g = order*beta``:
-
-    * alpha=1: ``1/(2*(1+g)) + (1 - exp((g-1)*delta*n)) / (2*(1-g))``,
-      and the removable point ``g = 1`` integrates to
-      ``1/4 + delta*n/2``.
-    * alpha=2: ``exp(g**2 * n / 2) * Phi((delta - g) * sqrt(n))`` with
-      ``Phi`` the standard normal cdf.
-
-    The function is a plain evaluator; admissible parameter ranges for
-    the moment *bounds* are asserted in the test suite, not here.
-    """
-    alpha = float(alpha)
-    if alpha not in (1.0, 2.0):
-        raise ValueError(f"closed forms exist for alpha in {{1, 2}} only, got {alpha!r}")
-    beta = float(beta)
-    delta = float(delta)
-    if not math.isfinite(beta) or beta <= 0.0:
-        raise ValueError(f"beta must be a finite real > 0, got {beta!r}")
-    if not math.isfinite(delta) or delta <= 0.0:
-        raise ValueError(f"delta must be a finite real > 0, got {delta!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order!r}")
-    g = order * beta
-    dn = delta * n
-    if alpha == 1.0:
-        left = 0.5 / (1.0 + g)
-        if g == 1.0:
-            return 0.25 + 0.5 * dn
-        # expm1 keeps the right side well conditioned near g = 1
-        return left + math.expm1((g - 1.0) * dn) / (2.0 * (g - 1.0))
-    return math.exp(0.5 * g * g * n) * float(special.ndtr((delta - g) * math.sqrt(n)))
-
-
-class Regime(enum.Enum):
-    """Phase of the model at a given inverse temperature."""
-
-    HIGH_TEMPERATURE = "high_temperature"
-    CRITICAL = "critical"
-    LOW_TEMPERATURE = "low_temperature"
-
-
-@dataclass(frozen=True)
-class PhaseDiagnosis:
-    """Where ``beta`` sits relative to the phase transition."""
-
-    alpha: float
-    beta: float
-    beta_critical: float
-    regime: Regime
-    free_energy: float
-
-
-def classify_phase(alpha: float, beta: float) -> PhaseDiagnosis:
-    """Free energy limit, critical point, and regime for ``(alpha, beta)``."""
-    bc = critical_beta(alpha)
-    fe = free_energy_limit(alpha, beta)
-    beta = float(beta)
-    if beta < bc:
-        regime = Regime.HIGH_TEMPERATURE
-    elif beta == bc:
-        regime = Regime.CRITICAL
-    else:
-        regime = Regime.LOW_TEMPERATURE
-    return PhaseDiagnosis(float(alpha), beta, bc, regime, fe)

@@ -71,4 +71,5 @@ def run_builtin(name: str, workers=None, output_root="remlab-verify") -> VerifyR
 
 
 def run_all(workers=None, output_root="remlab-verify", names=None) -> list:
-    return [run_builtin(name, workers, output_root) for name in (names or BUILTIN_NAMES)]
+    names = BUILTIN_NAMES if names is None else names
+    return [run_builtin(name, workers, output_root) for name in names]

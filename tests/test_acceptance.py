@@ -313,9 +313,9 @@ def test_engine_matches_naive_oracle_random_specs(monkeypatch):
                         got.marginal[beta], want["marginal"][beta], rtol=0.0, atol=1e-10
                     )
                     weights, tail = want["spectrum"][beta]
-                    assert got.spectrum[beta].weights.size == weights.size
-                    assert np.allclose(got.spectrum[beta].weights, weights, rtol=0.0, atol=1e-10)
-                    assert abs(got.spectrum[beta].tail_mass - tail) <= 1e-10
+                    assert got.spectrum[beta].entries.size == weights.size
+                    assert np.allclose(got.spectrum[beta].entries, weights, rtol=0.0, atol=1e-10)
+                    assert abs(got.spectrum[beta].deficit - tail) <= 1e-10
                 for interval in spec.intervals:
                     assert got.interval_hits[interval] == want["interval_hits"][interval]
                 for level in spec.b_levels:

@@ -12,7 +12,6 @@ from naive_oracle import naive_replica
 from remlab import engine
 from remlab.engine import (
     CHUNK,
-    GibbsSpectrum,
     ReplicaSpec,
     chunks,
     energy_block,
@@ -153,8 +152,8 @@ def test_run_replica_beta_zero_closed_forms():
     res = run_replica(spec)
     assert abs(res.log_z[0.0] - 10.0 * LOG2) < 1e-12
     assert np.array_equal(res.marginal[0.0], np.full(8, 0.125))
-    assert np.all(res.spectrum[0.0].weights == 2.0 ** -10)
-    assert res.spectrum[0.0].tail_mass == 0.0
+    assert np.all(res.spectrum[0.0].entries == 2.0 ** -10)
+    assert res.spectrum[0.0].deficit == 0.0
     assert free_energy(res, 0.0) == res.log_z[0.0] / 10.0
 
 
@@ -163,7 +162,7 @@ def test_run_replica_pinned_energies(monkeypatch):
     pinned(monkeypatch, [-1.0, 0.0, 0.0, 0.0])
     res = run_replica(spec)
     assert abs(res.log_z[1.0] - 1.743668380628679) < 1e-12
-    head = res.spectrum[1.0].weights[0]
+    head = res.spectrum[1.0].entries[0]
     assert abs(head - 0.4753668864186717) < 1e-12
     assert res.min_energy == -1.0
     # low bit 0 holds indices {0, 2}: weights (e + 1)/(e + 3); bit 1 holds 2/(e + 3)
@@ -197,7 +196,7 @@ def test_gibbs_quantities_shift_invariant(monkeypatch):
     for beta in spec.betas:
         assert abs(hi_res.log_z[beta] - (lo_res.log_z[beta] - beta * 55.0)) < 1e-9
         assert np.max(np.abs(hi_res.marginal[beta] - lo_res.marginal[beta])) < 1e-10
-        assert np.max(np.abs(hi_res.spectrum[beta].weights - lo_res.spectrum[beta].weights)) < 1e-10
+        assert np.max(np.abs(hi_res.spectrum[beta].entries - lo_res.spectrum[beta].entries)) < 1e-10
 
 
 def test_marginal_coarsening_consistency():
@@ -219,24 +218,15 @@ def test_spectrum_and_result_invariants():
     res = run_replica(spec)
     for beta in spec.betas:
         s = res.spectrum[beta]
-        assert np.all(np.diff(s.weights) <= 0)
-        assert s.weights[0] <= 1.0 and s.weights[-1] > 0.0
-        assert abs(float(s.weights.sum()) + s.tail_mass - 1.0) < 1e-9
+        assert np.all(np.diff(s.entries) <= 0)
+        assert s.entries[0] <= 1.0 and s.entries[-1] > 0.0
+        assert abs(float(s.entries.sum()) + s.deficit - 1.0) < 1e-9
         assert abs(float(res.marginal[beta].sum()) - 1.0) < 1e-9
         assert np.all(res.marginal[beta] >= 0.0)
         assert res.log_z[beta] >= -beta * res.min_energy
     assert res.interval_hits[(-0.5, 0.5)] <= spec.size
     counts = [res.exceedance[b].size for b in (-1.0, 0.0, 1.0)]
     assert counts[0] >= counts[1] >= counts[2]
-
-
-def test_gibbs_spectrum_rejects_malformed():
-    with pytest.raises(ValueError):
-        GibbsSpectrum(np.array([0.2, 0.3]), 0.5)
-    with pytest.raises(ValueError):
-        GibbsSpectrum(np.array([0.5, 0.25]), 0.5)
-    with pytest.raises(ValueError):
-        GibbsSpectrum(np.array([0.5, 0.0]), 0.5)
 
 
 def test_exceedance_positions_pinned(monkeypatch):
@@ -280,9 +270,9 @@ def test_engine_agrees_with_naive_oracle(alpha, beta_set):
         assert abs(res.log_z[beta] - ref["log_z"][beta]) < 1e-10
         assert np.max(np.abs(res.marginal[beta] - ref["marginal"][beta])) < 1e-12
         w_ref, tail_ref = ref["spectrum"][beta]
-        assert res.spectrum[beta].weights.size == w_ref.size
-        assert np.allclose(res.spectrum[beta].weights, w_ref, rtol=1e-10, atol=0)
-        assert abs(res.spectrum[beta].tail_mass - tail_ref) < 1e-10
+        assert res.spectrum[beta].entries.size == w_ref.size
+        assert np.allclose(res.spectrum[beta].entries, w_ref, rtol=1e-10, atol=0)
+        assert abs(res.spectrum[beta].deficit - tail_ref) < 1e-10
     assert res.interval_hits == ref["interval_hits"]
     assert res.exceedance.keys() == ref["exceedance"].keys()
     for b in spec.b_levels:
@@ -325,9 +315,9 @@ def test_ground_state_in_last_chunk(monkeypatch):
         assert abs(res.log_z[beta] - ref["log_z"][beta]) < 1e-10
         assert np.max(np.abs(res.marginal[beta] - ref["marginal"][beta])) < 1e-12
         w_ref, tail_ref = ref["spectrum"][beta]
-        assert res.spectrum[beta].weights.size == w_ref.size
-        assert np.allclose(res.spectrum[beta].weights, w_ref, rtol=1e-10, atol=0)
-        assert abs(res.spectrum[beta].tail_mass - tail_ref) < 1e-10
+        assert res.spectrum[beta].entries.size == w_ref.size
+        assert np.allclose(res.spectrum[beta].entries, w_ref, rtol=1e-10, atol=0)
+        assert abs(res.spectrum[beta].deficit - tail_ref) < 1e-10
     assert np.array_equal(res.exceedance[-1.0], ref["exceedance"][-1.0])
 
 
@@ -340,8 +330,8 @@ def assert_results_identical(a, b):
     for beta in a.marginal:
         assert np.array_equal(a.marginal[beta], b.marginal[beta])
     for beta in a.spectrum:
-        assert np.array_equal(a.spectrum[beta].weights, b.spectrum[beta].weights)
-        assert a.spectrum[beta].tail_mass == b.spectrum[beta].tail_mass
+        assert np.array_equal(a.spectrum[beta].entries, b.spectrum[beta].entries)
+        assert a.spectrum[beta].deficit == b.spectrum[beta].deficit
     assert a.exceedance.keys() == b.exceedance.keys()
     for level in a.exceedance:
         assert np.array_equal(a.exceedance[level], b.exceedance[level])
@@ -446,7 +436,7 @@ def test_run_replica_deterministic():
     b = run_replica(spec)
     assert a.log_z == b.log_z
     assert np.array_equal(a.marginal[1.1], b.marginal[1.1])
-    assert np.array_equal(a.spectrum[1.1].weights, b.spectrum[1.1].weights)
+    assert np.array_equal(a.spectrum[1.1].entries, b.spectrum[1.1].entries)
 
 
 def test_free_energy_concentrates_at_high_temperature():

@@ -1,7 +1,7 @@
+import ast
 import dataclasses
 import inspect
 import json
-import math
 import os
 import re
 import subprocess
@@ -169,6 +169,23 @@ def test_package_all_matches_its_bindings():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert sorted(remlab.__all__) == sorted(public | {"__version__"})
+
+
+def test_every_export_is_used_inside_the_package():
+    # an export that no module of the package names, imports included, is
+    # public API that only the tests use
+    used = set()
+    for path in Path(remlab.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rpartition(".")[2])
+    assert sorted(set(remlab.__all__) - used - {"__version__"}) == []
 
 
 def test_builtin_unknown_name():
@@ -683,15 +700,24 @@ def test_cli_seed_flag_overrides_manifest(tmp_path, capsys):
 
 
 def test_cli_theory_output(capsys):
-    assert main(["theory", "1.0", "0.5"]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out[0] == "alpha 1.0"
-    assert out[1] == "beta 0.5"
-    assert out[2] == "critical_beta 1.0"
-    assert out[3] == f"free_energy_limit {math.log(2.0)!r}"
-    assert out[4] == "regime high_temperature"
+    # byte-exact stdout in each regime; critical_beta(2.0) round-trips through repr
+    cases = [
+        (["1", "0.5"], "1.0", "0.5", "1.0", "0.6931471805599453", "high_temperature"),
+        (["1", "1"], "1.0", "1.0", "1.0", "0.6931471805599453", "critical"),
+        (
+            ["2", repr(critical_beta(2.0))],
+            "2.0", "1.1774100225154747", "1.1774100225154747", "1.3862943611198906", "critical",
+        ),
+        (["2", "2"], "2.0", "2.0", "1.1774100225154747", "2.3548200450309493", "low_temperature"),
+    ]
+    for argv, alpha, beta, bc, fe, regime in cases:
+        assert main(["theory", *argv]) == 0
+        assert capsys.readouterr().out == (
+            f"alpha {alpha}\nbeta {beta}\ncritical_beta {bc}\n"
+            f"free_energy_limit {fe}\nregime {regime}\n"
+        )
     assert main(["theory", "0.5", "1.0"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == "error: alpha must be a finite real >= 1, got 0.5\n"
 
 
 def test_cli_verify_subset(tmp_path, capsys):
@@ -701,6 +727,11 @@ def test_cli_verify_subset(tmp_path, capsys):
     assert "[PASS] marginals_laplace" in out
     assert "verification passed" in out
     assert main(["verify", "--only", "nonsense"]) == 2
+    # an --only that names no manifest is bad input, not "run everything"
+    assert main(["verify", "--only", ","]) == 2
+    assert main(["verify", "--only", " , "]) == 2
+    assert main(["verify", "--only", ""]) == 2
+    assert remlab.verify.run_all(output_root=tmp_path, names=[]) == []
     assert main(["verify", "--only", "marginals_laplace", "--workers", "0"]) == 2
     capsys.readouterr()
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from remlab.cli import main
 from remlab.environment import Environment
 from remlab.theory import (
     LOG2,
@@ -106,6 +107,25 @@ def test_free_energy_limit_convex_nondecreasing(alpha):
 def test_free_energy_limit_rejects_bad_input(args):
     with pytest.raises(ValueError):
         free_energy_limit(*args)
+
+
+def _theory_report(capsys, alpha, beta):
+    assert main(["theory", repr(alpha), repr(beta)]) == 0
+    return dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+
+
+def test_classify_phase(capsys):
+    # the phase `remlab theory` reports, checked against the closed forms
+    hot = _theory_report(capsys, 1.0, 0.5)
+    assert hot["regime"] == "high_temperature"
+    assert float(hot["critical_beta"]) == 1.0
+    assert float(hot["free_energy_limit"]) == LOG2
+    critical = _theory_report(capsys, 2.0, critical_beta(2.0))
+    assert critical["regime"] == "critical"
+    assert float(critical["free_energy_limit"]) == free_energy_limit(2.0, critical_beta(2.0))
+    cold = _theory_report(capsys, 2.0, 2.0)
+    assert cold["regime"] == "low_temperature"
+    assert float(cold["free_energy_limit"]) == free_energy_limit(2.0, 2.0)
 
 
 def test_rate_function_values():

@@ -54,6 +54,9 @@ def _cmd_run(args) -> int:
     except FileNotFoundError:
         print(f"error: manifest file not found: {args.manifest}", file=sys.stderr)
         return 2
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read manifest {args.manifest}: {exc}", file=sys.stderr)
+        return 2
     except ManifestError as exc:
         print(f"manifest error: {exc}", file=sys.stderr)
         return 2

@@ -58,7 +58,7 @@ import numpy as np
 from remlab.environment import Environment
 from remlab.pointprocess import WeightSequence
 from remlab.rng import ENERGY_STREAM, UniformStream, seed_derivation, uniform_block
-from remlab.theory import shift_constant
+from remlab.theory import LOG2, shift_constant
 
 CHUNK_BITS = 20
 CHUNK = 1 << CHUNK_BITS
@@ -76,8 +76,9 @@ _ENERGY_BLOCK = 1 << 15
 class ReplicaSpec:
     """Complete description of one replica and everything to measure on it.
 
-    ``betas`` may include 0 (infinite temperature), where the partition
-    function is exactly 2**n; with no betas the per-beta sums are skipped.
+    ``betas`` are distinct and may include 0 (infinite temperature), where
+    the partition function is exactly 2**n; with no betas the per-beta
+    sums are skipped.
     ``top_m`` bounds the pool of lowest energies behind the Gibbs spectra;
     with ``top_m=0`` (or no betas) the pool is skipped and ``spectrum`` is
     empty.
@@ -105,6 +106,8 @@ class ReplicaSpec:
         for b in betas:
             if not math.isfinite(b) or b < 0.0:
                 raise ValueError(f"betas must be finite and >= 0, got {b!r}")
+        if len(set(betas)) != len(betas):
+            raise ValueError(f"betas must be distinct, got {betas!r}")
         object.__setattr__(self, "betas", betas)
         k = self.k_marginal
         # at most CHUNK_BITS, so a chunk's marginal vector is never longer than the chunk
@@ -473,4 +476,4 @@ def rate_estimate(result: ReplicaResult, interval: tuple[float, float]) -> float
     hits = result.interval_hits[(float(a), float(b))]
     if hits == 0:
         return math.inf
-    return -(math.log(hits) - result.n * math.log(2.0)) / result.n
+    return -(math.log(hits) - result.n * LOG2) / result.n

@@ -5,13 +5,12 @@ values on the same grid), a resolved copy of the manifest, and
 summary.json with a pass/fail record per attached check.  Exceedance
 runs additionally emit positions.csv.
 
-``REGISTRY`` declares each experiment type once, through the
-``experiment``, ``draws`` and ``check`` decorators: the manifest fields
-it reads, the keyed draws it needs besides its replicas, how the
-results become tables, and its checks with their parameters.  The
-manifest parser validates against it, and ``run_experiment`` runs every
-type the same way: one task map runs the replicas and the draws, in one
-pool or in this process, and returns their results in id order.
+``REGISTRY`` declares each experiment type once, in one table: the
+manifest fields it reads, the keyed draws it needs besides its replicas,
+how the results become tables, and its checks with their parameters.
+The manifest parser validates against it, and ``run_experiment`` runs
+every type the same way: one task map runs the replicas and the draws,
+in one pool or in this process, and returns their results in id order.
 
 Determinism contract: every random quantity is derived from
 (master_seed, replica or draw id, stream label) through the keyed
@@ -84,18 +83,41 @@ class RunOutcome:
 
 @dataclass(frozen=True)
 class Check:
-    evaluate: Callable  # (manifest, data, **params) -> (passed, detail)
-    params: dict  # name -> (kind, default); a default of ... marks it required
-    label: str  # str.format template over the params, appended to the check name
-    needs: str  # a pd count that must be >= 1, or ""
+    """One check: ``evaluate(manifest, data, **params) -> (passed, detail)``.
+
+    ``data`` is what the experiment's ``build`` returned.  ``params`` maps
+    each parameter, in manifest order, to ``(kind, default)`` with a kind
+    of ``remlab.manifest.KINDS``: a default of ``...`` makes it required,
+    and a callable default is called with the manifest's fields as a dict.
+    ``label`` formats the parameters into a suffix of the check's name;
+    ``needs`` names a ``pd`` count that must be 1 or more.
+    """
+
+    evaluate: Callable
+    params: dict
+    label: str = ""
+    needs: str = ""
 
 
 @dataclass(frozen=True)
 class Experiment:
-    fields: dict  # manifest field read -> required (True), optional (False) or a narrower kind
-    build: Callable  # (manifest, results, draws) -> ({file: (header, rows)}, data)
-    checks: dict  # check name -> Check
-    draws: Callable = lambda manifest: {}  # manifest -> {sample: [Draw]}, in submission order
+    """One experiment type: the manifest fields it reads, its tables, checks and draws.
+
+    ``fields`` maps each field read to whether a value other than its
+    default is required, or to a kind narrower than the field's own, such
+    as ``"alpha": "double_exponential"`` for a law derived at ``alpha = 1``
+    only.  The parser rejects a value other than the default in a field
+    that only other experiments read; ``top_m`` reaches the engine only
+    where it is listed.  ``draws(manifest)`` gives ``{sample: [Draw]}``,
+    submitted in the dict's order; ``build(manifest, results, draws)``
+    gets their results under the same names and returns
+    ``({file name: (header, rows)}, data)``.
+    """
+
+    fields: dict
+    build: Callable
+    checks: dict
+    draws: Callable = lambda manifest: {}
 
 
 @dataclass(frozen=True)
@@ -118,62 +140,6 @@ class Draw:
     def __call__(self) -> tuple[float, float]:
         rng = stream_generator(self.master_seed, self.draw_id, self.stream)
         return _spectrum_stats(globals()[self.sampler](*self.args, rng).entries)
-
-
-REGISTRY: dict[str, Experiment] = {}
-
-
-def experiment(name: str, **fields):
-    """Register ``build`` as experiment ``name``, reading the manifest ``fields``.
-
-    Each field maps to whether a value other than its default is
-    required; the parser rejects a value other than the default in a
-    field that some other experiment lists and this one does not.  A
-    field may instead map to a kind of ``remlab.manifest.KINDS`` that its
-    value must have here, narrower than the field's own, such as
-    ``alpha="double_exponential"`` where the limit law is derived for
-    ``alpha = 1`` only.  ``top_m`` is passed to the engine only where it
-    is listed.  ``build(manifest, results, draws)`` turns the replica
-    results and the draw results (``{sample: [result]}``, see ``draws``)
-    into ``({file name: (header, rows)}, data)``.
-    """
-
-    def register(build):
-        REGISTRY[name] = Experiment(fields, build, {})
-        return build
-
-    return register
-
-
-def draws(experiment_name: str):
-    """Register ``declare(manifest) -> {sample: [Draw]}``: the experiment's keyed draws.
-
-    The draws are submitted in the dict's order and their results reach
-    ``build`` under the same sample names, so the layout lives here alone.
-    """
-
-    def register(declare):
-        REGISTRY[experiment_name] = dataclasses.replace(REGISTRY[experiment_name], draws=declare)
-        return declare
-
-    return register
-
-
-def check(experiment_name: str, name: str, label: str = "", needs: str = "", **params):
-    """Register ``evaluate(manifest, data, **params) -> (passed, detail)`` as a check.
-
-    ``data`` is what the experiment's ``build`` returned.  Each parameter
-    maps to ``(kind, default)``, with the kinds of ``remlab.manifest.KINDS``.
-    A default of ``...`` makes the parameter required; a callable default
-    is called with the manifest's fields as a dict.  The parser stores
-    each check with its parameters read and its defaults filled in.
-    """
-
-    def register(evaluate):
-        REGISTRY[experiment_name].checks[name] = Check(evaluate, params, label, needs)
-        return evaluate
-
-    return register
 
 
 def resolve_workers(manifest: ExperimentManifest | None, override=None) -> int:
@@ -292,19 +258,10 @@ def _evaluate(manifest: ExperimentManifest, data, item: dict) -> CheckResult:
     return CheckResult(name + spec.label.format(**params), passed, detail)
 
 
-_BETA = ("beta", ...)
-_INTERVAL = ("interval", ...)
-_B_LEVEL = ("b", ...)
-_POSITIVE = ("positive", ...)
-_LEVEL = ("positive", DEFAULT_LEVEL)
-_INTERVAL_LABEL = "({interval[0]:g},{interval[1]:g})"
-
-
 # --------------------------------------------------------------------------
 # free_energy
 
 
-@experiment("free_energy", betas=True)
 def _free_energy(manifest: ExperimentManifest, results, draws):
     fe = {beta: [free_energy(r, beta) for r in results] for beta in manifest.betas}
     rows = [
@@ -320,7 +277,6 @@ def _free_energy(manifest: ExperimentManifest, results, draws):
     return tables, fe
 
 
-@check("free_energy", "mean_within", "(beta={beta:g})", beta=_BETA, tol=_POSITIVE)
 def _mean_within(manifest: ExperimentManifest, fe: dict, beta: float, tol: float):
     mean = float(np.mean(fe[beta]))
     target = free_energy_limit(manifest.alpha, beta)
@@ -330,12 +286,6 @@ def _mean_within(manifest: ExperimentManifest, fe: dict, beta: float, tol: float
     }
 
 
-@check(
-    "free_energy",
-    "curve_shape",
-    center_beta=("number", lambda fields: critical_beta(fields["alpha"])),
-    window=("positive", 0.25),
-)
 def _curve_shape(manifest: ExperimentManifest, fe: dict, center_beta: float, window: float):
     betas = sorted(manifest.betas)
     means = [float(np.mean(fe[b])) for b in betas]
@@ -367,7 +317,6 @@ def _interval_rate_limit(alpha: float, low: float, high: float) -> float:
     return decay if decay < LOG2 else math.inf
 
 
-@experiment("rate_function", intervals=True)
 def _rate_function(manifest: ExperimentManifest, results, draws):
     rows = [
         (low, high, i, r.interval_hits[(low, high)], rate_estimate(r, (low, high)))
@@ -388,14 +337,6 @@ def _rate_function(manifest: ExperimentManifest, results, draws):
     return tables, {iv: [r.interval_hits[iv] for r in results] for iv in manifest.intervals}
 
 
-@check(
-    "rate_function",
-    "pooled_rate_in",
-    _INTERVAL_LABEL,
-    interval=_INTERVAL,
-    low=("number", ...),
-    high=("number", ...),
-)
 def _pooled_rate_in(manifest: ExperimentManifest, hits: dict, interval, low, high):
     total = sum(hits[interval])
     n = manifest.n
@@ -408,20 +349,11 @@ def _pooled_rate_in(manifest: ExperimentManifest, hits: dict, interval, low, hig
     }
 
 
-@check("rate_function", "zero_hits", _INTERVAL_LABEL, interval=_INTERVAL)
 def _zero_hits(manifest: ExperimentManifest, hits: dict, interval):
     counts = hits[interval]
     return all(h == 0 for h in counts), {"interval": list(interval), "max_hits": int(max(counts))}
 
 
-@check(
-    "rate_function",
-    "outside_fraction_below",
-    "({threshold:g})",
-    interval=_INTERVAL,
-    threshold=_POSITIVE,
-    min_replicas=("replicas", ...),
-)
 def _outside_fraction_below(manifest, hits: dict, interval, threshold, min_replicas):
     size = 1 << manifest.n
     fractions = [1.0 - h / size for h in hits[interval]]
@@ -436,7 +368,6 @@ def _outside_fraction_below(manifest, hits: dict, interval, threshold, min_repli
 # marginals
 
 
-@experiment("marginals", betas=True, k_marginal=True)
 def _marginals(manifest: ExperimentManifest, results, draws):
     patterns = 1 << manifest.k_marginal
     rows = [
@@ -453,7 +384,6 @@ def _marginals(manifest: ExperimentManifest, results, draws):
     return tables, results
 
 
-@check("marginals", "max_marginal_deviation", "(beta={beta:g})", beta=_BETA, tol=_POSITIVE)
 def _max_marginal_deviation(manifest: ExperimentManifest, results, beta: float, tol: float):
     patterns = 1 << manifest.k_marginal
     # Averaging over replicas is essential near the transition, where the
@@ -471,7 +401,6 @@ def _max_marginal_deviation(manifest: ExperimentManifest, results, beta: float, 
 # exceedance
 
 
-@experiment("exceedance", alpha="double_exponential", b_levels=True)
 def _exceedance(manifest: ExperimentManifest, results, draws):
     positions = {b: [r.exceedance[b] for r in results] for b in manifest.b_levels}
     count_rows = [
@@ -499,7 +428,6 @@ def _counts(positions: dict, b: float) -> np.ndarray:
     return np.asarray([pts.size for pts in positions[b]])
 
 
-@check("exceedance", "count_zero_prob", "(b={b:g})", b=_B_LEVEL, tol=_POSITIVE)
 def _count_zero_prob(manifest: ExperimentManifest, positions: dict, b: float, tol: float):
     observed = float(np.mean(_counts(positions, b) == 0))
     target = poisson_count_pmf(b, 0)
@@ -508,17 +436,15 @@ def _count_zero_prob(manifest: ExperimentManifest, positions: dict, b: float, to
     }
 
 
-@check("exceedance", "count_chi_square", "(b={b:g})", b=_B_LEVEL, kmax=("bins", 5), level=_LEVEL)
 def _count_chi_square(manifest, positions: dict, b: float, kmax: int, level: float):
     observed = np.bincount(np.minimum(_counts(positions, b), kmax + 1), minlength=kmax + 2)
-    report = chi_square_gof(observed, poisson_count_probs(b, kmax), level)
-    return report.verdict == "pass", {
+    report = chi_square_gof(observed, poisson_count_probs(b, kmax))
+    return report.p_value > level, {
         "b": b, "statistic": report.statistic, "p_value": report.p_value,
         "level": level, "bins": report.sample_sizes[1],
     }
 
 
-@check("exceedance", "positions_ks", "(b={b:g})", b=_B_LEVEL, level=_LEVEL)
 def _positions_ks(manifest: ExperimentManifest, positions: dict, b: float, level: float):
     pooled = np.concatenate(positions[b]) if positions[b] else np.empty(0)
     if pooled.size == 0:
@@ -527,8 +453,8 @@ def _positions_ks(manifest: ExperimentManifest, positions: dict, b: float, level
     def shifted_exp_cdf(t):
         return np.where(t < b, 0.0, -np.expm1(-(np.asarray(t, dtype=float) - b)))
 
-    report = ks_one_sample(pooled, shifted_exp_cdf, level)
-    return report.verdict == "pass", {
+    report = ks_one_sample(pooled, shifted_exp_cdf)
+    return report.p_value > level, {
         "b": b, "statistic": report.statistic, "p_value": report.p_value,
         "level": level, "pooled_points": int(pooled.size),
     }
@@ -542,7 +468,6 @@ def _spectrum_stats(weights: np.ndarray) -> tuple[float, float]:
     return float(weights[0]), float(np.sum(np.square(weights)))
 
 
-@experiment("pd_compare", alpha="double_exponential", betas=True, top_m=False, pd=True)
 def _pd_compare(manifest: ExperimentManifest, results, draws):
     (beta,) = manifest.betas
     gibbs = [_spectrum_stats(r.spectrum[beta].entries) for r in results]
@@ -559,7 +484,6 @@ def _pd_compare(manifest: ExperimentManifest, results, draws):
     return tables, {"gibbs": gibbs, **draws}
 
 
-@draws("pd_compare")
 def _pd_draws(manifest: ExperimentManifest) -> dict:
     # Poisson draws 0..draws-1, the cross draws on the ids after them, then
     # stick draws 0..stick_draws-1 on their own stream
@@ -595,11 +519,62 @@ def _ks(first: str, second: str, column: int) -> Callable:
     return evaluate
 
 
-check("pd_compare", "ks_w1", max_statistic=_POSITIVE)(_ks("gibbs", "pd_poisson", 0))
-check("pd_compare", "ks_sumsq", max_statistic=_POSITIVE)(_ks("gibbs", "pd_poisson", 1))
-check("pd_compare", "stick_ks_w1", needs="stick_draws", max_statistic=_POSITIVE)(
-    _ks("pd_poisson_cross", "pd_stick", 0)
-)
+_BETA = ("beta", ...)
+_INTERVAL = ("interval", ...)
+_B_LEVEL = ("b", ...)
+_POSITIVE = ("positive", ...)
+_MAX_STATISTIC = {"max_statistic": _POSITIVE}
+_LEVEL = ("positive", DEFAULT_LEVEL)
+_INTERVAL_LABEL = "({interval[0]:g},{interval[1]:g})"
+
+# Order matters: error messages list the experiments in this order, and
+# manifest.json writes each check's parameters in the order declared here.
+REGISTRY = {
+    "free_energy": Experiment({"betas": True}, _free_energy, {
+        "mean_within": Check(_mean_within, {"beta": _BETA, "tol": _POSITIVE}, "(beta={beta:g})"),
+        "curve_shape": Check(_curve_shape, {
+            "center_beta": ("number", lambda fields: critical_beta(fields["alpha"])),
+            "window": ("positive", 0.25),
+        }),
+    }),
+    "rate_function": Experiment({"intervals": True}, _rate_function, {
+        "pooled_rate_in": Check(
+            _pooled_rate_in,
+            {"interval": _INTERVAL, "low": ("number", ...), "high": ("number", ...)},
+            _INTERVAL_LABEL,
+        ),
+        "zero_hits": Check(_zero_hits, {"interval": _INTERVAL}, _INTERVAL_LABEL),
+        "outside_fraction_below": Check(
+            _outside_fraction_below,
+            {"interval": _INTERVAL, "threshold": _POSITIVE, "min_replicas": ("replicas", ...)},
+            "({threshold:g})",
+        ),
+    }),
+    "marginals": Experiment({"betas": True, "k_marginal": True}, _marginals, {
+        "max_marginal_deviation": Check(
+            _max_marginal_deviation, {"beta": _BETA, "tol": _POSITIVE}, "(beta={beta:g})"
+        ),
+    }),
+    "exceedance": Experiment({"alpha": "double_exponential", "b_levels": True}, _exceedance, {
+        "count_zero_prob": Check(_count_zero_prob, {"b": _B_LEVEL, "tol": _POSITIVE}, "(b={b:g})"),
+        "count_chi_square": Check(
+            _count_chi_square, {"b": _B_LEVEL, "kmax": ("bins", 5), "level": _LEVEL}, "(b={b:g})"
+        ),
+        "positions_ks": Check(_positions_ks, {"b": _B_LEVEL, "level": _LEVEL}, "(b={b:g})"),
+    }),
+    "pd_compare": Experiment(
+        {"alpha": "double_exponential", "betas": True, "top_m": False, "pd": True},
+        _pd_compare,
+        {
+            "ks_w1": Check(_ks("gibbs", "pd_poisson", 0), _MAX_STATISTIC),
+            "ks_sumsq": Check(_ks("gibbs", "pd_poisson", 1), _MAX_STATISTIC),
+            "stick_ks_w1": Check(
+                _ks("pd_poisson_cross", "pd_stick", 0), _MAX_STATISTIC, needs="stick_draws"
+            ),
+        },
+        _pd_draws,
+    ),
+}
 
 
 # --------------------------------------------------------------------------

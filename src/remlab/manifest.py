@@ -25,10 +25,9 @@ from dataclasses import dataclass
 from .engine import CHUNK_BITS, MAX_N
 from .environment import MAX_ALPHA
 from .experiments import REGISTRY
+from .rng import MAX_SEED
 from .stats import pool_right_tail
 from .theory import poisson_count_probs
-
-MAX_SEED = 1 << 64
 
 
 class ManifestError(ValueError):
@@ -61,7 +60,7 @@ class ExperimentManifest:
     experiment: str
     alpha: float = _kind("shape")
     n: int = _kind("spins")
-    betas: tuple = _kind("[positive]", ())
+    betas: tuple = _kind("betas", ())
     replicas: int = _kind("count", 1)
     master_seed: int = _kind("seed", 0)
     intervals: tuple = _kind("[pair]", ())
@@ -169,6 +168,15 @@ def _pd(value, path: str, fields: dict) -> PDBlock:
     return pd
 
 
+def _betas(value, path: str, fields: dict) -> tuple:
+    """Positive betas, none repeated, as each beta keys its own results."""
+    betas = _read("[positive]", value, path, fields)
+    for i, beta in enumerate(betas):
+        if beta in betas[:i]:
+            _fail(f"{path}[{i}]", f"repeats the beta {beta!r}; each beta may appear once")
+    return betas
+
+
 def _bins(value, path: str, fields: dict) -> int:
     """``kmax`` of a count chi-square test, whose expected counts must pool into bins."""
     kmax = _read("count", value, path, fields)
@@ -236,6 +244,7 @@ KINDS = {
     "interval": _rule(_pair, lambda v, f: v in f["intervals"], "a pair in the intervals list"),
     "path": _rule(lambda v, p: v, lambda v, f: isinstance(v, str), "a string path"),
     "workers": _rule(_workers, lambda v, f: v == "auto" or v >= 1, "an integer >= 1 or 'auto'"),
+    "betas": _betas,
     "bins": _bins,
     "pd": _pd,
     "checks": _checks,

@@ -31,7 +31,7 @@ POISSON_STREAM = 1
 STICK_STREAM = 2
 RETRY_SEED_INCREMENT = 1  # documented retry rule: master_seed + 1
 
-_MASTER_BITS = 64
+MAX_SEED = 1 << 64  # master seeds lie in [0, MAX_SEED)
 _REPLICA_BITS = 48
 _LABEL_BITS = 16
 
@@ -45,7 +45,7 @@ def seed_derivation(master_seed: int, replica_id: int, stream_label: int = 0) ->
     """
     if not isinstance(master_seed, (int, np.integer)) or isinstance(master_seed, bool):
         raise ValueError(f"master_seed must be an integer, got {master_seed!r}")
-    if not 0 <= master_seed < (1 << _MASTER_BITS):
+    if not 0 <= master_seed < MAX_SEED:
         raise ValueError(f"master_seed must be in [0, 2**64), got {master_seed}")
     if not isinstance(replica_id, (int, np.integer)) or isinstance(replica_id, bool):
         raise ValueError(f"replica_id must be an integer, got {replica_id!r}")

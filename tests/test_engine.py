@@ -106,6 +106,11 @@ def test_replica_spec_validation():
         ReplicaSpec(env=env, betas=(-0.5,))
     with pytest.raises(ValueError):
         ReplicaSpec(env=env, betas=(float("nan"),))
+    # a repeated beta would add its Gibbs weights into one marginal twice
+    with pytest.raises(ValueError, match="distinct"):
+        ReplicaSpec(env=Environment(1.0, 10), betas=(0.5, 0.5), k_marginal=2)
+    with pytest.raises(ValueError, match="distinct"):
+        ReplicaSpec(env=env, betas=(0.0, -0.0))
     with pytest.raises(ValueError):
         ReplicaSpec(env=env, betas=(1.0,), k_marginal=9)
     with pytest.raises(ValueError):

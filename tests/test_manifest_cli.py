@@ -134,20 +134,34 @@ def test_builtin_names_cover_all_experiments():
 
 
 def test_readme_checks_table_matches_registry():
-    # README "Checks vocabulary" rows: experiment | `check`, ... | `param`, ...: text
+    # README "Checks vocabulary" rows: experiment | `check`, ... | `param`, ...: text,
+    # each check once, in the registry's order, with its parameters in manifest order
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("### Checks vocabulary", 1)[1].split("\n\n", 2)[1]
-    documented = set()
+    documented = []
     for line in table.splitlines()[2:]:
         experiment, checks, params = (cell.strip() for cell in line.strip("|").split("|"))
-        names = frozenset(re.findall(r"`(\w+)`", params.split(":")[0]))
-        documented |= {(experiment, check, names) for check in re.findall(r"`(\w+)`", checks)}
-    registered = {
-        (experiment, name, frozenset(spec.params))
+        names = tuple(re.findall(r"`(\w+)`", params.split(":")[0]))
+        documented += [(experiment, check, names) for check in re.findall(r"`(\w+)`", checks)]
+    registered = [
+        (experiment, name, tuple(spec.params))
         for experiment, entry in REGISTRY.items()
         for name, spec in entry.checks.items()
-    }
+    ]
     assert documented == registered
+
+
+def test_registry_table_is_self_consistent():
+    # a typo in the REGISTRY table fails here, not when a manifest first reaches it
+    manifest_fields = {f.name for f in dataclasses.fields(ExperimentManifest)}
+    pd_fields = {f.name for f in dataclasses.fields(PDBlock)}
+    for experiment, entry in REGISTRY.items():
+        assert set(entry.fields) <= manifest_fields, experiment
+        for name, spec in entry.checks.items():
+            manifest, data, *params = inspect.signature(spec.evaluate).parameters.values()
+            assert [p.name for p in params] == list(spec.params), name
+            assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params), name
+            assert spec.needs == "" or spec.needs in pd_fields, name
 
 
 def test_every_declared_kind_is_known():
@@ -209,6 +223,11 @@ def test_builtin_unknown_name():
         (lambda d: d.update(checks=[{"check": ["mean_within"]}]), "checks[0].check"),
         (lambda d: d.update(betas=[]), "betas"),
         (lambda d: d.update(betas=[0.5, -1.0]), "betas[1]"),
+        # a repeated beta: its curve slope divides by zero, its marginals double
+        (lambda d: d.update(betas=[0.5, 0.5, 2.0], checks=[{"check": "curve_shape"}]),
+         "betas[1]: repeats the beta 0.5"),
+        (lambda d: d.update(experiment="marginals", k_marginal=2, betas=[0.5, 2.0, 0.5], checks=[]),
+         "betas[2]: repeats the beta 0.5"),
         (lambda d: d.update(master_seed=-1), "master_seed"),
         (lambda d: d.update(master_seed=1 << 64), "master_seed"),
         (lambda d: d.update(k_marginal=9), "k_marginal"),
@@ -678,6 +697,13 @@ def test_cli_run_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["run", str(path), "--output-dir", str(tmp_path / "wide")]) == 2
     path.write_text(OLD_DIAGNOSTICS, encoding="utf-8")
     assert main(["run", str(path), "--output-dir", str(tmp_path / "old")]) == 2
+    capsys.readouterr()
+    # a manifest that cannot be read is bad input, reported on one line
+    path.write_bytes(b"\xff" + json.dumps(tiny_doc()).encode())
+    assert main(["run", str(path)]) == 2
+    assert main(["run", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 2 and err.count("error: cannot read manifest") == 2
     path.write_text(json.dumps(tiny_doc()), encoding="utf-8")
     capsys.readouterr()
 

@@ -22,7 +22,6 @@ from remlab.environment import Environment
 from remlab.experiments import CheckResult, RunOutcome, run_experiment
 from remlab.manifest import ExperimentManifest, ManifestError, PDBlock
 from remlab.pointprocess import (
-    PDParams,
     WeightSequence,
     sample_pd_poisson,
     sample_pd_stick,
@@ -49,7 +48,6 @@ __all__ = [
     "LOG2",
     "ManifestError",
     "PDBlock",
-    "PDParams",
     "ReplicaResult",
     "ReplicaSpec",
     "RunOutcome",

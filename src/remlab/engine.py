@@ -63,6 +63,7 @@ from remlab.theory import LOG2, shift_constant
 CHUNK_BITS = 20
 CHUNK = 1 << CHUNK_BITS
 MAX_N = 30
+TOP_M = 1024  # default size of the pool of lowest energies
 # Configurations per pass of every layer below the chunk: the uniform
 # and quantile layers draw energies in blocks of this size, and
 # ``summarize`` reduces them in blocks of at most this size.  Their
@@ -76,9 +77,9 @@ _ENERGY_BLOCK = 1 << 15
 class ReplicaSpec:
     """Complete description of one replica and everything to measure on it.
 
-    ``betas`` are distinct and may include 0 (infinite temperature), where
-    the partition function is exactly 2**n; with no betas the per-beta
-    sums are skipped.
+    ``betas``, ``intervals`` and ``b_levels`` hold distinct values; betas
+    may include 0 (infinite temperature), where the partition function is
+    exactly 2**n; with no betas the per-beta sums are skipped.
     ``top_m`` bounds the pool of lowest energies behind the Gibbs spectra;
     with ``top_m=0`` (or no betas) the pool is skipped and ``spectrum`` is
     empty.
@@ -93,7 +94,7 @@ class ReplicaSpec:
     k_marginal: int = 0
     intervals: tuple[tuple[float, float], ...] = ()
     b_levels: tuple[float, ...] = ()
-    top_m: int = 1024
+    top_m: int = TOP_M
     master_seed: int = 0
     replica_id: int = 0
 
@@ -106,8 +107,6 @@ class ReplicaSpec:
         for b in betas:
             if not math.isfinite(b) or b < 0.0:
                 raise ValueError(f"betas must be finite and >= 0, got {b!r}")
-        if len(set(betas)) != len(betas):
-            raise ValueError(f"betas must be distinct, got {betas!r}")
         object.__setattr__(self, "betas", betas)
         k = self.k_marginal
         # at most CHUNK_BITS, so a chunk's marginal vector is never longer than the chunk
@@ -124,6 +123,9 @@ class ReplicaSpec:
             if not math.isfinite(b):
                 raise ValueError(f"b_levels must be finite, got {b!r}")
         object.__setattr__(self, "b_levels", levels)
+        for name, values in (("betas", betas), ("intervals", intervals), ("b_levels", levels)):
+            if len(set(values)) != len(values):  # each value keys its own results
+                raise ValueError(f"{name} must be distinct, got {values!r}")
         if not isinstance(self.top_m, int) or isinstance(self.top_m, bool) or self.top_m < 0:
             raise ValueError(f"top_m must be an integer >= 0, got {self.top_m!r}")
         # range checks on the seed fields happen here

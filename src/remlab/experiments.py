@@ -50,7 +50,7 @@ from .engine import (
     summarize,
 )
 from .environment import Environment
-from .pointprocess import PDParams, sample_pd_poisson, sample_pd_stick
+from .pointprocess import sample_pd_poisson, sample_pd_stick
 from .rng import ENERGY_STREAM, POISSON_STREAM, STICK_STREAM, stream_generator
 from .stats import DEFAULT_LEVEL, chi_square_gof, ks_one_sample, ks_two_sample
 from .theory import (
@@ -109,7 +109,9 @@ class Experiment:
     only.  The parser rejects a value other than the default in a field
     that only other experiments read; ``top_m`` reaches the engine only
     where it is listed.  ``draws(manifest)`` gives ``{sample: [Draw]}``,
-    submitted in the dict's order; ``build(manifest, results, draws)``
+    submitted in the dict's order; it runs inside ``run_experiment``, so a
+    sampler patched here before the run (as perfbench's spans do) is the
+    one its draws hold.  ``build(manifest, results, draws)``
     gets their results under the same names and returns
     ``({file name: (header, rows)}, data)``.
     """
@@ -124,14 +126,12 @@ class Experiment:
 class Draw:
     """One keyed draw, run in the task map next to the replicas.
 
-    Calls ``sampler(*args, rng)``, with the generator of ``(master_seed,
-    draw_id, stream)``, and returns only ``(w1, sumsq)`` of the weights,
-    so a pool sends back two floats per draw.  ``sampler`` names a
-    function of this module, looked up when the draw runs, so that one
-    patched here (as perfbench's spans do) is the one called.
+    Calls the function ``sampler(*args, rng)``, with the generator of
+    ``(master_seed, draw_id, stream)``, and returns only ``(w1, sumsq)``
+    of the weights, so a pool sends back two floats per draw.
     """
 
-    sampler: str
+    sampler: Callable
     args: tuple
     master_seed: int
     draw_id: int
@@ -139,7 +139,7 @@ class Draw:
 
     def __call__(self) -> tuple[float, float]:
         rng = stream_generator(self.master_seed, self.draw_id, self.stream)
-        return _spectrum_stats(globals()[self.sampler](*self.args, rng).entries)
+        return _spectrum_stats(self.sampler(*self.args, rng).entries)
 
 
 def resolve_workers(manifest: ExperimentManifest | None, override=None) -> int:
@@ -163,7 +163,7 @@ def resolve_workers(manifest: ExperimentManifest | None, override=None) -> int:
 
 
 def _run_task(task):
-    # run_replica is looked up when the task runs, like a Draw's sampler
+    # run_replica is looked up when the task runs, so a patched one is called
     if isinstance(task, Draw):
         return task()
     if isinstance(task, ReplicaSpec):
@@ -489,16 +489,16 @@ def _pd_draws(manifest: ExperimentManifest) -> dict:
     # stick draws 0..stick_draws-1 on their own stream
     (beta,) = manifest.betas
     pd, seed = manifest.pd, manifest.master_seed
-    params = PDParams(m=pd.m, truncation_b=pd.truncation_b, epsilon_mass=pd.epsilon_mass)
+    args = (beta, pd.truncation_b, pd.epsilon_mass)
 
     def poisson(ids):
-        return [Draw("sample_pd_poisson", (beta, params), seed, i, POISSON_STREAM) for i in ids]
+        return [Draw(sample_pd_poisson, args, seed, i, POISSON_STREAM) for i in ids]
 
     return {
         "pd_poisson": poisson(range(pd.draws)),
         "pd_poisson_cross": poisson(range(pd.draws, pd.draws + pd.stick_draws)),
         "pd_stick": [
-            Draw("sample_pd_stick", (pd.m, pd.stick_length), seed, j, STICK_STREAM)
+            Draw(sample_pd_stick, (pd.m, pd.stick_length), seed, j, STICK_STREAM)
             for j in range(pd.stick_draws)
         ],
     }

@@ -22,7 +22,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .engine import CHUNK_BITS, MAX_N
+from .engine import CHUNK_BITS, MAX_N, TOP_M
 from .environment import MAX_ALPHA
 from .experiments import REGISTRY
 from .rng import MAX_SEED
@@ -60,13 +60,13 @@ class ExperimentManifest:
     experiment: str
     alpha: float = _kind("shape")
     n: int = _kind("spins")
-    betas: tuple = _kind("betas", ())
+    betas: tuple = _kind("[positive]", ())
     replicas: int = _kind("count", 1)
     master_seed: int = _kind("seed", 0)
     intervals: tuple = _kind("[pair]", ())
     k_marginal: int = _kind("size", 0)
     b_levels: tuple = _kind("[number]", ())
-    top_m: int = _kind("count", 1024)
+    top_m: int = _kind("count", TOP_M)
     pd: PDBlock | None = _kind("pd", None)
     output_dir: str | None = _kind("path", None)
     workers: int | str | None = _kind("workers", None)
@@ -168,15 +168,6 @@ def _pd(value, path: str, fields: dict) -> PDBlock:
     return pd
 
 
-def _betas(value, path: str, fields: dict) -> tuple:
-    """Positive betas, none repeated, as each beta keys its own results."""
-    betas = _read("[positive]", value, path, fields)
-    for i, beta in enumerate(betas):
-        if beta in betas[:i]:
-            _fail(f"{path}[{i}]", f"repeats the beta {beta!r}; each beta may appear once")
-    return betas
-
-
 def _bins(value, path: str, fields: dict) -> int:
     """``kmax`` of a count chi-square test, whose expected counts must pool into bins."""
     kmax = _read("count", value, path, fields)
@@ -219,7 +210,7 @@ def _checks(value, path: str, fields: dict) -> tuple:
 # The manifest's value kinds.  A kind reads a JSON value into its Python
 # form, given the fields read before it (for a check parameter, also the
 # check's parameters read before it); a kind in brackets, such as
-# "[pair]", is a list of that kind, read as a tuple.
+# "[pair]", is a list of that kind, read as a tuple with no value repeated.
 KINDS = {
     "number": _rule(_number, expected="a finite number"),
     "positive": _rule(_number, lambda v, f: v > 0.0, "a number > 0"),
@@ -244,7 +235,6 @@ KINDS = {
     "interval": _rule(_pair, lambda v, f: v in f["intervals"], "a pair in the intervals list"),
     "path": _rule(lambda v, p: v, lambda v, f: isinstance(v, str), "a string path"),
     "workers": _rule(_workers, lambda v, f: v == "auto" or v >= 1, "an integer >= 1 or 'auto'"),
-    "betas": _betas,
     "bins": _bins,
     "pd": _pd,
     "checks": _checks,
@@ -258,7 +248,12 @@ def _read(kind: str, value, path: str, fields: dict):
     if kind.startswith("["):
         if not isinstance(value, list):
             _fail(path, f"expected a list, got {value!r}")
-        return tuple(_read(kind[1:-1], v, f"{path}[{i}]", fields) for i, v in enumerate(value))
+        items = tuple(_read(kind[1:-1], v, f"{path}[{i}]", fields) for i, v in enumerate(value))
+        for i, item in enumerate(items):
+            if item in items[:i]:  # each value keys its own results, written once
+                noun = path.removesuffix("s")
+                _fail(f"{path}[{i}]", f"repeats the {noun} {item!r}; each {noun} may appear once")
+        return items
     return KINDS[kind](value, path, fields)
 
 

@@ -3,11 +3,13 @@
 PD(m, 0) for m in (0, 1) arises here in two independent ways.  For
 beta = 1/m > 1, normalizing ``exp(beta*c_i)`` over the points ``c_i``
 of a Poisson process with intensity ``exp(-x) dx`` on the line gives a
-PD(m, 0) weight sequence.  The stick-breaking (GEM) construction draws
+PD(m, 0) weight sequence, so ``sample_pd_poisson`` takes beta and
+nothing that restates m.  The stick-breaking (GEM) construction draws
 residual fractions ``V_i ~ Beta(1-m, i*m)`` and size-biased weights
 ``V_i * prod_{j<i}(1 - V_j)``; sorted descending, they have the same
 law.  Sequences live in the space of nonincreasing nonnegative
-sequences with total mass at most one.
+sequences with total mass at most one.  The samplers take plain values
+and have no defaults; a manifest's ``pd`` block holds those.
 
 A finite window can only enumerate the top of the point process: below
 any truncation level an exponentially growing swarm of microscopic
@@ -57,36 +59,12 @@ class WeightSequence:
         return max(0.0, 1.0 - float(self.entries.sum()))
 
 
-@dataclass(frozen=True)
-class PDParams:
-    """Knobs of the point-process construction of PD(m, 0).
-
-    ``truncation_b`` is the initial lower edge of the observation
-    window; ``epsilon_mass`` bounds both the relative mass a refinement
-    step may still add and the relative uncertainty the unseen tail
-    leaves in the reported weights.
-    """
-
-    m: float
-    truncation_b: float = 0.0
-    epsilon_mass: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.m) and 0.0 < self.m < 1.0):
-            raise ValueError(f"m must lie in (0, 1), got {self.m!r}")
-        if not math.isfinite(self.truncation_b):
-            raise ValueError(f"truncation_b must be finite, got {self.truncation_b!r}")
-        if not (math.isfinite(self.epsilon_mass) and 0.0 < self.epsilon_mass < 1.0):
-            raise ValueError(f"epsilon_mass must lie in (0, 1), got {self.epsilon_mass!r}")
-
-
-def sample_poisson_points(params: PDParams, rng: np.random.Generator) -> np.ndarray:
+def sample_poisson_points(b: float, rng: np.random.Generator) -> np.ndarray:
     """Points of the intensity ``exp(-x)`` process on ``[b, inf)``, descending.
 
     The mean measure of ``[b, inf)`` is ``exp(-b)``, and given the
     count the points are i.i.d. ``b`` plus a unit exponential.
     """
-    b = float(params.truncation_b)
     count = int(rng.poisson(math.exp(-b)))
     pts = b + rng.standard_exponential(count)
     return np.sort(pts)[::-1]
@@ -115,23 +93,28 @@ def _weights(pts: np.ndarray, beta: float, cmax: float) -> np.ndarray:
     return np.exp(pts, out=pts)
 
 
-def sample_pd_poisson(beta: float, params: PDParams, rng: np.random.Generator) -> WeightSequence:
+def sample_pd_poisson(
+    beta: float, truncation_b: float, epsilon_mass: float, rng: np.random.Generator
+) -> WeightSequence:
     """PD(1/beta, 0) weights from a truncated intensity ``exp(-x)`` process.
 
-    Requires ``beta > 1`` (otherwise the total weight diverges) and
-    ``params.m == 1/beta``.  The window starts at ``params.truncation_b``
-    and is extended downward a unit at a time; see the module docstring
-    for the stopping rule and the role of the deficit.
+    Requires ``beta > 1``, otherwise the total weight diverges.  The
+    window starts at ``truncation_b`` and is extended downward a unit at
+    a time; ``epsilon_mass`` in (0, 1) bounds both the relative mass a
+    step may still add and the relative uncertainty the unseen tail
+    leaves in the weights (see the module docstring for the stopping rule
+    and the role of the deficit).
     """
     beta = float(beta)
     if not math.isfinite(beta) or beta <= 1.0:
         raise ValueError(f"the construction needs beta > 1, got {beta!r}")
-    if abs(params.m * beta - 1.0) > 1e-9:
-        raise ValueError(f"params.m must equal 1/beta, got m={params.m}, beta={beta}")
-    eps = params.epsilon_mass
+    b, eps = float(truncation_b), float(epsilon_mass)
+    if not math.isfinite(b):
+        raise ValueError(f"truncation_b must be finite, got {truncation_b!r}")
+    if not (math.isfinite(eps) and 0.0 < eps < 1.0):
+        raise ValueError(f"epsilon_mass must lie in (0, 1), got {epsilon_mass!r}")
 
-    b = float(params.truncation_b)
-    pts = sample_poisson_points(params, rng)
+    pts = sample_poisson_points(b, rng)
     while pts.size == 0:
         # probability exp(-exp(-b)) of an empty window: extend and redraw
         # only the increment slab, preserving the restriction property

@@ -3,7 +3,8 @@
 The benchmark replaces each of these names with a timing wrapper in the
 reference run of every benchmark run, so a renamed or removed name makes
 every run fail.  The uniforms of both engine paths must pass through
-``remlab.engine.uniform_block``, where the benchmark counts them.
+``remlab.engine.uniform_block``, where the benchmark counts them, and
+every PD draw must call the samplers patched in ``remlab.experiments``.
 """
 
 import importlib.util
@@ -12,6 +13,8 @@ from pathlib import Path
 
 from remlab.engine import ReplicaSpec, run_replica
 from remlab.environment import Environment
+from remlab.experiments import run_experiment
+from remlab.manifest import from_dict
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -45,3 +48,24 @@ def test_benchmark_counts_every_uniform_on_both_paths():
             run_replica(spec)
         drawn = tracer.totals()["rng.uniform_block"]["items"]
         assert drawn == spec.size
+
+
+def test_benchmark_counts_every_pd_draw(tmp_path):
+    spans = load_spans()
+    draws, stick_draws = 5, 3
+    manifest = from_dict({
+        "experiment": "pd_compare",
+        "env": {"alpha": 1.0, "n": 8},
+        "betas": [2.0],
+        "replicas": 4,
+        "top_m": 16,
+        "pd": {"m": 0.5, "epsilon_mass": 0.01, "draws": draws,
+               "stick_draws": stick_draws, "stick_length": 10},
+    })
+    tracer = spans.Tracer()
+    with spans.traced(tracer):
+        run_experiment(manifest, workers=1, output_dir=tmp_path)
+    totals = tracer.totals()
+    # the Poisson sampler runs the draws and the cross draws, the stick sampler the stick draws
+    assert totals["pointprocess.sample_pd_poisson"]["calls"] == draws + stick_draws
+    assert totals["pointprocess.sample_pd_stick"]["calls"] == stick_draws

@@ -117,6 +117,11 @@ def test_replica_spec_validation():
         ReplicaSpec(env=env, betas=(1.0,), k_marginal=-1)
     with pytest.raises(ValueError):
         ReplicaSpec(env=env, betas=(1.0,), intervals=((0.3, 0.3),))
+    # a repeated interval or b level would write its results twice
+    with pytest.raises(ValueError, match="distinct"):
+        ReplicaSpec(env=env, betas=(), intervals=((0.1, 0.2), (0.1, 0.2)))
+    with pytest.raises(ValueError, match="distinct"):
+        ReplicaSpec(env=env, betas=(), b_levels=(0.0, -0.0))
     with pytest.raises(ValueError):
         ReplicaSpec(env=env, betas=(1.0,), top_m=-1)
     with pytest.raises(ValueError):

@@ -133,6 +133,17 @@ def test_builtin_names_cover_all_experiments():
     assert experiments == set(REGISTRY)
 
 
+def test_builtin_names_match_manifest_files_and_readme():
+    # a manifest file left out of BUILTIN_NAMES would never be verified
+    files = {path.stem for path in (Path(remlab.__file__).parent / "manifests").glob("*.json")}
+    assert set(BUILTIN_NAMES) == files
+    # README "Built-in verification manifests" rows: | `name` | claim |, in BUILTIN_NAMES order
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Built-in verification manifests", 1)[1].split("\n\n", 2)[1]
+    documented = [re.match(r"\| `(\w+)`", line).group(1) for line in table.splitlines()[2:]]
+    assert tuple(documented) == BUILTIN_NAMES
+
+
 def test_readme_checks_table_matches_registry():
     # README "Checks vocabulary" rows: experiment | `check`, ... | `param`, ...: text,
     # each check once, in the registry's order, with its parameters in manifest order
@@ -268,6 +279,10 @@ def test_builtin_unknown_name():
         (lambda d: as_rate(d, intervals=[(0.3, 0.2)]), "intervals[0]:"),
         (lambda d: as_rate(d, intervals=[(0.1, 0.2, 0.3)]), "intervals[0]:"),
         (lambda d: as_exceedance(d, b_levels=["x"]), "b_levels[0]:"),
+        # a repeated interval or b level would write its rows twice
+        (lambda d: as_rate(d, intervals=[(0.1, 0.2), (0.1, 0.2)]),
+         "intervals[1]: repeats the interval (0.1, 0.2)"),
+        (lambda d: as_exceedance(d, b_levels=[0.0, -1.0, 0.0]), "b_levels[2]: repeats the b_level 0.0"),
         (lambda d: d.update(betas="0.5"), "betas:"),
         (lambda d: d.update(betas=[10**400]), "betas[0]:"),
         (lambda d: d.update(output_dir=3), "output_dir:"),
@@ -483,7 +498,7 @@ def test_small_runs_stay_out_of_the_pool(tmp_path, monkeypatch):
     assert pools[1].max_workers == 4
     draws = tasks[2:]
     assert all(isinstance(t, remlab.experiments.ReplicaSpec) for t in tasks[:2])
-    assert [(d.sampler, d.draw_id) for d in draws] == [
+    assert [(d.sampler.__name__, d.draw_id) for d in draws] == [
         ("sample_pd_poisson", i) for i in range(5)
     ] + [("sample_pd_stick", j) for j in range(2)]
 

@@ -9,7 +9,6 @@ from scipy import stats
 from scipy.special import digamma
 
 from remlab.pointprocess import (
-    PDParams,
     WeightSequence,
     sample_pd_poisson,
     sample_pd_stick,
@@ -43,34 +42,20 @@ def test_weight_sequence_validation():
         WeightSequence(np.array([]))
 
 
-def test_pd_params_validation():
-    with pytest.raises(ValueError):
-        PDParams(m=0.0)
-    with pytest.raises(ValueError):
-        PDParams(m=1.0)
-    with pytest.raises(ValueError):
-        PDParams(m=0.5, epsilon_mass=0.0)
-    with pytest.raises(ValueError):
-        PDParams(m=0.5, truncation_b=float("inf"))
-
-
 def test_poisson_points_mean_counts():
     rng = stream_generator(314, 0, POISSON_STREAM)
     # high window: mean count exp(-5)
-    high = PDParams(m=0.5, truncation_b=5.0)
-    counts = [sample_poisson_points(high, rng).size for _ in range(100000)]
+    counts = [sample_poisson_points(5.0, rng).size for _ in range(100000)]
     assert abs(np.mean(counts) - math.exp(-5.0)) < 0.001
     # low window: mean count exp(3)
-    low = PDParams(m=0.5, truncation_b=-3.0)
-    counts = [sample_poisson_points(low, rng).size for _ in range(100000)]
+    counts = [sample_poisson_points(-3.0, rng).size for _ in range(100000)]
     assert abs(np.mean(counts) - math.exp(3.0)) < 0.05
 
 
 def test_poisson_points_descending_and_above_b():
     rng = stream_generator(7, 0, POISSON_STREAM)
-    params = PDParams(m=0.5, truncation_b=-3.0)
     for _ in range(50):
-        pts = sample_poisson_points(params, rng)
+        pts = sample_poisson_points(-3.0, rng)
         assert np.all(pts >= -3.0)
         assert np.all(np.diff(pts) <= 0.0)
 
@@ -82,10 +67,9 @@ def test_transform_maps_to_power_law_intensity():
     beta = 2.0
     big_k = beta ** beta
     rng = stream_generator(11, 0, POISSON_STREAM)
-    params = PDParams(m=0.5, truncation_b=-1.0)
     pooled = []
     for _ in range(40000):
-        c = sample_poisson_points(params, rng)
+        c = sample_poisson_points(-1.0, rng)
         u = big_k * np.exp(beta * c)
         assert np.all(np.diff(u) <= 0.0)
         pooled.append(u)
@@ -101,7 +85,7 @@ def test_transform_maps_to_power_law_intensity():
 
 def test_pd_poisson_output_contract():
     rng = stream_generator(21, 0, POISSON_STREAM)
-    ws = sample_pd_poisson(2.0, PDParams(m=0.5), rng)
+    ws = sample_pd_poisson(2.0, 0.0, 1e-6, rng)
     assert np.all(ws.entries > 0.0)
     assert np.all(np.diff(ws.entries) <= 0.0)
     total = float(ws.entries.sum())
@@ -114,11 +98,13 @@ def test_pd_poisson_output_contract():
 def test_pd_poisson_rejects_bad_input():
     rng = stream_generator(1, 0, POISSON_STREAM)
     with pytest.raises(ValueError):
-        sample_pd_poisson(1.0, PDParams(m=1.0 - 1e-12), rng)
+        sample_pd_poisson(1.0, 0.0, 1e-6, rng)
     with pytest.raises(ValueError):
-        sample_pd_poisson(0.5, PDParams(m=0.5), rng)
-    with pytest.raises(ValueError):
-        sample_pd_poisson(2.0, PDParams(m=0.4), rng)
+        sample_pd_poisson(0.5, 0.0, 1e-6, rng)
+    with pytest.raises(ValueError, match="epsilon_mass"):
+        sample_pd_poisson(2.0, 0.0, 0.0, rng)
+    with pytest.raises(ValueError, match="truncation_b"):
+        sample_pd_poisson(2.0, float("inf"), 1e-6, rng)
 
 
 @pytest.mark.parametrize(
@@ -133,8 +119,7 @@ def test_pd_constructions_agree(m, eps):
     draws = 1000
     rng_p = stream_generator(77, 0, POISSON_STREAM)
     rng_s = stream_generator(77, 0, STICK_STREAM)
-    params = PDParams(m=m, epsilon_mass=eps)
-    poisson = [sample_pd_poisson(beta, params, rng_p) for _ in range(draws)]
+    poisson = [sample_pd_poisson(beta, 0.0, eps, rng_p) for _ in range(draws)]
     stick = [sample_pd_stick(m, 200, rng_s) for _ in range(draws)]
     for fn in (w1, top2, sumsq):
         a = np.array([fn(ws) for ws in poisson])
@@ -147,11 +132,11 @@ def test_pd_largest_weight_monotone_in_beta():
     # weight shrinks; compare against beta = 2 medians
     rng = stream_generator(99, 0, POISSON_STREAM)
     near_one = [
-        w1(sample_pd_poisson(1.01, PDParams(m=1.0 / 1.01, epsilon_mass=0.2), rng))
+        w1(sample_pd_poisson(1.01, 0.0, 0.2, rng))
         for _ in range(200)
     ]
     far = [
-        w1(sample_pd_poisson(2.0, PDParams(m=0.5, epsilon_mass=1e-3), rng))
+        w1(sample_pd_poisson(2.0, 0.0, 1e-3, rng))
         for _ in range(200)
     ]
     assert np.median(near_one) < 0.2
@@ -207,8 +192,7 @@ def _entries_digest(sampler, args: tuple, stream: int, count: int = 24) -> str:
     ],
 )
 def test_pd_poisson_bytes_pinned(beta, eps, b, expected):
-    params = PDParams(m=1.0 / beta, truncation_b=b, epsilon_mass=eps)
-    assert _entries_digest(sample_pd_poisson, (beta, params), POISSON_STREAM) == expected
+    assert _entries_digest(sample_pd_poisson, (beta, b, eps), POISSON_STREAM) == expected
 
 
 @pytest.mark.parametrize(

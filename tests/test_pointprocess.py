@@ -42,6 +42,19 @@ def test_weight_sequence_validation():
         WeightSequence(np.array([]))
 
 
+def test_pd_params_validation():
+    # each PD parameter is checked by the sampler that takes it
+    rng = stream_generator(1, 0, POISSON_STREAM)
+    with pytest.raises(ValueError, match="m must"):
+        sample_pd_stick(0.0, 200, rng)
+    with pytest.raises(ValueError, match="m must"):
+        sample_pd_stick(1.0, 200, rng)
+    with pytest.raises(ValueError, match="epsilon_mass"):
+        sample_pd_poisson(2.0, 0.0, 0.0, rng)
+    with pytest.raises(ValueError, match="truncation_b"):
+        sample_pd_poisson(2.0, float("inf"), 1e-6, rng)
+
+
 def test_poisson_points_mean_counts():
     rng = stream_generator(314, 0, POISSON_STREAM)
     # high window: mean count exp(-5)
@@ -101,10 +114,6 @@ def test_pd_poisson_rejects_bad_input():
         sample_pd_poisson(1.0, 0.0, 1e-6, rng)
     with pytest.raises(ValueError):
         sample_pd_poisson(0.5, 0.0, 1e-6, rng)
-    with pytest.raises(ValueError, match="epsilon_mass"):
-        sample_pd_poisson(2.0, 0.0, 0.0, rng)
-    with pytest.raises(ValueError, match="truncation_b"):
-        sample_pd_poisson(2.0, float("inf"), 1e-6, rng)
 
 
 @pytest.mark.parametrize(

@@ -27,11 +27,10 @@ two paths reduces them depends on the spec alone:
   error, so ``Environment.uniform_window`` gives, per cut, an interval
   of uniforms outside of which the side of the cut follows from the
   uniform alone (the proof is in its docstring).  The quantile runs
-  only on the draws inside a window, on the draws that may exceed a b
-  level, and on the draws next to a block's smallest uniform, which
-  hold the minimum: 1e-4 of the draws or fewer at the built-in sizes.  The hits,
-  exceedance positions and minimum are those of the energy path, bit
-  for bit.
+  only on the draws inside a window and on the draws that may exceed a
+  b level: 1e-4 of the draws or fewer at the built-in sizes.  The hits
+  and exceedance positions are those of the energy path, bit for bit.
+  Nothing reads the minimum of such a spec, so it is not computed.
 
 ``merge`` combines two summaries, rescaling the per-beta sums to the
 smaller minimum; ``fold`` merges a replica's summaries strictly left to
@@ -153,6 +152,8 @@ class ReplicaResult:
     ``WeightSequence`` whose ``deficit`` is the mass of the rest.
     ``exceedance`` maps each b level to the shifted positions
     ``-(H + shift_constant(n)) >= b`` in configuration-index order.
+    ``min_energy`` is the ground state, or NaN for a spec without betas,
+    whose order-only path does not compute it.
     """
 
     n: int
@@ -340,10 +341,9 @@ def _order_summaries(spec: ReplicaSpec, lo: int, hi: int):
 
     The quantile is increasing up to its stated error, so the place of an
     energy against a cut follows from its uniform, except for draws in
-    the cut's ``Environment.uniform_window``.  Only those, the draws that
-    may exceed a b level and the draws next to a block's smallest
-    uniform get an energy; the results are those of the energy path, bit
-    for bit.
+    the cut's ``Environment.uniform_window``.  Only those and the draws
+    that may exceed a b level get an energy; the results are those of the
+    energy path, bit for bit.  The minimum is NaN.
     """
     env = spec.env
     n = spec.n
@@ -357,19 +357,11 @@ def _order_summaries(spec: ReplicaSpec, lo: int, hi: int):
     for start in range(lo, hi, CHUNK):
         stop = min(start + CHUNK, hi)
         stream = UniformStream(spec.key, start)
-        # every draw above ``top`` has an energy above ``low``
-        low = top = math.inf
         below = [0] * len(ends)
         found = [[] for _ in levels]
         for a in range(start, stop, _ENERGY_BLOCK):
             b = min(a + _ENERGY_BLOCK, stop)
             u = uniform_block(stream, a, b, out=buf[: b - a])
-            smallest = u.min()
-            if smallest <= top:
-                # the block's lowest energy is that of a draw next to its smallest
-                near = u[u <= env.uniform_window(env.quantile(smallest))[1]]
-                low = min(low, float(env.quantile(near).min()))
-                top = env.uniform_window(low)[1]
             for i, ((u_lo, u_hi), x) in enumerate(ends):
                 count = np.count_nonzero(u < u_lo)
                 if np.count_nonzero(u <= u_hi) > count:
@@ -382,7 +374,7 @@ def _order_summaries(spec: ReplicaSpec, lo: int, hi: int):
                 for level, into in zip(levels, found):
                     into.append(extremes[extremes >= level])
         yield ChunkSummary(
-            min_energy=low,
+            min_energy=math.nan,
             hits=tuple(h - l for l, h in zip(below[::2], below[1::2])),
             positions=tuple((np.concatenate(into) if into else np.empty(0),) for into in found),
             keep=0,

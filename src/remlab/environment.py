@@ -9,16 +9,16 @@ variance ``n``.  The ``n``-dependent scaling keeps the free energy per
 site of a system with ``2**n`` independent energies at a nontrivial
 limit for every shape.
 
-The density, cdf and tail probabilities are exact closed forms.  For
-general ``alpha`` the absolute value of an energy is a powered Gamma
-variate, so the cdf reduces to the regularized incomplete gamma
-function.  The quantile is a closed form at ``alpha`` 1 and 2; for other
-shapes it evaluates a per-``alpha`` table of polynomials, accurate to a
-relative 1e-13 in the energy (tested at alpha 1.01 to 100) and 1e-12 in
-the tail probability it inverts (tested at alpha 1.01 to 60; see
-``Environment.quantile``).  From those bounds ``Environment.uniform_window``
-gives, around any energy, the uniforms outside of which the quantile
-falls on a known side of it.
+The tail probabilities are exact closed forms.  For general ``alpha``
+the absolute value of an energy is a powered Gamma variate, so the tail
+reduces to the regularized incomplete gamma function.  The quantile is
+a closed form at ``alpha`` 1 and 2; for other shapes it evaluates a
+per-``alpha`` table of polynomials, accurate to a relative 1e-13 in the
+energy (tested at alpha 1.01 to 100) and 1e-12 in the tail probability
+it inverts (tested at alpha 1.01 to 60; see ``Environment.quantile``).
+From those bounds ``Environment.uniform_window`` gives, around any
+energy, the uniforms outside of which the quantile falls on a known
+side of it.
 """
 
 from __future__ import annotations
@@ -149,22 +149,6 @@ class Environment:
         """Denominator ``alpha * n**(alpha-1)`` of the density exponent."""
         return self.alpha * float(self.n) ** (self.alpha - 1.0)
 
-    def normalizing_constant(self) -> float:
-        """Value of the density at zero.
-
-        Equals ``(alpha/n)**((alpha-1)/alpha) / (2*Gamma(1/alpha))``;
-        1/2 for the double exponential, ``1/sqrt(2*pi*n)`` for the
-        Gaussian.
-        """
-        a = self.alpha
-        return (a / self.n) ** ((a - 1.0) / a) / (2.0 * math.gamma(1.0 / a))
-
-    def density(self, x):
-        """Probability density at ``x`` (scalar or array)."""
-        x = np.asarray(x, dtype=float)
-        out = self.normalizing_constant() * np.exp(-np.abs(x) ** self.alpha / self.scale)
-        return out if out.ndim else float(out)
-
     def tail_probability(self, x):
         """P(energy > x) for ``x >= 0``, computed without cancellation.
 
@@ -183,16 +167,6 @@ class Environment:
         else:
             with np.errstate(over="ignore"):  # a power past the float range: the tail is 0
                 out = 0.5 * special.gammaincc(1.0 / self.alpha, x ** self.alpha / self.scale)
-        return out if out.ndim else float(out)
-
-    def cdf(self, x):
-        """P(energy <= x), exact for every shape.
-
-        ``cdf(x) + cdf(-x) == 1`` by symmetry of the density.
-        """
-        x = np.asarray(x, dtype=float)
-        half = self.tail_probability(np.abs(x))
-        out = np.where(x <= 0, half, 1.0 - half)
         return out if out.ndim else float(out)
 
     def quantile(self, u, out=None):

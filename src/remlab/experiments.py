@@ -523,8 +523,10 @@ _BETA = ("beta", ...)
 _INTERVAL = ("interval", ...)
 _B_LEVEL = ("b", ...)
 _POSITIVE = ("positive", ...)
-_MAX_STATISTIC = {"max_statistic": _POSITIVE}
-_LEVEL = ("positive", DEFAULT_LEVEL)
+# a probability or a KS statistic: at 1 or more its check could never fail, or never pass
+_FRACTION = ("fraction", ...)
+_MAX_STATISTIC = {"max_statistic": _FRACTION}
+_LEVEL = ("fraction", DEFAULT_LEVEL)
 _INTERVAL_LABEL = "({interval[0]:g},{interval[1]:g})"
 
 # Order matters: error messages list the experiments in this order, and
@@ -546,7 +548,7 @@ REGISTRY = {
         "zero_hits": Check(_zero_hits, {"interval": _INTERVAL}, _INTERVAL_LABEL),
         "outside_fraction_below": Check(
             _outside_fraction_below,
-            {"interval": _INTERVAL, "threshold": _POSITIVE, "min_replicas": ("replicas", ...)},
+            {"interval": _INTERVAL, "threshold": _FRACTION, "min_replicas": ("replicas", ...)},
             "({threshold:g})",
         ),
     }),
@@ -556,7 +558,7 @@ REGISTRY = {
         ),
     }),
     "exceedance": Experiment({"alpha": "double_exponential", "b_levels": True}, _exceedance, {
-        "count_zero_prob": Check(_count_zero_prob, {"b": _B_LEVEL, "tol": _POSITIVE}, "(b={b:g})"),
+        "count_zero_prob": Check(_count_zero_prob, {"b": _B_LEVEL, "tol": _FRACTION}, "(b={b:g})"),
         "count_chi_square": Check(
             _count_chi_square, {"b": _B_LEVEL, "kmax": ("bins", 5), "level": _LEVEL}, "(b={b:g})"
         ),

@@ -1,9 +1,14 @@
-"""Brute-force reference for small replicas, used only by tests.
+"""Brute-force references, used only by tests.
 
-Materializes the entire energy field and leans on scipy's logsumexp and
-softmax, so it shares no accumulation strategy with the streaming
-engine: no chunking, no ground-state shift, different reduction order.
+``naive_replica`` materializes the entire energy field and leans on
+scipy's logsumexp and softmax, so it shares no accumulation strategy
+with the streaming engine: no chunking, no ground-state shift, different
+reduction order.  ``normalizing_constant``, ``density`` and ``cdf`` are
+the exact closed forms of an ``Environment``'s law, the oracles for its
+quantile.
 """
+
+import math
 
 import numpy as np
 from scipy.special import logsumexp, softmax
@@ -46,3 +51,32 @@ def naive_replica(spec, energies=None):
         positions = -(e + shift)
         out["exceedance"][b] = positions[positions >= b]
     return out
+
+
+def normalizing_constant(env) -> float:
+    """Value of the density at zero.
+
+    Equals ``(alpha/n)**((alpha-1)/alpha) / (2*Gamma(1/alpha))``;
+    1/2 for the double exponential, ``1/sqrt(2*pi*n)`` for the
+    Gaussian.
+    """
+    a = env.alpha
+    return (a / env.n) ** ((a - 1.0) / a) / (2.0 * math.gamma(1.0 / a))
+
+
+def density(env, x):
+    """Probability density at ``x`` (scalar or array)."""
+    x = np.asarray(x, dtype=float)
+    out = normalizing_constant(env) * np.exp(-np.abs(x) ** env.alpha / env.scale)
+    return out if out.ndim else float(out)
+
+
+def cdf(env, x):
+    """P(energy <= x), exact for every shape.
+
+    ``cdf(x) + cdf(-x) == 1`` by symmetry of the density.
+    """
+    x = np.asarray(x, dtype=float)
+    half = env.tail_probability(np.abs(x))
+    out = np.where(x <= 0, half, 1.0 - half)
+    return out if out.ndim else float(out)

@@ -43,7 +43,7 @@ def announce(label, ok, detail):
 
 
 def test_free_energy_high_temperature(verified):
-    record = verified["free_energy_high_temp"]
+    record = verified["free_energy_curve"]
     check = fetch(record, "mean_within(beta=0.5)")
     d = check.detail
     announce(
@@ -57,7 +57,7 @@ def test_free_energy_high_temperature(verified):
 
 
 def test_free_energy_low_temperature(verified):
-    record = verified["free_energy_low_temp"]
+    record = verified["free_energy_curve"]
     check = fetch(record, "mean_within(beta=2)")
     d = check.detail
     announce(
@@ -354,7 +354,7 @@ def assert_same_csvs(label, base, rerun):
 def test_worker_count_invariance(verified, tmp_path_factory):
     root = tmp_path_factory.mktemp("workers8")
     names = (
-        "free_energy_high_temp",
+        "free_energy_curve",
         "free_energy_alpha15",
         "rate_window",
         "marginals_laplace",

@@ -144,6 +144,15 @@ def test_builtin_names_match_manifest_files_and_readme():
     assert tuple(documented) == BUILTIN_NAMES
 
 
+def test_no_two_builtins_stream_the_same_replicas():
+    # two built-ins of one experiment on the same key would stream the same
+    # energies twice; their checks belong in one manifest
+    keys = [
+        (m.experiment, m.alpha, m.n, m.master_seed) for m in map(builtin_manifest, BUILTIN_NAMES)
+    ]
+    assert len(set(keys)) == len(keys), sorted(keys)
+
+
 def test_readme_checks_table_matches_registry():
     # README "Checks vocabulary" rows: experiment | `check`, ... | `param`, ...: text,
     # each check once, in the registry's order, with its parameters in manifest order
@@ -305,6 +314,18 @@ def test_builtin_unknown_name():
         (lambda d: d.update(checks=[{"check": "mean_within", "beta": 0.5, "tol": 0}]),
          "checks[0].tol:"),
         (lambda d: as_rate(d, [{"check": "zero_hits", "interval": [0.1]}]), "checks[0].interval:"),
+        # a probability or a KS statistic of 1 or more: a check that can never fail, or never pass
+        (lambda d: as_exceedance(d, [{"check": "positions_ks", "b": 0.0, "level": 1.0}]),
+         "checks[0].level: expected a number in (0, 1)"),
+        (lambda d: as_pd(d, [{"check": "ks_w1", "max_statistic": 1.0}]),
+         "checks[0].max_statistic: expected a number in (0, 1)"),
+        (lambda d: as_exceedance(d, [{"check": "count_zero_prob", "b": 0.0, "tol": 1.0}]),
+         "checks[0].tol: expected a number in (0, 1)"),
+        (
+            lambda d: as_rate(d, [{"check": "outside_fraction_below", "interval": [0.1, 0.2],
+                                   "threshold": 1.0, "min_replicas": 2}]),
+            "checks[0].threshold: expected a number in (0, 1)",
+        ),
         # expected counts too thin for a chi-square test: every bin pools into one,
         # or bins before the pooled tail stay below 5
         (lambda d: as_thin_chi_square(d, 0.0, 5), "checks[0].kmax: 1 bins after pooling"),
@@ -865,7 +886,7 @@ def test_no_entry_point_imports_scipy_stats(tmp_path):
     doc.update(replicas=40)
     docs.append(doc)
     doc = tiny_doc(env={"alpha": 1.0, "n": 10}, replicas=8)
-    as_pd(doc, [{"check": name, "max_statistic": 1.0}
+    as_pd(doc, [{"check": name, "max_statistic": 0.99}
                 for name in ("ks_w1", "ks_sumsq", "stick_ks_w1")],
           stick_draws=5, stick_length=20)
     docs.append(doc)

@@ -63,6 +63,11 @@ CHUNK_BITS = 20
 CHUNK = 1 << CHUNK_BITS
 MAX_N = 30
 TOP_M = 1024  # default size of the pool of lowest energies
+# The largest beta.  Every energy lies within 46 of 0 for n <= MAX_N and
+# every alpha (the quantile of the smallest uniform, 2**-54, is furthest out
+# near alpha = 2), so beta * (E - E_min) < 100 * MAX_BETA, log Z and the
+# free energy stay finite.
+MAX_BETA = 1e300
 # Configurations per pass of every layer below the chunk: the uniform
 # and quantile layers draw energies in blocks of this size, and
 # ``summarize`` reduces them in blocks of at most this size.  Their
@@ -104,8 +109,8 @@ class ReplicaSpec:
             raise ValueError(f"n = {self.env.n} exceeds the streaming budget (n <= {MAX_N})")
         betas = tuple(float(b) for b in self.betas)
         for b in betas:
-            if not math.isfinite(b) or b < 0.0:
-                raise ValueError(f"betas must be finite and >= 0, got {b!r}")
+            if not 0.0 <= b <= MAX_BETA:
+                raise ValueError(f"betas must lie in [0, {MAX_BETA:g}], got {b!r}")
         object.__setattr__(self, "betas", betas)
         k = self.k_marginal
         # at most CHUNK_BITS, so a chunk's marginal vector is never longer than the chunk
@@ -435,8 +440,13 @@ def finish(spec: ReplicaSpec, summary: ChunkSummary) -> ReplicaResult:
         log_z[beta] = math.log(total) - beta * min_energy
         marginal[beta] = summary.y[beta] / total
         if summary.keep:
-            w = np.exp(-beta * (best - min_energy)) / total
-            spectrum[beta] = WeightSequence(w[w > 0.0])
+            # exp(-beta (E - min)) / total in one array; the energies ascend,
+            # so the weights descend and any that underflowed to 0 come last
+            w = np.subtract(best, min_energy)
+            w *= -beta
+            np.exp(w, out=w)
+            w /= total
+            spectrum[beta] = WeightSequence(w[: np.count_nonzero(w)])
     return ReplicaResult(
         n=spec.n,
         replica_id=spec.replica_id,

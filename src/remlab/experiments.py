@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import datetime
+import functools
 import itertools
 import json
 import math
@@ -40,6 +41,7 @@ import scipy
 
 from . import __version__
 from .engine import (
+    ReplicaResult,
     ReplicaSpec,
     chunks,
     finish,
@@ -90,13 +92,18 @@ class Check:
     of ``remlab.manifest.KINDS``: a default of ``...`` makes it required,
     and a callable default is called with the manifest's fields as a dict.
     ``label`` formats the parameters into a suffix of the check's name;
-    ``needs`` names a ``pd`` count that must be 1 or more.
+    ``needs`` is ``(field, least)``: the check needs ``least`` or more of
+    a manifest list (its length) or of a ``pd`` count (``"pd.<count>"``).
     """
 
     evaluate: Callable
     params: dict
     label: str = ""
-    needs: str = ""
+    needs: tuple = ()
+
+
+def _whole(result: ReplicaResult) -> ReplicaResult:
+    return result
 
 
 @dataclass(frozen=True)
@@ -111,8 +118,12 @@ class Experiment:
     where it is listed.  ``draws(manifest)`` gives ``{sample: [Draw]}``,
     submitted in the dict's order; it runs inside ``run_experiment``, so a
     sampler patched here before the run (as perfbench's spans do) is the
-    one its draws hold.  ``build(manifest, results, draws)``
-    gets their results under the same names and returns
+    one its draws hold.  ``keep(result)`` is what the experiment keeps
+    of each ``ReplicaResult``, computed in the process that finished the
+    replica, so a pool sends back no more: ``pd_compare``'s replicas, like
+    its draws, send back ``(w1, sumsq)`` of their Gibbs spectrum.
+    ``build(manifest, results, draws)`` gets what was kept of the
+    replicas and the draws' results under the draws' names, and returns
     ``({file name: (header, rows)}, data)``.
     """
 
@@ -120,6 +131,7 @@ class Experiment:
     build: Callable
     checks: dict
     draws: Callable = lambda manifest: {}
+    keep: Callable = _whole
 
 
 @dataclass(frozen=True)
@@ -128,7 +140,8 @@ class Draw:
 
     Calls the function ``sampler(*args, rng)``, with the generator of
     ``(master_seed, draw_id, stream)``, and returns only ``(w1, sumsq)``
-    of the weights, so a pool sends back two floats per draw.
+    of the weights, so a pool sends back two floats per draw, as it does
+    per ``pd_compare`` replica.
     """
 
     sampler: Callable
@@ -162,12 +175,12 @@ def resolve_workers(manifest: ExperimentManifest | None, override=None) -> int:
     return count
 
 
-def _run_task(task):
+def _run_task(task, keep=_whole):
     # run_replica is looked up when the task runs, so a patched one is called
     if isinstance(task, Draw):
         return task()
     if isinstance(task, ReplicaSpec):
-        return run_replica(task)
+        return keep(run_replica(task))
     (summary,) = summarize(*task)  # a (spec, lo, hi) chunk task
     return summary
 
@@ -177,14 +190,15 @@ def _run_task(task):
 POOL_MIN_CONFIGS = 1 << 19
 
 
-def _map_tasks(specs: list, draws: list, workers: int) -> tuple[list, int]:
-    """The results of the replicas, then of the draws, and the processes that ran them.
+def _map_tasks(specs: list, draws: list, workers: int, keep=_whole) -> tuple[list, int]:
+    """``keep`` of each replica's result, the draws' results, and the processes that ran them.
 
     When a replica spans more than one chunk, each of its chunks is a
     task of its own, a ``(spec, lo, hi)`` that ``engine.summarize``
     reduces; this process folds each replica's chunk summaries in chunk
-    order, as ``run_replica`` does, and finishes it.  Replicas of one
-    chunk are one task each, finished where they run.
+    order, as ``run_replica`` does, finishes it and applies ``keep``.
+    Replicas of one chunk are one task each, finished and kept where
+    they run, so only what ``keep`` returns crosses the pool.
     Only the replicas' energies decide whether a pool pays; the draws go
     wherever the replicas go.  In a pool, chunk tasks go one at a time,
     while whole replicas and draws are chunked apart, each into about
@@ -197,17 +211,19 @@ def _map_tasks(specs: list, draws: list, workers: int) -> tuple[list, int]:
     split = any(len(chunks(spec)) > 1 for spec in specs)
     tasks = [(spec, lo, hi) for spec in specs for lo, hi in chunks(spec)] if split else specs
     streaming = min(workers, len(tasks))  # processes the replica tasks alone would keep busy
+    run = functools.partial(_run_task, keep=keep)
     if streaming <= 1 or sum(spec.size for spec in specs) < streaming * POOL_MIN_CONFIGS:
-        return [_run_task(task) for task in [*specs, *draws]], 1
+        return [run(task) for task in [*specs, *draws]], 1
     processes = min(workers, len(tasks) + len(draws))
     with ProcessPoolExecutor(max_workers=processes) as pool:
         slots = processes * 4  # whole replicas and draws go about four chunks per process
         # a chunk summary may hold long marginal vectors, so chunk tasks go one at a time
-        replicas = pool.map(_run_task, tasks, chunksize=1 if split else max(1, len(tasks) // slots))
+        replicas = pool.map(run, tasks, chunksize=1 if split else max(1, len(tasks) // slots))
         drawn = pool.map(_run_task, draws, chunksize=max(1, len(draws) // slots))
         if split:
             replicas = [
-                finish(spec, fold(itertools.islice(replicas, len(chunks(spec))))) for spec in specs
+                keep(finish(spec, fold(itertools.islice(replicas, len(chunks(spec))))))
+                for spec in specs
             ]
         return [*replicas, *drawn], processes
 
@@ -445,6 +461,12 @@ def _count_chi_square(manifest, positions: dict, b: float, kmax: int, level: flo
     }
 
 
+# The fewest pooled exceedances, replicas * exp(-b), that positions_ks may
+# expect: with 20 it sees none at all with probability exp(-20) = 2e-9, and
+# the asymptotic Kolmogorov p-value rests on 20 points or more.
+MIN_POOLED_EXCEEDANCES = 20.0
+
+
 def _positions_ks(manifest: ExperimentManifest, positions: dict, b: float, level: float):
     pooled = np.concatenate(positions[b]) if positions[b] else np.empty(0)
     if pooled.size == 0:
@@ -468,9 +490,14 @@ def _spectrum_stats(weights: np.ndarray) -> tuple[float, float]:
     return float(weights[0]), float(np.sum(np.square(weights)))
 
 
-def _pd_compare(manifest: ExperimentManifest, results, draws):
+def _gibbs_stats(result: ReplicaResult) -> tuple[float, float]:
+    """``(w1, sumsq)`` of the replica's one Gibbs spectrum."""
+    (spectrum,) = result.spectrum.values()
+    return _spectrum_stats(spectrum.entries)
+
+
+def _pd_compare(manifest: ExperimentManifest, gibbs, draws):
     (beta,) = manifest.betas
-    gibbs = [_spectrum_stats(r.spectrum[beta].entries) for r in results]
     rows = [(beta, i, w1, sumsq) for i, (w1, sumsq) in enumerate(gibbs)]
     theory_rows = [
         (source, i, w1, sumsq)
@@ -534,15 +561,16 @@ _INTERVAL_LABEL = "({interval[0]:g},{interval[1]:g})"
 REGISTRY = {
     "free_energy": Experiment({"betas": True}, _free_energy, {
         "mean_within": Check(_mean_within, {"beta": _BETA, "tol": _POSITIVE}, "(beta={beta:g})"),
+        # two betas leave one slope, so "convex" would hold vacuously
         "curve_shape": Check(_curve_shape, {
             "center_beta": ("number", lambda fields: critical_beta(fields["alpha"])),
             "window": ("positive", 0.25),
-        }),
+        }, needs=("betas", 3)),
     }),
     "rate_function": Experiment({"intervals": True}, _rate_function, {
         "pooled_rate_in": Check(
             _pooled_rate_in,
-            {"interval": _INTERVAL, "low": ("number", ...), "high": ("number", ...)},
+            {"interval": _INTERVAL, "low": ("number", ...), "high": ("high", ...)},
             _INTERVAL_LABEL,
         ),
         "zero_hits": Check(_zero_hits, {"interval": _INTERVAL}, _INTERVAL_LABEL),
@@ -562,7 +590,9 @@ REGISTRY = {
         "count_chi_square": Check(
             _count_chi_square, {"b": _B_LEVEL, "kmax": ("bins", 5), "level": _LEVEL}, "(b={b:g})"
         ),
-        "positions_ks": Check(_positions_ks, {"b": _B_LEVEL, "level": _LEVEL}, "(b={b:g})"),
+        "positions_ks": Check(
+            _positions_ks, {"b": ("pooled_b", ...), "level": _LEVEL}, "(b={b:g})"
+        ),
     }),
     "pd_compare": Experiment(
         {"alpha": "double_exponential", "betas": True, "top_m": False, "pd": True},
@@ -571,10 +601,11 @@ REGISTRY = {
             "ks_w1": Check(_ks("gibbs", "pd_poisson", 0), _MAX_STATISTIC),
             "ks_sumsq": Check(_ks("gibbs", "pd_poisson", 1), _MAX_STATISTIC),
             "stick_ks_w1": Check(
-                _ks("pd_poisson_cross", "pd_stick", 0), _MAX_STATISTIC, needs="stick_draws"
+                _ks("pd_poisson_cross", "pd_stick", 0), _MAX_STATISTIC, needs=("pd.stick_draws", 1)
             ),
         },
         _pd_draws,
+        _gibbs_stats,
     ),
 }
 
@@ -604,7 +635,8 @@ def run_experiment(
     entry = REGISTRY[resolved.experiment]
     specs = _engine_specs(resolved, entry.fields)
     samples = entry.draws(resolved)
-    results, processes = _map_tasks(specs, [d for group in samples.values() for d in group], count)
+    draw_tasks = [d for group in samples.values() for d in group]
+    results, processes = _map_tasks(specs, draw_tasks, count, entry.keep)
     drawn = iter(results[len(specs) :])
     draws = {name: list(itertools.islice(drawn, len(group))) for name, group in samples.items()}
     tables, data = entry.build(resolved, results[: len(specs)], draws)

@@ -22,9 +22,10 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .engine import CHUNK_BITS, MAX_N, TOP_M
+from .engine import CHUNK_BITS, MAX_BETA, MAX_N, TOP_M
 from .environment import MAX_ALPHA
-from .experiments import REGISTRY
+from .experiments import MIN_POOLED_EXCEEDANCES, REGISTRY
+from .pointprocess import MIN_TRUNCATION_B
 from .rng import MAX_SEED
 from .stats import pool_right_tail
 from .theory import poisson_count_probs
@@ -36,6 +37,12 @@ class ManifestError(ValueError):
 
 def _fail(path: str, message: str) -> None:
     raise ManifestError(f"{path}: {message}")
+
+
+# The highest pd.truncation_b.  Above it the sampler's first window holds a
+# point with probability below exp(-40) = 4e-18, and each further unit only
+# adds an empty slab to step down through (a draw from 1e5 takes about 0.4 s).
+MAX_TRUNCATION_B = 40.0
 
 
 def _kind(kind: str, default=dataclasses.MISSING):
@@ -50,7 +57,7 @@ class PDBlock:
     m: float = _kind("fraction")
     epsilon_mass: float = _kind("fraction", 1e-6)
     draws: int = _kind("count", 0)  # 0 is not a count: a pd block must set draws
-    truncation_b: float = _kind("number", 0.0)
+    truncation_b: float = _kind("truncation", 0.0)
     stick_draws: int = _kind("natural", 0)
     stick_length: int = _kind("count", 200)
 
@@ -60,7 +67,7 @@ class ExperimentManifest:
     experiment: str
     alpha: float = _kind("shape")
     n: int = _kind("spins")
-    betas: tuple = _kind("[positive]", ())
+    betas: tuple = _kind("[inverse_temperature]", ())
     replicas: int = _kind("count", 1)
     master_seed: int = _kind("seed", 0)
     intervals: tuple = _kind("[pair]", ())
@@ -179,6 +186,20 @@ def _bins(value, path: str, fields: dict) -> int:
     return kmax
 
 
+def _pooled_b(value, path: str, fields: dict) -> float:
+    """``b`` of a positions KS test, whose pooled exceedances must be enough to test."""
+    b = _read("b", value, path, fields)
+    replicas = fields["replicas"]
+    # replicas * exp(-b) < MIN_POOLED_EXCEEDANCES, in a form that cannot overflow
+    if b > math.log(replicas / MIN_POOLED_EXCEEDANCES):
+        _fail(
+            path,
+            f"expects {replicas * math.exp(-b):.3g} pooled exceedances over {replicas} "
+            f"replicas; positions_ks needs >= {MIN_POOLED_EXCEEDANCES:g}",
+        )
+    return b
+
+
 def _checks(value, path: str, fields: dict) -> tuple:
     """Each check with its parameters read by kind and the registry defaults filled in."""
     if not isinstance(value, list):
@@ -201,8 +222,12 @@ def _checks(value, path: str, fields: dict) -> tuple:
             param = item.get(key, default)
             param = param(fields) if callable(param) else param
             check[key] = _read(kind, param, f"{at}.{key}", {**fields, **check})
-        if spec.needs and getattr(fields["pd"], spec.needs) < 1:
-            _fail(at, f"{name} requires pd.{spec.needs} >= 1")
+        if spec.needs:
+            what, least = spec.needs
+            head, _, count = what.partition(".")
+            have = getattr(fields[head], count) if count else len(fields[head])
+            if have < least:
+                _fail(at, f"{name} requires {least} or more {what}, got {have}")
         checks.append(check)
     return tuple(checks)
 
@@ -214,6 +239,10 @@ def _checks(value, path: str, fields: dict) -> tuple:
 KINDS = {
     "number": _rule(_number, expected="a finite number"),
     "positive": _rule(_number, lambda v, f: v > 0.0, "a number > 0"),
+    "inverse_temperature": _rule(
+        _number, lambda v, f: 0.0 < v <= MAX_BETA, f"a number in (0, {MAX_BETA:g}]"
+    ),
+    "high": _rule(_number, lambda v, f: v > f["low"], "a number > low"),
     "fraction": _rule(_number, lambda v, f: 0.0 < v < 1.0, "a number in (0, 1)"),
     "shape": _rule(_number, lambda v, f: 1.0 <= v <= MAX_ALPHA, f"alpha in [1, {MAX_ALPHA:g}]"),
     "double_exponential": _rule(
@@ -235,7 +264,13 @@ KINDS = {
     "interval": _rule(_pair, lambda v, f: v in f["intervals"], "a pair in the intervals list"),
     "path": _rule(lambda v, p: v, lambda v, f: isinstance(v, str), "a string path"),
     "workers": _rule(_workers, lambda v, f: v == "auto" or v >= 1, "an integer >= 1 or 'auto'"),
+    "truncation": _rule(
+        _number,
+        lambda v, f: MIN_TRUNCATION_B <= v <= MAX_TRUNCATION_B,
+        f"a number in [{MIN_TRUNCATION_B:.4f}, {MAX_TRUNCATION_B:g}]",
+    ),
     "bins": _bins,
+    "pooled_b": _pooled_b,
     "pd": _pd,
     "checks": _checks,
 }

@@ -30,6 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_WINDOW_POINTS = 1 << 26
+# The lowest truncation level: its first window expects MAX_WINDOW_POINTS points.
+MIN_TRUNCATION_B = -math.log(MAX_WINDOW_POINTS)
+# Points per pass of a slab's transforms, 32 KB of float64
+_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -46,9 +50,12 @@ class WeightSequence:
         object.__setattr__(self, "entries", w)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("entries must be a nonempty 1-d array")
-        if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-            raise ValueError("entries must be finite and nonnegative")
-        if np.any(np.diff(w) > 0.0):
+        # One pass of comparisons: NaN fails every one, and a nonincreasing
+        # sequence from a finite first entry down to a last entry >= 0 is
+        # finite and nonnegative throughout.  Only a failure looks further.
+        if not (math.isfinite(w[0]) and w[-1] >= 0.0 and np.all(w[:-1] >= w[1:])):
+            if np.any(w < 0.0) or not np.all(np.isfinite(w)):
+                raise ValueError("entries must be finite and nonnegative")
             raise ValueError("entries must be nonincreasing")
         if float(w.sum()) > 1.0 + 1e-9:
             raise ValueError("entries must sum to at most 1")
@@ -70,27 +77,44 @@ def sample_poisson_points(b: float, rng: np.random.Generator) -> np.ndarray:
     return np.sort(pts)[::-1]
 
 
-def _slab_points(lo: float, hi: float, rng: np.random.Generator) -> np.ndarray:
-    # restriction of the process to (lo, hi]; independent of all other slabs
-    mass = math.exp(-lo) - math.exp(-hi)
+def _weights(logs: np.ndarray, beta: float, cmax: float) -> np.ndarray:
+    """``exp(beta * (c - cmax))`` of the points ``c = -logs``, written over ``logs``.
+
+    Computed as ``exp((logs + cmax) * -beta)``: ``(-x) - cmax == -(x + cmax)``
+    and ``(-x) * beta == x * -beta`` hold exactly, so the floats are those
+    of the points themselves.
+    """
+    logs += cmax
+    logs *= -beta
+    return np.exp(logs, out=logs)
+
+
+def _slab(
+    lo: float, hi: float, rng: np.random.Generator, beta: float | None = None, cmax: float = 0.0
+) -> np.ndarray:
+    """``L = log(exp(-lo) - u * mass)`` of each point ``c = -L`` of the process on ``(lo, hi]``.
+
+    The restriction to ``(lo, hi]`` is independent of all other slabs.
+    Given ``beta``, each ``L`` becomes the point's ``_weights``.  Every
+    step runs in place on the uniforms, ``_BLOCK`` at a time, so a block
+    stays in the caches through all of them.
+    """
+    top = math.exp(-lo)
+    mass = top - math.exp(-hi)
     if mass > MAX_WINDOW_POINTS:
         raise RuntimeError(
             "point budget exhausted while refining the truncation window; "
             "raise epsilon_mass"
         )
-    count = int(rng.poisson(mass))
-    pts = rng.random(count)
-    pts *= mass
-    np.subtract(math.exp(-lo), pts, out=pts)
-    np.log(pts, out=pts)
-    return np.negative(pts, out=pts)
-
-
-def _weights(pts: np.ndarray, beta: float, cmax: float) -> np.ndarray:
-    # exp(beta * (pts - cmax)), written over pts
-    pts -= cmax
-    pts *= beta
-    return np.exp(pts, out=pts)
+    out = rng.random(int(rng.poisson(mass)))
+    for start in range(0, out.size, _BLOCK):
+        block = out[start : start + _BLOCK]
+        block *= mass
+        np.subtract(top, block, out=block)
+        np.log(block, out=block)
+        if beta is not None:
+            _weights(block, beta, cmax)
+    return out
 
 
 def sample_pd_poisson(
@@ -109,21 +133,24 @@ def sample_pd_poisson(
     if not math.isfinite(beta) or beta <= 1.0:
         raise ValueError(f"the construction needs beta > 1, got {beta!r}")
     b, eps = float(truncation_b), float(epsilon_mass)
-    if not math.isfinite(b):
-        raise ValueError(f"truncation_b must be finite, got {truncation_b!r}")
+    if not (math.isfinite(b) and b >= MIN_TRUNCATION_B):
+        raise ValueError(
+            f"truncation_b must be finite and >= {MIN_TRUNCATION_B:.4f}, where the first "
+            f"window expects {MAX_WINDOW_POINTS} points; got {truncation_b!r}"
+        )
     if not (math.isfinite(eps) and 0.0 < eps < 1.0):
         raise ValueError(f"epsilon_mass must lie in (0, 1), got {epsilon_mass!r}")
 
-    pts = sample_poisson_points(b, rng)
-    while pts.size == 0:
+    logs = -sample_poisson_points(b, rng)
+    while logs.size == 0:
         # probability exp(-exp(-b)) of an empty window: extend and redraw
         # only the increment slab, preserving the restriction property
-        pts = _slab_points(b - 1.0, b, rng)
+        logs = _slab(b - 1.0, b, rng)
         b -= 1.0
-    cmax = float(pts.max())
+    cmax = -float(logs.min())
     # each slab's unnormalized weights, computed once: the stopping rule sums
     # them and the normalized sequence is built from them
-    chunks = [_weights(pts, beta, cmax)]
+    chunks = [_weights(logs, beta, cmax)]
     mass = float(chunks[0].sum())
     added = math.inf
     while True:
@@ -132,18 +159,17 @@ def sample_pd_poisson(
         )
         if added <= eps * mass and sd_tail <= eps * mass:
             break
-        inc = _slab_points(b - 1.0, b, rng)
+        chunks.append(_slab(b - 1.0, b, rng, beta, cmax))
         b -= 1.0
-        chunks.append(_weights(inc, beta, cmax))
         added = float(chunks[-1].sum())
         mass += added
     # exact conditional mean of the mass below b, in the cmax-shifted units
     mean_tail = math.exp((beta - 1.0) * b - beta * cmax) / (beta - 1.0)
     w = np.concatenate(chunks)
+    w.sort()
     w /= mass + mean_tail
-    w[::-1].sort()  # descending, in place
-    # weights that underflowed to 0 sort last; drop them
-    return WeightSequence(w[: np.count_nonzero(w)])
+    # weights that underflowed to 0 sort first; drop them and read the rest descending
+    return WeightSequence(w[np.searchsorted(w, 0.0, side="right") :][::-1])
 
 
 def sample_pd_stick(m: float, length: int, rng: np.random.Generator) -> WeightSequence:

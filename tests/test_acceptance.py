@@ -19,7 +19,7 @@ from naive_oracle import naive_replica
 from remlab import engine
 from remlab.engine import ReplicaSpec, run_replica
 from remlab.environment import Environment
-from remlab.experiments import _map_tasks, run_experiment
+from remlab.experiments import REGISTRY, _map_tasks, _spectrum_stats, run_experiment
 from remlab.manifest import from_dict
 from remlab.verify import BUILTIN_NAMES, builtin_manifest, run_builtin
 
@@ -326,6 +326,32 @@ def test_engine_matches_naive_oracle_random_specs(monkeypatch):
             f"CHUNK={chunk}, 50 random specs ({split} split into chunk tasks), "
             f"worst |diff|={worst:.2e}",
         )
+
+
+def test_pd_compare_replicas_send_back_their_stats(monkeypatch):
+    # A pd_compare replica's result from the task map is (w1, sumsq) of its
+    # spectrum, bit for bit, whether a pool worker finished it or, for a
+    # replica of several chunks, this process did after the fold.
+    keep = REGISTRY["pd_compare"].keep
+    monkeypatch.setattr(remlab.experiments, "POOL_MIN_CONFIGS", 1)
+    env = Environment(1.0, 10)
+    specs = [ReplicaSpec(env=env, betas=(2.0,), master_seed=7, replica_id=i) for i in range(5)]
+    want = [_spectrum_stats(run_replica(spec).spectrum[2.0].entries) for spec in specs]
+    for workers in (1, 2):
+        kept, processes = _map_tasks(specs, [], workers, keep)
+        assert processes == workers
+        assert [tuple(map(float.hex, pair)) for pair in kept] == [
+            tuple(map(float.hex, pair)) for pair in want
+        ]
+    monkeypatch.setattr(remlab.experiments, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(engine, "CHUNK", 1 << 8)
+    InlinePool.tasks = []
+    kept, _ = _map_tasks(specs, [], 2, keep)
+    assert len(InlinePool.tasks) == 4 * len(specs)  # one task per chunk
+    split = [_spectrum_stats(run_replica(spec).spectrum[2.0].entries) for spec in specs]
+    assert [tuple(map(float.hex, pair)) for pair in kept] == [
+        tuple(map(float.hex, pair)) for pair in split
+    ]
 
 
 # One replica of two chunks each, so that at workers=8 the chunks run as

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import hashlib
 import inspect
 import json
 import os
@@ -181,7 +182,10 @@ def test_registry_table_is_self_consistent():
             manifest, data, *params = inspect.signature(spec.evaluate).parameters.values()
             assert [p.name for p in params] == list(spec.params), name
             assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params), name
-            assert spec.needs == "" or spec.needs in pd_fields, name
+            if spec.needs:  # (field, least): a manifest list or a "pd.<count>"
+                head, _, count = spec.needs[0].partition(".")
+                assert count in pd_fields if count else head in manifest_fields, name
+                assert isinstance(spec.needs[1], int) and spec.needs[1] >= 1, name
 
 
 def test_every_declared_kind_is_known():
@@ -315,7 +319,7 @@ def test_builtin_unknown_name():
          "checks[0].tol:"),
         (lambda d: as_rate(d, [{"check": "zero_hits", "interval": [0.1]}]), "checks[0].interval:"),
         # a probability or a KS statistic of 1 or more: a check that can never fail, or never pass
-        (lambda d: as_exceedance(d, [{"check": "positions_ks", "b": 0.0, "level": 1.0}]),
+        (lambda d: as_exceedance(d, [{"check": "positions_ks", "b": -3.0, "level": 1.0}], (-3.0,)),
          "checks[0].level: expected a number in (0, 1)"),
         (lambda d: as_pd(d, [{"check": "ks_w1", "max_statistic": 1.0}]),
          "checks[0].max_statistic: expected a number in (0, 1)"),
@@ -326,6 +330,27 @@ def test_builtin_unknown_name():
                                    "threshold": 1.0, "min_replicas": 2}]),
             "checks[0].threshold: expected a number in (0, 1)",
         ),
+        # a check that can never pass, or passes vacuously
+        (lambda d: as_rate(d, [{"check": "pooled_rate_in", "interval": [0.1, 0.2],
+                                "low": 0.3, "high": 0.3}]),
+         "checks[0].high: expected a number > low, got 0.3"),
+        (lambda d: d.update(betas=[0.5, 1.5], checks=[{"check": "curve_shape"}]),
+         "checks[0]: curve_shape requires 3 or more betas, got 2"),
+        # positions_ks on too few expected exceedances: replicas * exp(-b) < 20
+        (lambda d: as_exceedance(d, [{"check": "positions_ks", "b": 0.0}]),
+         "checks[0].b: expects 3 pooled exceedances over 3 replicas"),
+        (lambda d: (as_exceedance(d, [{"check": "positions_ks", "b": 40.0}], (40.0,)),
+                    d.update(replicas=20)),
+         "checks[0].b: expects 8.5e-17 pooled exceedances over 20 replicas"),
+        # a beta * |E| past the float range, and a PD window too deep or too high
+        (lambda d: d.update(betas=[1e308]),
+         "betas[0]: expected a number in (0, 1e+300], got 1e+308"),
+        (lambda d: as_pd(d, truncation_b=-40.0),
+         "pd.truncation_b: expected a number in [-18.0218, 40], got -40.0"),
+        (lambda d: as_pd(d, truncation_b=-18.03),
+         "pd.truncation_b: expected a number in [-18.0218, 40], got -18.03"),
+        (lambda d: as_pd(d, truncation_b=1e9),
+         "pd.truncation_b: expected a number in [-18.0218, 40], got 1000000000.0"),
         # expected counts too thin for a chi-square test: every bin pools into one,
         # or bins before the pooled tail stay below 5
         (lambda d: as_thin_chi_square(d, 0.0, 5), "checks[0].kmax: 1 bins after pooling"),
@@ -698,6 +723,36 @@ def test_pd_compare_artifacts(tmp_path):
     assert {c.name for c in outcome.checks} == {"ks_w1", "stick_ks_w1"}
 
 
+# sha256 of pd_compare's results.csv and theory.csv for PD_PINNED_DOC, recorded
+# from the runner whose replicas sent their whole spectra back through the pool
+PD_PINNED_DOC = {
+    "experiment": "pd_compare",
+    "env": {"alpha": 1.0, "n": 10},
+    "betas": [2.0],
+    "replicas": 60,
+    "master_seed": 7,
+    "pd": {"m": 0.5, "draws": 30, "stick_draws": 10},
+}
+PD_PINNED_DIGESTS = {
+    "results.csv": "34ed1926ca8dfd551a7a31d6db2368ce06b056578cff0aa91dcf76a403c155e0",
+    "theory.csv": "7c1663719db7b8ec2df7f366969d64821c052f4d0290c9f2bebfe437dc5809e2",
+}
+
+
+def test_pd_compare_bytes_pinned(tmp_path, monkeypatch):
+    # at workers=2, with the pool threshold at 1, the replicas' statistics and
+    # the draws cross a real pool of 2 processes
+    monkeypatch.setattr(remlab.experiments, "POOL_MIN_CONFIGS", 1)
+    for workers in (1, 2):
+        outcome = run_experiment(from_dict(PD_PINNED_DOC), workers=workers,
+                                 output_dir=tmp_path / str(workers))
+        summary = json.loads((outcome.output_dir / "summary.json").read_text(encoding="utf-8"))
+        assert summary["processes"] == workers
+        for name, expected in PD_PINNED_DIGESTS.items():
+            digest = hashlib.sha256((outcome.output_dir / name).read_bytes()).hexdigest()
+            assert digest == expected, (workers, name)
+
+
 def test_cli_run_exit_codes(tmp_path, capsys, monkeypatch):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(tiny_doc()), encoding="utf-8")
@@ -731,6 +786,11 @@ def test_cli_run_exit_codes(tmp_path, capsys, monkeypatch):
     as_wide_marginals(doc)
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["run", str(path), "--output-dir", str(tmp_path / "wide")]) == 2
+    # a first PD window of e^40 points is bad input, not an allocation to try
+    doc = tiny_doc()
+    as_pd(doc, truncation_b=-40.0)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "deep")]) == 2
     path.write_text(OLD_DIAGNOSTICS, encoding="utf-8")
     assert main(["run", str(path), "--output-dir", str(tmp_path / "old")]) == 2
     capsys.readouterr()

@@ -9,6 +9,8 @@ from scipy import stats
 from scipy.special import digamma
 
 from remlab.pointprocess import (
+    MAX_WINDOW_POINTS,
+    MIN_TRUNCATION_B,
     WeightSequence,
     sample_pd_poisson,
     sample_pd_stick,
@@ -40,6 +42,51 @@ def test_weight_sequence_validation():
         WeightSequence(np.array([0.8, 0.7]))
     with pytest.raises(ValueError):
         WeightSequence(np.array([]))
+    # each case the checks must reject, with its message
+    nan, inf = float("nan"), float("inf")
+    for entries, message in [
+        ([0.5, nan, 0.1], "finite and nonnegative"),
+        ([nan], "finite and nonnegative"),
+        ([inf, 0.1], "finite and nonnegative"),
+        ([0.5, 0.1, -inf], "finite and nonnegative"),
+        ([-0.1], "finite and nonnegative"),
+        ([0.3, -0.1, 0.2], "finite and nonnegative"),
+        ([0.1, 0.2, 0.05], "nonincreasing"),
+        ([1.0 + 2e-9], "sum to at most 1"),
+        ([0.5, 0.5 + 2e-9], "nonincreasing"),
+        ([0.5 + 1e-9, 0.5 + 1e-9], "sum to at most 1"),
+        ([[0.5]], "nonempty 1-d"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            WeightSequence(np.array(entries))
+    # a single entry, exact ties and zeros at the end are accepted
+    assert WeightSequence(np.array([1.0])).deficit == 0.0
+    assert WeightSequence(np.array([0.25, 0.25, 0.0, 0.0])).deficit == 0.5
+    assert WeightSequence(np.array([0.5 + 5e-10, 0.5 + 4e-10])).deficit == 0.0
+
+
+def test_weight_sequence_checks_match_the_four_conditions():
+    # the checks accept exactly the 1-d nonempty sequences that are finite,
+    # nonnegative, nonincreasing and of sum at most 1 + 1e-9
+    rng = np.random.default_rng(3)
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, -1e-300, 5e-324, 1.0, 0.5])
+    for _ in range(3000):
+        size = int(rng.integers(1, 6))
+        w = np.sort(rng.random(size) / size)[::-1].copy()
+        for _ in range(int(rng.integers(0, 3))):
+            w[rng.integers(size)] = rng.choice(specials)
+        if rng.random() < 0.3:
+            rng.shuffle(w)
+        valid = (
+            bool(np.all(np.isfinite(w))) and bool(np.all(w >= 0.0))
+            and not np.any(np.diff(w) > 0.0) and float(w.sum()) <= 1.0 + 1e-9
+        )
+        try:
+            WeightSequence(w)
+        except ValueError:
+            assert not valid, w
+        else:
+            assert valid, w
 
 
 def test_pd_params_validation():
@@ -53,6 +100,12 @@ def test_pd_params_validation():
         sample_pd_poisson(2.0, 0.0, 0.0, rng)
     with pytest.raises(ValueError, match="truncation_b"):
         sample_pd_poisson(2.0, float("inf"), 1e-6, rng)
+    # a first window expecting more than MAX_WINDOW_POINTS points is refused
+    # before any is drawn (about -18.02; -40 would ask for 1.6e18 points)
+    assert math.exp(-MIN_TRUNCATION_B) == pytest.approx(MAX_WINDOW_POINTS)
+    for b in (-40.0, -18.03, MIN_TRUNCATION_B - 1e-9):
+        with pytest.raises(ValueError, match="truncation_b must be finite and >= -18.0218"):
+            sample_pd_poisson(2.0, b, 1e-6, rng)
 
 
 def test_poisson_points_mean_counts():

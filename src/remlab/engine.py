@@ -75,6 +75,12 @@ MAX_BETA = 1e300
 # reduction waits on memory, nor do processes that stream chunks side by
 # side contend for it.
 _ENERGY_BLOCK = 1 << 15
+# Where _POOL_MARGIN * top_m is under a chunk's size, its top_m pool is
+# partitioned from the energies at or below the quantile of that share of
+# the chunk, about 4 * top_m of them, instead of from a copy of the whole
+# chunk.  Fewer than top_m of them (then the whole chunk is partitioned)
+# come with a probability below 1e-300 at top_m 1024.
+_POOL_MARGIN = 4
 
 
 @dataclass(frozen=True)
@@ -268,6 +274,24 @@ def summarize(spec: ReplicaSpec, lo: int, hi: int):
     yield from (_energy_summaries if spec.betas else _order_summaries)(spec, lo, hi)
 
 
+def _lowest(env: Environment, e: np.ndarray, keep: int) -> np.ndarray:
+    """A copy of the ``keep`` lowest values of ``e``, unordered.
+
+    Where ``_POOL_MARGIN * keep`` is under ``e.size``, only the energies
+    at or below ``env.quantile(_POOL_MARGIN * keep / e.size)`` are
+    partitioned, unless fewer than ``keep`` of them are there.  The
+    values are the same either way; their order may differ.
+    """
+    if not 0 < keep < e.size:
+        return e[:keep].copy()
+    if _POOL_MARGIN * keep < e.size:
+        pool = e[e <= env.quantile(_POOL_MARGIN * keep / e.size)]
+        if pool.size >= keep:
+            e = pool
+    # a copy: a view would keep the whole chunk alive with the summary
+    return np.partition(e, keep - 1)[:keep].copy()
+
+
 def _energy_summaries(spec: ReplicaSpec, lo: int, hi: int):
     """Chunk summaries from the chunks' energies.
 
@@ -290,8 +314,7 @@ def _energy_summaries(spec: ReplicaSpec, lo: int, hi: int):
         stop = min(start + CHUNK, hi)
         e = energy_block(spec, start, stop)
         chunk_min = float(e.min())
-        # a copy: a view would keep the whole chunk alive with the summary
-        best = (np.partition(e, keep - 1) if e.size > keep > 0 else e)[:keep].copy()
+        best = _lowest(spec.env, e, keep)
         hits = [0] * len(bounds)
         found = [[] for _ in spec.b_levels]
         y = {beta: np.zeros(patterns) for beta in betas} if patterns > 1 else {}

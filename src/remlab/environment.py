@@ -19,6 +19,11 @@ it inverts (tested at alpha 1.01 to 60; see ``Environment.quantile``).
 From those bounds ``Environment.uniform_window`` gives, around any
 energy, the uniforms outside of which the quantile falls on a known
 side of it.
+
+Only ``alpha = 1`` needs nothing beyond numpy.  Every other shape takes
+its tails, and its quantile at ``alpha = 2`` or its table otherwise,
+from ``scipy.special``, which is imported when such an environment is
+built, so that an ``alpha = 1`` run never pays its import.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 # The largest shape accepted: the quantile's tolerances are tested up to it,
 # and the scale alpha * n**(alpha - 1) stays a finite float for every n <= 30
@@ -68,6 +72,8 @@ def _power_gamma_table(alpha: float) -> np.ndarray:
     ``x`` keeps every piece of order one and makes the magnitude exactly
     0 at ``x = 0``.
     """
+    from scipy import special
+
     a = 1.0 / alpha
     # Chebyshev points on [0, 1]; interpolating there is close to minimax
     t = 0.5 - 0.5 * np.cos(np.pi * (np.arange(_DEGREE + 1) + 0.5) / (_DEGREE + 1))
@@ -138,11 +144,14 @@ class Environment:
             raise ValueError(f"alpha must lie in [1, {MAX_ALPHA:g}], got {self.alpha!r}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "n", int(self.n))
-        if alpha not in (1.0, 2.0):
-            # Build the quantile table now, not on the first draw: worker
-            # processes forked after this inherit it instead of each
-            # rebuilding it for every pool.
-            _power_gamma_table(alpha)
+        if alpha != 1.0:
+            # Load scipy.special, and for a general shape build the quantile
+            # table, now and not on the first draw: worker processes forked
+            # after this inherit both instead of each redoing them per pool.
+            from scipy import special  # noqa: F401
+
+            if alpha != 2.0:
+                _power_gamma_table(alpha)
 
     @property
     def scale(self) -> float:
@@ -163,8 +172,12 @@ class Environment:
         if self.alpha == 1.0:
             out = 0.5 * np.exp(-x)
         elif self.alpha == 2.0:
+            from scipy import special
+
             out = special.ndtr(-x / math.sqrt(self.n))
         else:
+            from scipy import special
+
             with np.errstate(over="ignore"):  # a power past the float range: the tail is 0
                 out = 0.5 * special.gammaincc(1.0 / self.alpha, x ** self.alpha / self.scale)
         return out if out.ndim else float(out)
@@ -204,9 +217,11 @@ class Environment:
             np.log(t, out=t)  # -log(2 min(u, 1-u)) up to sign
             np.copysign(t, v - 0.5, out=v)
         elif self.alpha == 2.0:
-            t = special.ndtri(v)
-            t *= math.sqrt(self.n)
-            np.copysign(t, v - 0.5, out=v)
+            from scipy import special
+
+            # ndtri carries the sign of u - 1/2 and gives +0.0 at u = 1/2
+            special.ndtri(v, out=v)
+            v *= math.sqrt(self.n)
         else:
             v = _power_gamma_quantile(v, self.alpha, self.scale ** (1.0 / self.alpha))
         return v if v.ndim else float(v)

@@ -4,14 +4,16 @@ Kolmogorov-Smirnov statistics are computed from order statistics here;
 only the limiting null laws come from ``scipy.special``: ``kolmogorov``,
 and ``chdtrc``, which is what ``scipy.stats.chi2.sf`` calls.
 ``scipy.stats`` itself is not imported, as it would more than double the
-package's import time.  All p-values are asymptotic, which every caller
-in this package can afford: acceptance sample sizes start in the
-hundreds.  A test returns no verdict; the check that runs it decides,
-comparing the p-value with its level (``DEFAULT_LEVEL`` unless the
-manifest sets one) or the statistic with a bound.  That default is
-deliberately small so a full verification run has a low false-alarm
-rate; the verification harness additionally retries a failed
-statistical check once on a fresh derived seed.
+package's import time.  Each test imports ``scipy.special`` when it runs,
+so a run without a KS or chi-square test at ``alpha = 1`` never loads it.
+All p-values are asymptotic, which every caller in this package can
+afford: acceptance sample sizes start in the hundreds.  A test returns
+no verdict; the check that runs it decides, comparing the p-value with
+its level (``DEFAULT_LEVEL`` unless the manifest sets one) or the
+statistic with a bound.  That default is deliberately small so a full
+verification run has a low false-alarm rate; the verification harness
+additionally retries a failed statistical check once on a fresh derived
+seed.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 DEFAULT_LEVEL = 0.001
 MIN_EXPECTED = 5.0  # the smallest expected count a chi-square bin may hold
@@ -57,6 +58,8 @@ def ks_two_sample(xs, ys) -> TestReport:
     ecdf2 = np.searchsorted(ys, grid, side="right") / n2
     d = float(np.max(np.abs(ecdf1 - ecdf2)))
     en = n1 * n2 / (n1 + n2)
+    from scipy import special
+
     p = float(special.kolmogorov(math.sqrt(en) * d))
     return TestReport(d, p, (n1, n2))
 
@@ -72,6 +75,8 @@ def ks_one_sample(xs, cdf) -> TestReport:
     d_plus = float(np.max(steps - f))
     d_minus = float(np.max(f - (steps - 1.0 / n)))
     d = max(d_plus, d_minus)
+    from scipy import special
+
     p = float(special.kolmogorov(math.sqrt(n) * d))
     return TestReport(d, p, (n, 0))
 
@@ -113,5 +118,7 @@ def chi_square_gof(observed, expected_probs) -> TestReport:
     bins = expected.size
     obs = np.append(obs[: bins - 1], obs[bins - 1 :].sum())
     statistic = float(np.sum((obs - expected) ** 2 / expected))
+    from scipy import special
+
     p = float(special.chdtrc(bins - 1, statistic))
     return TestReport(statistic, p, (int(round(total)), bins))

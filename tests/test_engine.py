@@ -1,6 +1,7 @@
 """Streaming engine: energy streams and exhaustive replica runs."""
 
 import dataclasses
+import hashlib
 import math
 from functools import partial
 
@@ -86,6 +87,25 @@ def test_energy_block_window_consistency():
         energy_block(spec, 0, spec.size + 1)
     with pytest.raises(ValueError):
         energy_block(spec, -1, 0)
+
+
+# sha256 of the little-endian float64 energies of replicas 0-3 at n=12 and
+# master seed 7, recorded before the alpha=2 quantile stopped forming a
+# copysign temporary; every change to the quantile must keep these bytes.
+@pytest.mark.parametrize(
+    "alpha, expected",
+    [
+        (1.0, "d3696df0c732777ce456cb381afa125b4261d1443b7e86d4636dbde51ba08689"),
+        (1.5, "b641f407ee1a7890d7f18423228329d270e38bc3e23bc0d90cd4a0e7e2442406"),
+        (2.0, "44910635aae6ea3e3617b2aa03e5fd857297c50ed72c52f67bd68e49d6de054a"),
+    ],
+)
+def test_energy_bytes_pinned(alpha, expected):
+    digest = hashlib.sha256()
+    for replica_id in range(4):
+        spec = make_spec(env=Environment(alpha, 12), master_seed=7, replica_id=replica_id)
+        digest.update(energy_block(spec, 0, spec.size).astype("<f8").tobytes())
+    assert digest.hexdigest() == expected
 
 
 @pytest.mark.parametrize("alpha,n", [(1.0, 17), (2.0, 17)])
@@ -209,6 +229,25 @@ def test_gibbs_quantities_shift_invariant(monkeypatch):
         assert abs(hi_res.log_z[beta] - (lo_res.log_z[beta] - beta * 55.0)) < 1e-9
         assert np.max(np.abs(hi_res.marginal[beta] - lo_res.marginal[beta])) < 1e-10
         assert np.max(np.abs(hi_res.spectrum[beta].entries - lo_res.spectrum[beta].entries)) < 1e-10
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+def test_top_m_pool_matches_full_sort(monkeypatch, alpha):
+    # the pool is selected below a quantile cut where 4 * top_m is under the
+    # chunk's size, and from the whole chunk when the cut leaves too few
+    spec = make_spec(env=Environment(alpha, 14), betas=(1.0,), top_m=1000)
+    e = energy_block(spec, 0, spec.size)
+    lowest = np.sort(e)[: spec.top_m]
+    default = run_replica(spec)
+    for margin, filtered in ((engine._POOL_MARGIN, True), (0.5, False)):
+        monkeypatch.setattr(engine, "_POOL_MARGIN", margin)
+        cut = spec.env.quantile(margin * spec.top_m / spec.size)
+        assert (np.count_nonzero(e <= cut) >= spec.top_m) == filtered
+        (summary,) = summarize(spec, 0, spec.size)
+        assert np.array_equal(np.sort(summary.best), lowest)
+        res = run_replica(spec)
+        assert res.spectrum[1.0].entries.tobytes() == default.spectrum[1.0].entries.tobytes()
+        assert res.spectrum[1.0].deficit == default.spectrum[1.0].deficit
 
 
 def test_marginal_coarsening_consistency():

@@ -969,6 +969,56 @@ def test_no_entry_point_imports_scipy_stats(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
+SPECIAL_CHILD = """
+import sys
+import remlab, remlab.cli
+assert remlab.cli.main(["theory", "1", "2"]) == 0
+for path in sys.argv[2:]:
+    code = remlab.cli.main(["run", path, "--workers", "1", "--output-dir", path + ".out"])
+    assert code == 0, (path, code)
+before = "scipy.special" in sys.modules
+alpha = float(sys.argv[1])
+remlab.Environment(alpha, 8)
+print(before, "scipy.special" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+def test_alpha_one_runs_leave_scipy_special_unloaded(tmp_path, alpha):
+    # scipy.special costs about 0.3 s of import.  The alpha=1 closed forms do
+    # not need it, so the import, the CLI's theory command and alpha=1 runs
+    # without a p-value check leave it out; an environment of any other
+    # shape loads it where it is built, before any pool forks.
+    docs = [tiny_doc(betas=[0.5, 1.0, 1.5], checks=[
+        {"check": "curve_shape", "center_beta": 1.0, "window": 0.25},
+        {"check": "mean_within", "beta": 0.5, "tol": 0.5}])]
+    doc = tiny_doc()
+    as_rate(doc, [{"check": "pooled_rate_in", "interval": [0.1, 0.2], "low": 0.0, "high": 1.0},
+                  {"check": "zero_hits", "interval": [0.8, 0.9]},
+                  {"check": "outside_fraction_below", "interval": [0.1, 0.2],
+                   "threshold": 0.999, "min_replicas": 1}],
+            ((0.1, 0.2), (0.8, 0.9)))
+    docs.append(doc)
+    docs.append(tiny_doc(experiment="marginals", k_marginal=2, checks=[
+        {"check": "max_marginal_deviation", "beta": 0.5, "tol": 1.0}]))
+    paths = []
+    for d in docs:
+        paths.append(tmp_path / f"{d['experiment']}.json")
+        paths[-1].write_text(json.dumps(d), encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(remlab.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", SPECIAL_CHILD, str(alpha), *map(str, paths)],
+        capture_output=True,
+        text=True,
+        check=False,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["False", str(alpha != 1.0)]
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

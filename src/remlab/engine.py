@@ -159,8 +159,9 @@ class ReplicaSpec:
 class ReplicaResult:
     """Everything measured on one replica; per-beta maps are keyed by beta.
 
-    ``spectrum`` maps each beta to the largest Gibbs weights, a
-    ``WeightSequence`` whose ``deficit`` is the mass of the rest.
+    ``spectrum`` maps each beta to the largest Gibbs weights in
+    descending order, a ``WeightSequence`` whose ``deficit`` is the mass
+    of the rest.
     ``exceedance`` maps each b level to the shifted positions
     ``-(H + shift_constant(n)) >= b`` in configuration-index order.
     ``min_energy`` is the ground state, or NaN for a spec without betas,
@@ -452,7 +453,7 @@ def fold(summaries) -> ChunkSummary:
 
 
 def finish(spec: ReplicaSpec, summary: ChunkSummary) -> ReplicaResult:
-    """The replica's result from the summary of all its chunks."""
+    """The replica's result from the summary of all its chunks; its Gibbs spectra descend."""
     min_energy = summary.min_energy
     best = np.sort(summary.best)
     log_z = {}

@@ -165,6 +165,9 @@ def resolve_workers(manifest: ExperimentManifest | None, override=None) -> int:
     if value is None:
         return 1
     if value == "auto":
+        # the CPUs this process may run on, where the platform can say
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         count = int(value)
@@ -487,7 +490,8 @@ def _positions_ks(manifest: ExperimentManifest, positions: dict, b: float, level
 
 
 def _spectrum_stats(weights: np.ndarray) -> tuple[float, float]:
-    return float(weights[0]), float(np.sum(np.square(weights)))
+    """``(w1, sumsq)``: the largest weight and the sum of squares, in the weights' order."""
+    return float(weights.max()), float(np.sum(np.square(weights)))
 
 
 def _gibbs_stats(result: ReplicaResult) -> tuple[float, float]:

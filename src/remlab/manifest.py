@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .engine import CHUNK_BITS, MAX_BETA, MAX_N, TOP_M
 from .environment import MAX_ALPHA
 from .experiments import MIN_POOLED_EXCEEDANCES, REGISTRY
-from .pointprocess import MIN_TRUNCATION_B
+from .pointprocess import MAX_WINDOW_POINTS, MIN_TRUNCATION_B, expected_stop
 from .rng import MAX_SEED
 from .stats import pool_right_tail
 from .theory import poisson_count_probs
@@ -172,6 +172,13 @@ def _pd(value, path: str, fields: dict) -> PDBlock:
         _fail("betas", "a pd block takes exactly one beta")
     if abs(pd.m * betas[0] - 1.0) > 1e-9:
         _fail(f"{path}.m", f"expected m * beta = 1, got m={pd.m} beta={betas[0]}")
+    if expected_stop(betas[0], pd.truncation_b, pd.epsilon_mass) <= MIN_TRUNCATION_B:
+        _fail(
+            f"{path}.epsilon_mass",
+            f"{pd.epsilon_mass!r} at beta={betas[0]} and truncation_b={pd.truncation_b} "
+            f"extends a typical window below {MIN_TRUNCATION_B:.4f}, past slabs of "
+            f"{MAX_WINDOW_POINTS} points; raise epsilon_mass",
+        )
     return pd
 
 

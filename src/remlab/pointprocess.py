@@ -7,9 +7,12 @@ PD(m, 0) weight sequence, so ``sample_pd_poisson`` takes beta and
 nothing that restates m.  The stick-breaking (GEM) construction draws
 residual fractions ``V_i ~ Beta(1-m, i*m)`` and size-biased weights
 ``V_i * prod_{j<i}(1 - V_j)``; sorted descending, they have the same
-law.  Sequences live in the space of nonincreasing nonnegative
-sequences with total mass at most one.  The samplers take plain values
-and have no defaults; a manifest's ``pd`` block holds those.
+law.  A ``WeightSequence`` holds nonnegative weights of total mass at
+most one in any order: the samplers return theirs in draw order (the
+first window, then each deeper slab; the sticks as broken), because
+what is read of a draw, its largest weight and its sum of squares,
+needs no sort.  The samplers take plain values and have no defaults; a
+manifest's ``pd`` block holds those.
 
 A finite window can only enumerate the top of the point process: below
 any truncation level an exponentially growing swarm of microscopic
@@ -19,7 +22,9 @@ mass drops below ``epsilon_mass`` and the fluctuation of the unseen
 remainder is below the same threshold, then folds the exact conditional
 mean of the unseen mass into the normalizer.  Enumerated weights are
 unbiased at ``epsilon_mass`` resolution even when the reported deficit
-(the estimated unseen mass) is itself large.
+(the estimated unseen mass) is itself large.  ``expected_stop`` runs the
+same rule on the expected slab masses, so a manifest whose window would
+outgrow the point budget is rejected before any point is drawn.
 """
 
 from __future__ import annotations
@@ -38,9 +43,10 @@ _BLOCK = 1 << 12
 
 @dataclass(frozen=True)
 class WeightSequence:
-    """Nonincreasing nonnegative weights with total mass at most one.
+    """Finite nonnegative weights with total mass at most one, in any order.
 
-    The PD samplers' draws and the engine's Gibbs spectra are both one.
+    The PD samplers' draws (in draw order) and the engine's Gibbs spectra
+    (descending) are both one.
     """
 
     entries: np.ndarray
@@ -50,14 +56,11 @@ class WeightSequence:
         object.__setattr__(self, "entries", w)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("entries must be a nonempty 1-d array")
-        # One pass of comparisons: NaN fails every one, and a nonincreasing
-        # sequence from a finite first entry down to a last entry >= 0 is
-        # finite and nonnegative throughout.  Only a failure looks further.
-        if not (math.isfinite(w[0]) and w[-1] >= 0.0 and np.all(w[:-1] >= w[1:])):
-            if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-                raise ValueError("entries must be finite and nonnegative")
-            raise ValueError("entries must be nonincreasing")
-        if float(w.sum()) > 1.0 + 1e-9:
+        # A NaN makes the minimum NaN, which fails the comparison; once every
+        # entry is >= 0, an infinite one makes the sum infinite.
+        if not (w.min() >= 0.0 and math.isfinite(total := float(w.sum()))):
+            raise ValueError("entries must be finite and nonnegative")
+        if total > 1.0 + 1e-9:
             raise ValueError("entries must sum to at most 1")
 
     @property
@@ -117,6 +120,37 @@ def _slab(
     return out
 
 
+def _stops(beta: float, b: float, cmax: float, mass: float, added: float, eps: float) -> bool:
+    """The stopping rule: the last slab added and the unseen tail's spread are within ``eps``.
+
+    ``mass`` is the weight seen above ``b`` and ``added`` the last slab's
+    share of it, both in units of the top point's weight ``exp(beta*cmax)``.
+    """
+    sd_tail = math.exp(0.5 * (2.0 * beta - 1.0) * b - beta * cmax) / math.sqrt(2.0 * beta - 1.0)
+    return added <= eps * mass and sd_tail <= eps * mass
+
+
+def expected_stop(beta: float, truncation_b: float, epsilon_mass: float) -> float:
+    """The level where ``sample_pd_poisson``'s window stops for a typical draw.
+
+    Runs the stopping rule on the expected slab masses with the top point
+    at 0: the first window is the one of ``truncation_b`` stepped down a
+    unit at a time to hold 0, and each slab ``(b-1, b]`` adds its mean
+    mass ``exp((beta-1)*b) * (1 - exp(1-beta)) / (beta-1)``.  Stepping
+    stops at ``MIN_TRUNCATION_B``: a window that stops above it has drawn
+    slabs of fewer than ``MAX_WINDOW_POINTS`` expected points each.
+    """
+    g = beta - 1.0
+    b = truncation_b - max(0, math.ceil(truncation_b))
+    mass = 1.0 - math.expm1(g * b) / g  # the top point and the mean mass of [b, 0)
+    added = math.inf
+    while b > MIN_TRUNCATION_B and not _stops(beta, b, 0.0, mass, added, epsilon_mass):
+        added = -math.exp(g * b) * math.expm1(-g) / g
+        mass += added
+        b -= 1.0
+    return b
+
+
 def sample_pd_poisson(
     beta: float, truncation_b: float, epsilon_mass: float, rng: np.random.Generator
 ) -> WeightSequence:
@@ -153,12 +187,7 @@ def sample_pd_poisson(
     chunks = [_weights(logs, beta, cmax)]
     mass = float(chunks[0].sum())
     added = math.inf
-    while True:
-        sd_tail = math.exp(0.5 * (2.0 * beta - 1.0) * b - beta * cmax) / math.sqrt(
-            2.0 * beta - 1.0
-        )
-        if added <= eps * mass and sd_tail <= eps * mass:
-            break
+    while not _stops(beta, b, cmax, mass, added, eps):
         chunks.append(_slab(b - 1.0, b, rng, beta, cmax))
         b -= 1.0
         added = float(chunks[-1].sum())
@@ -166,14 +195,14 @@ def sample_pd_poisson(
     # exact conditional mean of the mass below b, in the cmax-shifted units
     mean_tail = math.exp((beta - 1.0) * b - beta * cmax) / (beta - 1.0)
     w = np.concatenate(chunks)
-    w.sort()
     w /= mass + mean_tail
-    # weights that underflowed to 0 sort first; drop them and read the rest descending
-    return WeightSequence(w[np.searchsorted(w, 0.0, side="right") :][::-1])
+    if w.min() == 0.0:  # weights that underflowed to 0
+        w = w[w > 0.0]
+    return WeightSequence(w)
 
 
 def sample_pd_stick(m: float, length: int, rng: np.random.Generator) -> WeightSequence:
-    """PD(m, 0) via stick breaking: first ``length`` sticks, sorted.
+    """PD(m, 0) via stick breaking: the first ``length`` sticks, in the order broken.
 
     Residual fractions are ``Beta(1-m, i*m)`` variates built from two
     Gamma draws; the undistributed product of leftovers is the deficit.
@@ -188,4 +217,4 @@ def sample_pd_stick(m: float, length: int, rng: np.random.Generator) -> WeightSe
     v = g1 / (g1 + g2)
     leftover = np.cumprod(1.0 - v)
     w = v * np.concatenate(([1.0], leftover[:-1]))
-    return WeightSequence(np.sort(w)[::-1])
+    return WeightSequence(w)

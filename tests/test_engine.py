@@ -269,6 +269,7 @@ def test_spectrum_and_result_invariants():
     res = run_replica(spec)
     for beta in spec.betas:
         s = res.spectrum[beta]
+        # a WeightSequence keeps any order; the engine's spectra descend
         assert np.all(np.diff(s.entries) <= 0)
         assert s.entries[0] <= 1.0 and s.entries[-1] > 0.0
         assert abs(float(s.entries.sum()) + s.deficit - 1.0) < 1e-9

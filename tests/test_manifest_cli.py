@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import hashlib
+import importlib.util
 import inspect
 import json
 import os
@@ -10,6 +11,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import remlab
@@ -27,7 +29,7 @@ from remlab.manifest import (
     from_json,
     load,
 )
-from remlab.rng import RETRY_SEED_INCREMENT, seed_derivation
+from remlab.rng import RETRY_SEED_INCREMENT, seed_derivation, stream_generator
 from remlab.theory import critical_beta, free_energy_limit
 from remlab.verify import BUILTIN_NAMES, builtin_manifest, run_builtin
 
@@ -282,6 +284,12 @@ def test_builtin_unknown_name():
         (lambda d: d.update(top_m=64), "top_m: not read by free_energy"),
         # the pd block
         (lambda d: as_pd(d, epsilon_mass=0), "pd.epsilon_mass:"),
+        # an epsilon_mass whose typical window outgrows the sampler's point budget
+        (lambda d: as_pd(d, epsilon_mass=1e-12), "pd.epsilon_mass: 1e-12 at beta=2.0"),
+        (lambda d: (as_pd(d, m=0.8), d.update(betas=[1.25])),
+         "pd.epsilon_mass: 1e-06 at beta=1.25"),
+        (lambda d: (as_pd(d, m=2 / 3), d.update(betas=[1.5])),
+         "pd.epsilon_mass: 1e-06 at beta=1.5"),
         (lambda d: as_pd(d, draws=0), "pd.draws:"),
         (lambda d: as_pd(d, stick_draws=-1), "pd.stick_draws:"),
         (lambda d: as_pd(d, stick_length=0), "pd.stick_length:"),
@@ -449,10 +457,43 @@ def test_resolve_workers_precedence(monkeypatch):
     withworkers = from_dict(tiny_doc(workers=2))
     assert resolve_workers(withworkers) == 2
     assert resolve_workers(withworkers, 5) == 5
-    assert resolve_workers(withworkers, "auto") >= 1
+    # "auto" is the CPUs this process may run on, or the CPU count where the
+    # platform cannot say
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert resolve_workers(withworkers, "auto") == 3
+    assert resolve_workers(from_dict(tiny_doc(workers="auto"))) == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert resolve_workers(withworkers, "auto") == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert resolve_workers(withworkers, "auto") == 1
     monkeypatch.setenv("REMLAB_WORKERS", "junk")
     with pytest.raises(ValueError):
         resolve_workers(manifest)
+
+
+def test_pd_epsilon_mass_accepted_where_used():
+    # the point-budget rule accepts the built-ins, every benchmark workload and
+    # the samplers' test cases
+    for name in BUILTIN_NAMES:
+        builtin_manifest(name)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks its module up there
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS.values():
+        for seed in (42, *range(101, 111)):
+            from_dict(workload.build(seed))
+    for beta, eps, b in [
+        (2.0, 1e-4, 0.0), (3.0, 1e-5, -1.0), (1.25, 5e-2, 0.0), (2.5, 1e-3, 3.0),
+        (200.0, 1e-4, -8.0), (2.5, 1e-4, 0.0), (1.01, 0.2, 0.0), (2.0, 1e-3, 0.0),
+    ]:
+        doc = tiny_doc()
+        as_pd(doc, m=1.0 / beta, epsilon_mass=eps, truncation_b=b)
+        doc["betas"] = [beta]
+        from_dict(doc)
 
 
 def test_run_experiment_artifacts(tmp_path):
@@ -723,8 +764,11 @@ def test_pd_compare_artifacts(tmp_path):
     assert {c.name for c in outcome.checks} == {"ks_w1", "stick_ks_w1"}
 
 
-# sha256 of pd_compare's results.csv and theory.csv for PD_PINNED_DOC, recorded
-# from the runner whose replicas sent their whole spectra back through the pool
+# sha256 of pd_compare's results.csv and theory.csv for PD_PINNED_DOC.  results.csv
+# was recorded from the runner whose replicas sent their whole spectra back
+# through the pool.  theory.csv was re-recorded when the PD samplers began to
+# return their weights in draw order: each draw's sumsq is now summed in that
+# order and may differ from the descending sum in the last bit; w1 is unchanged.
 PD_PINNED_DOC = {
     "experiment": "pd_compare",
     "env": {"alpha": 1.0, "n": 10},
@@ -735,7 +779,7 @@ PD_PINNED_DOC = {
 }
 PD_PINNED_DIGESTS = {
     "results.csv": "34ed1926ca8dfd551a7a31d6db2368ce06b056578cff0aa91dcf76a403c155e0",
-    "theory.csv": "7c1663719db7b8ec2df7f366969d64821c052f4d0290c9f2bebfe437dc5809e2",
+    "theory.csv": "b426a3cbb138172f741b99df0808fda71eea7d51293078927aadd46060739109",
 }
 
 
@@ -751,6 +795,20 @@ def test_pd_compare_bytes_pinned(tmp_path, monkeypatch):
         for name, expected in PD_PINNED_DIGESTS.items():
             digest = hashlib.sha256((outcome.output_dir / name).read_bytes()).hexdigest()
             assert digest == expected, (workers, name)
+
+
+def test_pd_draw_stats_are_those_of_the_sampler_weights():
+    # each draw sends back the largest weight and the sum of squares of its
+    # sampler's weights, which come in draw order, bit for bit
+    manifest = from_dict(PD_PINNED_DOC)
+    draws = REGISTRY["pd_compare"].draws(manifest)
+    assert [len(d) for d in draws.values()] == [30, 10, 10]
+    for draw in (d for sample in draws.values() for d in sample):
+        rng = stream_generator(draw.master_seed, draw.draw_id, draw.stream)
+        w = draw.sampler(*draw.args, rng).entries
+        w1, sumsq = draw()
+        assert w1 == float(np.max(w))
+        assert sumsq == float(np.sum(w * w))
 
 
 def test_cli_run_exit_codes(tmp_path, capsys, monkeypatch):
@@ -791,6 +849,11 @@ def test_cli_run_exit_codes(tmp_path, capsys, monkeypatch):
     as_pd(doc, truncation_b=-40.0)
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["run", str(path), "--output-dir", str(tmp_path / "deep")]) == 2
+    # so is an epsilon_mass that would exhaust the sampler's point budget
+    doc = tiny_doc()
+    as_pd(doc, epsilon_mass=1e-12)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "fine")]) == 2
     path.write_text(OLD_DIAGNOSTICS, encoding="utf-8")
     assert main(["run", str(path), "--output-dir", str(tmp_path / "old")]) == 2
     capsys.readouterr()

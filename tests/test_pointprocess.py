@@ -19,12 +19,13 @@ from remlab.pointprocess import (
 from remlab.rng import POISSON_STREAM, STICK_STREAM, stream_generator
 
 
+# the samplers return their weights in draw order, so each statistic sorts
 def w1(seq):
-    return float(seq.entries[0])
+    return float(seq.entries.max())
 
 
 def top2(seq):
-    return float(seq.entries[:2].sum())
+    return float(np.sort(seq.entries)[-2:].sum())
 
 
 def sumsq(seq):
@@ -34,8 +35,6 @@ def sumsq(seq):
 def test_weight_sequence_validation():
     ws = WeightSequence(np.array([0.5, 0.3, 0.1]))
     assert abs(ws.deficit - 0.1) < 1e-15
-    with pytest.raises(ValueError):
-        WeightSequence(np.array([0.3, 0.5]))
     with pytest.raises(ValueError):
         WeightSequence(np.array([0.5, -0.1]))
     with pytest.raises(ValueError):
@@ -51,23 +50,22 @@ def test_weight_sequence_validation():
         ([0.5, 0.1, -inf], "finite and nonnegative"),
         ([-0.1], "finite and nonnegative"),
         ([0.3, -0.1, 0.2], "finite and nonnegative"),
-        ([0.1, 0.2, 0.05], "nonincreasing"),
         ([1.0 + 2e-9], "sum to at most 1"),
-        ([0.5, 0.5 + 2e-9], "nonincreasing"),
         ([0.5 + 1e-9, 0.5 + 1e-9], "sum to at most 1"),
         ([[0.5]], "nonempty 1-d"),
     ]:
         with pytest.raises(ValueError, match=message):
             WeightSequence(np.array(entries))
-    # a single entry, exact ties and zeros at the end are accepted
+    # a single entry, exact ties, zeros and any order are accepted
     assert WeightSequence(np.array([1.0])).deficit == 0.0
     assert WeightSequence(np.array([0.25, 0.25, 0.0, 0.0])).deficit == 0.5
     assert WeightSequence(np.array([0.5 + 5e-10, 0.5 + 4e-10])).deficit == 0.0
+    assert WeightSequence(np.array([0.0, 0.1, 0.3])).deficit == 0.6
 
 
 def test_weight_sequence_checks_match_the_four_conditions():
     # the checks accept exactly the 1-d nonempty sequences that are finite,
-    # nonnegative, nonincreasing and of sum at most 1 + 1e-9
+    # nonnegative and of sum at most 1 + 1e-9, in any order
     rng = np.random.default_rng(3)
     specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, -1e-300, 5e-324, 1.0, 0.5])
     for _ in range(3000):
@@ -79,7 +77,7 @@ def test_weight_sequence_checks_match_the_four_conditions():
             rng.shuffle(w)
         valid = (
             bool(np.all(np.isfinite(w))) and bool(np.all(w >= 0.0))
-            and not np.any(np.diff(w) > 0.0) and float(w.sum()) <= 1.0 + 1e-9
+            and float(w.sum()) <= 1.0 + 1e-9
         )
         try:
             WeightSequence(w)
@@ -153,7 +151,6 @@ def test_pd_poisson_output_contract():
     rng = stream_generator(21, 0, POISSON_STREAM)
     ws = sample_pd_poisson(2.0, 0.0, 1e-6, rng)
     assert np.all(ws.entries > 0.0)
-    assert np.all(np.diff(ws.entries) <= 0.0)
     total = float(ws.entries.sum())
     assert total <= 1.0
     # the unseen tail is folded into the normalizer; at beta=2 the stopping
@@ -211,7 +208,6 @@ def test_stick_output_contract():
     ws = sample_pd_stick(0.5, 200, rng)
     assert ws.entries.size == 200
     assert np.all(ws.entries >= 0.0)
-    assert np.all(np.diff(ws.entries) <= 0.0)
     assert float(ws.entries.sum()) <= 1.0
     with pytest.raises(ValueError):
         sample_pd_stick(1.0, 200, rng)
@@ -231,11 +227,15 @@ def test_stick_deficit_matches_digamma_telescope():
 
 
 def _entries_digest(sampler, args: tuple, stream: int, count: int = 24) -> str:
-    """sha256 of the little-endian float64 entries of draws 0..count-1 at master seed 7."""
+    """sha256 of the little-endian float64 entries of draws 0..count-1 at master seed 7.
+
+    Each draw's entries are hashed sorted descending, so the digests pin every
+    weight's bits whatever order the sampler returns them in.
+    """
     digest = hashlib.sha256()
     for draw_id in range(count):
         entries = sampler(*args, stream_generator(7, draw_id, stream)).entries
-        digest.update(entries.astype("<f8").tobytes())
+        digest.update(np.sort(entries)[::-1].astype("<f8").tobytes())
     return digest.hexdigest()
 
 

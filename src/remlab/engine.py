@@ -5,32 +5,36 @@ drawn from an :class:`~remlab.environment.Environment` through a keyed
 counter-based stream, so any index range can be regenerated on demand
 and never needs to be held in memory at once.
 
-``run_replica`` makes one deterministic pass over the configuration
-space in fixed chunks, in three steps.  ``summarize`` reduces each chunk
-to a :class:`ChunkSummary`: the chunk's minimum, interval hit counts for
-the empirical energy-per-site measure, the positions of the shifted
-extremes above each threshold, the ``top_m`` lowest energies, and, per
-beta, the Gibbs-factor sum and the spin-block marginals relative to the
-chunk's minimum, so nothing overflows at any beta.  Each chunk's
-uniforms come from one generator, block of ``_ENERGY_BLOCK`` after
-block, so each pass works on data that stays in the caches.  Which of
-two paths reduces them depends on the spec alone:
+``run_replica`` reduces the configuration space in fixed chunks, in
+three steps.  ``summarize`` reduces each chunk to a
+:class:`ChunkSummary`: Gibbs quantities from energies, cut counts from
+uniforms.  Each chunk's uniforms come from one generator, block of
+``_ENERGY_BLOCK`` after block, so each pass works on data that stays in
+the caches.
 
-- The energy path, for a spec with betas: ``energy_block`` runs the
-  quantile in place on each block of uniforms, and every reduction but
-  the minimum and the ``top_m`` pool then runs one block at a time.  The
-  per-beta sums are added up in numpy's own pairwise-summation tree, so
-  each is bit-identical to one ``np.sum`` over the chunk.
-- The order-only path, for a spec without betas, where every result
-  depends only on where energies fall against fixed cuts, reduces the
-  uniforms themselves.  The quantile is increasing up to its stated
-  error, so ``Environment.uniform_window`` gives, per cut, an interval
-  of uniforms outside of which the side of the cut follows from the
-  uniform alone (the proof is in its docstring).  The quantile runs
-  only on the draws inside a window and on the draws that may exceed a
-  b level: 1e-4 of the draws or fewer at the built-in sizes.  The hits
-  and exceedance positions are those of the energy path, bit for bit.
-  Nothing reads the minimum of such a spec, so it is not computed.
+- The Gibbs quantities, for a spec with betas: the chunk's minimum, the
+  ``top_m`` lowest energies, and, per beta, the Gibbs-factor sum and the
+  spin-block marginals relative to the chunk's minimum, so nothing
+  overflows at any beta.  ``energy_block`` runs the quantile in place
+  on each block of uniforms, and every reduction but the minimum and
+  the ``top_m`` pool then runs one block at a time.  The per-beta sums
+  are added up in numpy's own pairwise-summation tree, so each is
+  bit-identical to one ``np.sum`` over the chunk.
+- The cut counts, for a spec with intervals or b levels: the interval
+  hit counts for the empirical energy-per-site measure and the
+  positions of the shifted extremes above each threshold.  They depend
+  only on where energies fall against fixed cuts, so they are counted
+  on the uniforms themselves.  The quantile is increasing up to its
+  stated error, so ``Environment.uniform_window`` gives, per cut, an
+  interval of uniforms outside of which the side of the cut follows
+  from the uniform alone (the proof is in its docstring).  The quantile
+  runs only on the draws inside a window and on the draws that may
+  exceed a b level: 1e-4 of the draws or fewer at the built-in sizes.
+  The counts are those of the energies, bit for bit.
+
+A spec with both draws each chunk's uniforms twice, once per part; no
+experiment reads both.  A spec without betas has no minimum (it is
+NaN), and one with neither draws nothing.
 
 ``merge`` combines two summaries, rescaling the per-beta sums to the
 smaller minimum; ``fold`` merges a replica's summaries strictly left to
@@ -50,7 +54,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -165,7 +169,7 @@ class ReplicaResult:
     ``exceedance`` maps each b level to the shifted positions
     ``-(H + shift_constant(n)) >= b`` in configuration-index order.
     ``min_energy`` is the ground state, or NaN for a spec without betas,
-    whose order-only path does not compute it.
+    whose energies are not computed.
     """
 
     n: int
@@ -201,20 +205,22 @@ def energy_block(spec: ReplicaSpec, lo: int, hi: int) -> np.ndarray:
 class ChunkSummary:
     """What a replica keeps of a run of consecutive chunks.
 
-    ``z`` and ``y`` map each beta to the Gibbs-factor sum and the
-    marginal vector of the run, relative to its own ``min_energy``:
+    The Gibbs quantities come first, the cut counts last.  ``z`` and
+    ``y`` map each beta to the Gibbs-factor sum and the marginal vector
+    of the run, relative to its own ``min_energy``:
     ``sum exp(-beta (E - min_energy))``, in total and per pattern of the
-    low ``k_marginal`` bits.  ``positions`` holds one array per chunk and
-    b level, ``best`` the lowest ``keep`` energies, unordered.
+    low ``k_marginal`` bits.  ``best`` holds the lowest ``keep``
+    energies, unordered, and ``positions`` one array per chunk and b
+    level.
     """
 
     min_energy: float
-    hits: tuple[int, ...]
-    positions: tuple[tuple[np.ndarray, ...], ...]
     keep: int
     best: np.ndarray
     z: dict[float, float]
     y: dict[float, np.ndarray]
+    hits: tuple[int, ...]
+    positions: tuple[tuple[np.ndarray, ...], ...]
 
 
 def chunks(spec: ReplicaSpec) -> list[tuple[int, int]]:
@@ -267,12 +273,15 @@ def summarize(spec: ReplicaSpec, lo: int, hi: int):
 
     ``lo`` and ``hi`` must be chunk boundaries (``hi`` may be the size),
     so that the chunks are the replica's own, whoever asks for them.
-    A spec with betas takes the energy path, one without the order-only
-    path; see the module docstring.
+    Each chunk's Gibbs quantities come from its energies (``_gibbs``),
+    its interval hits and exceedance positions from its uniforms
+    (``_cuts``); see the module docstring.
     """
     if not 0 <= lo <= hi <= spec.size or lo % CHUNK or (hi % CHUNK and hi != spec.size):
         raise ValueError(f"[{lo}, {hi}) is not a run of whole chunks of [0, {spec.size})")
-    yield from (_energy_summaries if spec.betas else _order_summaries)(spec, lo, hi)
+    for start in range(lo, hi, CHUNK):
+        stop = min(start + CHUNK, hi)
+        yield ChunkSummary(*_gibbs(spec, start, stop), *_cuts(spec, start, stop))
 
 
 def _lowest(env: Environment, e: np.ndarray, keep: int) -> np.ndarray:
@@ -293,65 +302,46 @@ def _lowest(env: Environment, e: np.ndarray, keep: int) -> np.ndarray:
     return np.partition(e, keep - 1)[:keep].copy()
 
 
-def _energy_summaries(spec: ReplicaSpec, lo: int, hi: int):
-    """Chunk summaries from the chunks' energies.
+def _gibbs(spec: ReplicaSpec, lo: int, hi: int) -> tuple:
+    """``(min_energy, keep, best, z, y)`` of the chunk ``[lo, hi)``, from its energies.
 
-    Each chunk's minimum and lowest energies are taken over the whole
-    chunk; every other reduction runs block by block, in index order, on
-    buffers of one block.
+    The minimum and the lowest energies are taken over the whole chunk;
+    the per-beta sums and marginals run block by block, in index order,
+    on buffers of one block.  A spec without betas draws nothing here,
+    and its minimum is NaN.
     """
-    n = spec.n
-    shift = shift_constant(n)
     betas = spec.betas
+    if not betas:
+        return math.nan, 0, np.empty(0), {}, {}
     patterns = 1 << spec.k_marginal
     keep = min(spec.top_m, spec.size)
-    bounds = [(a * n, b * n) for a, b in spec.intervals]
-    width = min(_ENERGY_BLOCK, CHUNK, hi - lo)
+    e = energy_block(spec, lo, hi)
+    chunk_min = float(e.min())
+    best = _lowest(spec.env, e, keep)
+    width = min(_ENERGY_BLOCK, e.size)
     # the Gibbs factors of one block, after room for a row of the marginals
     lead = patterns if patterns <= width else 0
     work = np.empty(lead + width)
     shifted = np.empty(width)
-    for start in range(lo, hi, CHUNK):
-        stop = min(start + CHUNK, hi)
-        e = energy_block(spec, start, stop)
-        chunk_min = float(e.min())
-        best = _lowest(spec.env, e, keep)
-        hits = [0] * len(bounds)
-        found = [[] for _ in spec.b_levels]
-        y = {beta: np.zeros(patterns) for beta in betas} if patterns > 1 else {}
+    y = {beta: np.zeros(patterns) for beta in betas} if patterns > 1 else {}
 
-        def reduce_block(a: int, b: int) -> np.ndarray:
-            block = e[a:b]
-            for i, (low, high) in enumerate(bounds):
-                hits[i] += int(np.count_nonzero((block > low) & (block < high)))
-            if found:
-                extremes = -(block + shift)
-                for level, into in zip(spec.b_levels, found):
-                    into.append(extremes[extremes >= level])
-            sums = np.empty(len(betas))
-            rel = np.subtract(block, chunk_min, out=shifted[: b - a])
-            g = work[lead : lead + b - a]
-            for i, beta in enumerate(betas):
-                np.multiply(rel, -beta, out=g)
-                np.exp(g, out=g)
-                sums[i] = g.sum()
-                if y:
-                    _add_by_pattern(y[beta], work, lead, b - a, start + a)
-            return sums
+    def reduce_block(a: int, b: int) -> np.ndarray:
+        sums = np.empty(len(betas))
+        rel = np.subtract(e[a:b], chunk_min, out=shifted[: b - a])
+        g = work[lead : lead + b - a]
+        for i, beta in enumerate(betas):
+            np.multiply(rel, -beta, out=g)
+            np.exp(g, out=g)
+            sums[i] = g.sum()
+            if y:
+                _add_by_pattern(y[beta], work, lead, b - a, lo + a)
+        return sums
 
-        z = dict(zip(betas, _pairwise(reduce_block, 0, stop - start).tolist()))
-        if patterns == 1:
-            # with no marginal spins the one pattern holds the whole sum
-            y = {beta: np.array([z[beta]]) for beta in betas}
-        yield ChunkSummary(
-            min_energy=chunk_min,
-            hits=tuple(hits),
-            positions=tuple((np.concatenate(into),) for into in found),
-            keep=keep,
-            best=best,
-            z=z,
-            y=y,
-        )
+    z = dict(zip(betas, _pairwise(reduce_block, 0, e.size).tolist()))
+    if patterns == 1:
+        # with no marginal spins the one pattern holds the whole sum
+        y = {beta: np.array([z[beta]]) for beta in betas}
+    return chunk_min, keep, best, z, y
 
 
 def _exceedance_cut(level: float, shift: float) -> float:
@@ -365,52 +355,45 @@ def _exceedance_cut(level: float, shift: float) -> float:
     return cut + 1e-15 * (abs(cut) + abs(level))
 
 
-def _order_summaries(spec: ReplicaSpec, lo: int, hi: int):
-    """Chunk summaries of a spec without betas, from the uniforms alone.
+def _cuts(spec: ReplicaSpec, lo: int, hi: int) -> tuple:
+    """``(hits, positions)`` of the chunk ``[lo, hi)``, from its uniforms alone.
 
     The quantile is increasing up to its stated error, so the place of an
     energy against a cut follows from its uniform, except for draws in
     the cut's ``Environment.uniform_window``.  Only those and the draws
-    that may exceed a b level get an energy; the results are those of the
-    energy path, bit for bit.  The minimum is NaN.
+    that may exceed a b level get an energy, the one ``energy_block``
+    gives them.  A spec without cuts draws nothing here.
     """
     env = spec.env
     n = spec.n
-    shift = shift_constant(n)
     levels = spec.b_levels
+    if not (spec.intervals or levels):
+        return (), ()
+    shift = shift_constant(n)
     # the ends of each interval, low then high: hits = #(E < high) - #(E <= low)
     ends = [(env.uniform_window(x), x) for a, b in spec.intervals for x in (a * n, b * n)]
     # every draw that may exceed a b level lies at or below ``reach``
     reach = max((env.uniform_window(_exceedance_cut(b, shift))[1] for b in levels), default=0.0)
-    buf = np.empty(min(_ENERGY_BLOCK, CHUNK, hi - lo))
-    for start in range(lo, hi, CHUNK):
-        stop = min(start + CHUNK, hi)
-        stream = UniformStream(spec.key, start)
-        below = [0] * len(ends)
-        found = [[] for _ in levels]
-        for a in range(start, stop, _ENERGY_BLOCK):
-            b = min(a + _ENERGY_BLOCK, stop)
-            u = uniform_block(stream, a, b, out=buf[: b - a])
-            for i, ((u_lo, u_hi), x) in enumerate(ends):
-                count = np.count_nonzero(u < u_lo)
-                if np.count_nonzero(u <= u_hi) > count:
-                    e = env.quantile(u[(u >= u_lo) & (u <= u_hi)])
-                    count += np.count_nonzero(e < x if i % 2 else e <= x)
-                below[i] += int(count)
-            near = u[u <= reach] if levels else u[:0]
-            if near.size:
-                extremes = -(env.quantile(near) + shift)
-                for level, into in zip(levels, found):
-                    into.append(extremes[extremes >= level])
-        yield ChunkSummary(
-            min_energy=math.nan,
-            hits=tuple(h - l for l, h in zip(below[::2], below[1::2])),
-            positions=tuple((np.concatenate(into) if into else np.empty(0),) for into in found),
-            keep=0,
-            best=np.empty(0),
-            z={},
-            y={},
-        )
+    buf = np.empty(min(_ENERGY_BLOCK, hi - lo))
+    stream = UniformStream(spec.key, lo)
+    below = [0] * len(ends)
+    found = [[] for _ in levels]
+    for a in range(lo, hi, _ENERGY_BLOCK):
+        b = min(a + _ENERGY_BLOCK, hi)
+        u = uniform_block(stream, a, b, out=buf[: b - a])
+        for i, ((u_lo, u_hi), x) in enumerate(ends):
+            count = np.count_nonzero(u < u_lo)
+            if np.count_nonzero(u <= u_hi) > count:
+                e = env.quantile(u[(u >= u_lo) & (u <= u_hi)])
+                count += np.count_nonzero(e < x if i % 2 else e <= x)
+            below[i] += int(count)
+        near = u[u <= reach] if levels else u[:0]
+        if near.size:
+            extremes = -(env.quantile(near) + shift)
+            for level, into in zip(levels, found):
+                into.append(extremes[extremes >= level])
+    hits = tuple(h - l for l, h in zip(below[::2], below[1::2]))
+    return hits, tuple((np.concatenate(into) if into else np.empty(0),) for into in found)
 
 
 def merge(left: ChunkSummary, right: ChunkSummary) -> ChunkSummary:
@@ -436,14 +419,14 @@ def merge(left: ChunkSummary, right: ChunkSummary) -> ChunkSummary:
     best = np.concatenate([left.best, right.best])
     if best.size > left.keep:
         best = np.partition(best, left.keep - 1)[: left.keep]
-    return ChunkSummary(
+    return replace(
+        left,
         min_energy=low,
-        hits=tuple(a + b for a, b in zip(left.hits, right.hits)),
-        positions=tuple(a + b for a, b in zip(left.positions, right.positions)),
-        keep=left.keep,
         best=best,
         z=z,
         y=y,
+        hits=tuple(a + b for a, b in zip(left.hits, right.hits)),
+        positions=tuple(a + b for a, b in zip(left.positions, right.positions)),
     )
 
 

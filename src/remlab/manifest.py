@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from .engine import CHUNK_BITS, MAX_BETA, MAX_N, TOP_M
 from .environment import MAX_ALPHA
 from .experiments import MIN_POOLED_EXCEEDANCES, REGISTRY
-from .pointprocess import MAX_WINDOW_POINTS, MIN_TRUNCATION_B, expected_stop
+from .pointprocess import MIN_TRUNCATION_B, check_point_budget
 from .rng import MAX_SEED
 from .stats import pool_right_tail
-from .theory import poisson_count_probs
+from .theory import LOG2, poisson_count_probs
 
 
 class ManifestError(ValueError):
@@ -72,7 +72,7 @@ class ExperimentManifest:
     master_seed: int = _kind("seed", 0)
     intervals: tuple = _kind("[pair]", ())
     k_marginal: int = _kind("size", 0)
-    b_levels: tuple = _kind("[number]", ())
+    b_levels: tuple = _kind("[level]", ())
     top_m: int = _kind("count", TOP_M)
     pd: PDBlock | None = _kind("pd", None)
     output_dir: str | None = _kind("path", None)
@@ -172,13 +172,10 @@ def _pd(value, path: str, fields: dict) -> PDBlock:
         _fail("betas", "a pd block takes exactly one beta")
     if abs(pd.m * betas[0] - 1.0) > 1e-9:
         _fail(f"{path}.m", f"expected m * beta = 1, got m={pd.m} beta={betas[0]}")
-    if expected_stop(betas[0], pd.truncation_b, pd.epsilon_mass) <= MIN_TRUNCATION_B:
-        _fail(
-            f"{path}.epsilon_mass",
-            f"{pd.epsilon_mass!r} at beta={betas[0]} and truncation_b={pd.truncation_b} "
-            f"extends a typical window below {MIN_TRUNCATION_B:.4f}, past slabs of "
-            f"{MAX_WINDOW_POINTS} points; raise epsilon_mass",
-        )
+    try:
+        check_point_budget(betas[0], pd.truncation_b, pd.epsilon_mass)
+    except ValueError as exc:
+        _fail(f"{path}.epsilon_mass", str(exc))
     return pd
 
 
@@ -256,6 +253,10 @@ KINDS = {
         _number, lambda v, f: v == 1.0, "alpha = 1, the only shape this limit law is derived for"
     ),
     "beta": _rule(_number, lambda v, f: v in f["betas"], "a beta in the betas list"),
+    # below -n log 2 the limit law's mean count e^-b exceeds the 2^n configurations
+    "level": _rule(
+        _number, lambda v, f: v > -f["n"] * LOG2, "a number > -n log 2, where e^-b exceeds 2^n"
+    ),
     "b": _rule(_number, lambda v, f: v in f["b_levels"], "a level in the b_levels list"),
     "count": _rule(_integer, lambda v, f: v >= 1, "an integer >= 1"),
     "natural": _rule(_integer, lambda v, f: v >= 0, "an integer >= 0"),

@@ -22,9 +22,10 @@ mass drops below ``epsilon_mass`` and the fluctuation of the unseen
 remainder is below the same threshold, then folds the exact conditional
 mean of the unseen mass into the normalizer.  Enumerated weights are
 unbiased at ``epsilon_mass`` resolution even when the reported deficit
-(the estimated unseen mass) is itself large.  ``expected_stop`` runs the
-same rule on the expected slab masses, so a manifest whose window would
-outgrow the point budget is rejected before any point is drawn.
+(the estimated unseen mass) is itself large.  ``check_point_budget``
+runs the same rule on the expected slab masses, so a manifest whose
+window would outgrow the point budget is rejected before any point is
+drawn.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ import numpy as np
 MAX_WINDOW_POINTS = 1 << 26
 # The lowest truncation level: its first window expects MAX_WINDOW_POINTS points.
 MIN_TRUNCATION_B = -math.log(MAX_WINDOW_POINTS)
+# The top point's 1e-6 lower quantile: P(max < c) = exp(-exp(-c)) = 1e-6
+_LOW_TOP = -math.log(math.log(1e6))
 # Points per pass of a slab's transforms, 32 KB of float64
 _BLOCK = 1 << 12
 
@@ -130,25 +133,35 @@ def _stops(beta: float, b: float, cmax: float, mass: float, added: float, eps: f
     return added <= eps * mass and sd_tail <= eps * mass
 
 
-def expected_stop(beta: float, truncation_b: float, epsilon_mass: float) -> float:
-    """The level where ``sample_pd_poisson``'s window stops for a typical draw.
+def check_point_budget(beta: float, truncation_b: float, epsilon_mass: float) -> None:
+    """Raise ``ValueError`` where ``sample_pd_poisson``'s window may outgrow the point budget.
 
     Runs the stopping rule on the expected slab masses with the top point
-    at 0: the first window is the one of ``truncation_b`` stepped down a
-    unit at a time to hold 0, and each slab ``(b-1, b]`` adds its mean
-    mass ``exp((beta-1)*b) * (1 - exp(1-beta)) / (beta-1)``.  Stepping
-    stops at ``MIN_TRUNCATION_B``: a window that stops above it has drawn
-    slabs of fewer than ``MAX_WINDOW_POINTS`` expected points each.
+    at ``_LOW_TOP``, its 1e-6 lower quantile, where a draw's window
+    reaches deeper than for a typical top point: the first window is the
+    one of ``truncation_b`` stepped down a unit at a time to hold the top
+    point, and each slab ``(b-1, b]`` adds its mean mass
+    ``exp((beta-1)*b) * (1 - exp(1-beta)) / (beta-1)``, divided by the
+    top point's weight ``exp(beta*top)``.  The window must stop above
+    ``MIN_TRUNCATION_B``, so that it draws slabs of fewer than
+    ``MAX_WINDOW_POINTS`` expected points each.
     """
-    g = beta - 1.0
-    b = truncation_b - max(0, math.ceil(truncation_b))
-    mass = 1.0 - math.expm1(g * b) / g  # the top point and the mean mass of [b, 0)
+    g, top = beta - 1.0, _LOW_TOP
+    b = truncation_b - max(0, math.ceil(truncation_b - top))
+    # the top point and the mean mass of [b, top), both in units of its weight
+    mass = 1.0 - math.exp(-top) * math.expm1(g * (b - top)) / g
     added = math.inf
-    while b > MIN_TRUNCATION_B and not _stops(beta, b, 0.0, mass, added, epsilon_mass):
-        added = -math.exp(g * b) * math.expm1(-g) / g
+    while b > MIN_TRUNCATION_B:
+        if _stops(beta, b, top, mass, added, epsilon_mass):
+            return
+        added = -math.exp(g * b - beta * top) * math.expm1(-g) / g
         mass += added
         b -= 1.0
-    return b
+    raise ValueError(
+        f"{epsilon_mass!r} at beta={beta} and truncation_b={truncation_b} extends the "
+        f"window of a low top point below {MIN_TRUNCATION_B:.4f}, past slabs of "
+        f"{MAX_WINDOW_POINTS} points; raise epsilon_mass"
+    )
 
 
 def sample_pd_poisson(

@@ -84,20 +84,16 @@ class UniformStream:
         self._gen.random(skip)  # the positions of the counter block before ``position``
         self.position = position
 
-    def draw(self, out: np.ndarray) -> np.ndarray:
-        """Fill ``out`` with the next ``out.size`` doubles."""
-        self._gen.random(out=out)
-        self.position += out.size
-        return out
 
-
-def uniform_block(stream, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+def uniform_block(
+    stream: UniformStream, start: int, stop: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Uniform [0, 1) doubles at positions [start, stop) of a keyed stream.
 
-    ``stream`` is the stream's key or a ``UniformStream`` of it, which
-    then stands at ``stop``; one that stands at ``start`` draws on
-    without a new generator.  The doubles are written into ``out`` when it
-    is given, a float64 array of ``stop - start`` entries, and returned.
+    ``stream`` then stands at ``stop``; one that stands at ``start``
+    draws on without a new generator.  The doubles are written into
+    ``out`` when it is given, a float64 array of ``stop - start``
+    entries, and returned.
 
     Deterministic random access: the same (key, position) always yields
     the same double, whether positions are visited in one sweep or in
@@ -105,12 +101,12 @@ def uniform_block(stream, start: int, stop: int, out: np.ndarray | None = None) 
     """
     if start < 0 or stop < start:
         raise ValueError(f"invalid block [{start}, {stop})")
-    if not isinstance(stream, UniformStream):
-        stream = UniformStream(stream, start)
-    elif stream.position != start:
+    if stream.position != start:
         stream.seek(start)
     if out is None:
         out = np.empty(stop - start)
     elif out.shape != (stop - start,):
         raise ValueError(f"out has shape {out.shape}, not ({stop - start},)")
-    return stream.draw(out)
+    stream._gen.random(out=out)
+    stream.position = stop
+    return out

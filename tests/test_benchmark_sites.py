@@ -2,7 +2,7 @@
 
 The benchmark replaces each of these names with a timing wrapper in the
 reference run of every benchmark run, so a renamed or removed name makes
-every run fail.  The uniforms of both engine paths must pass through
+every run fail.  The uniforms of both engine parts must pass through
 ``remlab.engine.uniform_block``, where the benchmark counts them, and
 every PD draw must call the samplers patched in ``remlab.experiments``.
 """
@@ -39,15 +39,17 @@ def test_benchmark_patch_points_resolve():
 
 
 def test_benchmark_counts_every_uniform_on_both_paths():
+    # the Gibbs part and the cut part each draw every uniform once
     spans = load_spans()
     env = Environment(1.5, 12)
-    for betas in ((), (1.0,)):
-        spec = ReplicaSpec(env=env, betas=betas, intervals=((0.1, 0.4),), b_levels=(0.0,))
+    cuts = dict(intervals=((0.1, 0.4),), b_levels=(0.0,))
+    for betas, kw, passes in (((1.0,), {}, 1), ((), cuts, 1), ((1.0,), cuts, 2)):
+        spec = ReplicaSpec(env=env, betas=betas, **kw)
         tracer = spans.Tracer()
         with spans.traced(tracer):
             run_replica(spec)
         drawn = tracer.totals()["rng.uniform_block"]["items"]
-        assert drawn == spec.size
+        assert drawn == passes * spec.size
 
 
 def test_benchmark_counts_every_pd_draw(tmp_path):

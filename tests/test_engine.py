@@ -25,7 +25,7 @@ from remlab.engine import (
     summarize,
 )
 from remlab.environment import Environment
-from remlab.rng import ENERGY_STREAM, seed_derivation, uniform_block
+from remlab.rng import ENERGY_STREAM, UniformStream, seed_derivation, uniform_block
 from remlab.theory import LOG2, shift_constant
 
 E_CONST = math.e
@@ -45,8 +45,9 @@ def make_spec(**kw):
 def pinned(monkeypatch, values):
     """Make ``run_replica`` read ``values`` in place of the keyed energy stream.
 
-    Only the energy path reads energies; a spec without betas, which
-    would draw uniforms instead and never see the pinned values, fails.
+    Only the Gibbs quantities read energies; a spec with intervals or b
+    levels, whose counts would come from uniforms that never see the
+    pinned values, fails.
     """
     arr = np.asarray(values, dtype=float)
 
@@ -57,12 +58,30 @@ def pinned(monkeypatch, values):
     monkeypatch.setattr(engine, "uniform_block", unpinned)
 
 
+def pinned_uniforms(monkeypatch, values):
+    """Make every draw of the energy stream read ``values`` at its positions."""
+    arr = np.asarray(values, dtype=float)
+
+    def block(stream, start, stop, out=None):
+        out = np.empty(stop - start) if out is None else out
+        out[...] = arr[start:stop]
+        return out
+
+    monkeypatch.setattr(engine, "uniform_block", block)
+
+
+def laplace_uniforms(energies):
+    """The uniforms whose ``alpha = 1`` energies are ``energies``: ``e^E / 2`` below 0."""
+    half = np.exp(-np.abs(np.asarray(energies, dtype=float))) / 2.0
+    return np.where(np.asarray(energies) < 0.0, half, 1.0 - half)
+
+
 def test_pinned_energies_reach_the_engine(monkeypatch):
-    spec = make_spec(env=Environment(1.0, 2), betas=(1.0,), intervals=((-0.6, 0.1),))
+    spec = make_spec(env=Environment(1.0, 2), betas=(1.0,))
     pinned(monkeypatch, [-1.0, 0.0, 0.0, 0.0])
     assert run_replica(spec).min_energy == -1.0
     with pytest.raises(AssertionError, match="drew uniforms"):
-        run_replica(dataclasses.replace(spec, betas=()))
+        run_replica(dataclasses.replace(spec, intervals=((-0.6, 0.1),)))
 
 
 def test_energy_at_matches_block():
@@ -81,7 +100,7 @@ def test_energy_block_window_consistency():
     for alpha in (1.0, 1.5, 2.0):
         wide = make_spec(env=Environment(alpha, 17))
         key = seed_derivation(wide.master_seed, wide.replica_id, ENERGY_STREAM)
-        once = wide.env.quantile(uniform_block(key, 1001, wide.size))
+        once = wide.env.quantile(uniform_block(UniformStream(key, 1001), 1001, wide.size))
         assert np.array_equal(energy_block(wide, 1001, wide.size), once)
     with pytest.raises(ValueError):
         energy_block(spec, 0, spec.size + 1)
@@ -208,7 +227,7 @@ def test_rate_estimate_pinned(monkeypatch):
         betas=(1.0,),
         intervals=((-0.3, -0.1), (-0.6, 0.1)),
     )
-    pinned(monkeypatch, [-1.0, 0.0, 0.0, 0.0])
+    pinned_uniforms(monkeypatch, laplace_uniforms([-1.0, 0.0, 0.0, 0.0]))
     res = run_replica(spec)
     assert rate_estimate(res, (-0.3, -0.1)) == math.inf
     assert rate_estimate(res, (-0.6, 0.1)) == 0.0
@@ -284,8 +303,8 @@ def test_spectrum_and_result_invariants():
 def test_exceedance_positions_pinned(monkeypatch):
     shift = shift_constant(2)
     e = np.array([-1.0 - shift, 0.5 - shift, -0.2 - shift, 3.0 - shift])
-    spec = make_spec(env=Environment(1.0, 2), betas=(1.0,), b_levels=(0.0,))
-    pinned(monkeypatch, e)
+    spec = make_spec(env=Environment(1.0, 2), betas=(), b_levels=(0.0,))
+    pinned_uniforms(monkeypatch, laplace_uniforms(e))
     res = run_replica(spec)
     pos = res.exceedance[0.0]
     assert np.allclose(pos, [1.0, 0.2], atol=1e-12)
@@ -356,7 +375,6 @@ def test_ground_state_in_last_chunk(monkeypatch):
         betas=(0.0, 0.4, 6.0),
         k_marginal=2,
         top_m=8,
-        b_levels=(-1.0,),
     )
     assert math.exp(-6.0 * (energies[27] - energies[29])) == 0.0
     pinned(monkeypatch, energies)
@@ -370,7 +388,24 @@ def test_ground_state_in_last_chunk(monkeypatch):
         assert res.spectrum[beta].entries.size == w_ref.size
         assert np.allclose(res.spectrum[beta].entries, w_ref, rtol=1e-10, atol=0)
         assert abs(res.spectrum[beta].deficit - tail_ref) < 1e-10
-    assert np.array_equal(res.exceedance[-1.0], ref["exceedance"][-1.0])
+
+
+def test_exceedance_positions_fold_across_chunks(monkeypatch):
+    # Eight chunks of four; the positions above -4 come from the last five
+    # chunks, those above -1 from the last two, and every chunk's are
+    # appended in index order.
+    monkeypatch.setattr(engine, "CHUNK", 4)
+    energies = np.linspace(5.0, -3.0, 32)
+    spec = make_spec(env=Environment(1.0, 5), betas=(), b_levels=(-4.0, -1.0))
+    pinned_uniforms(monkeypatch, laplace_uniforms(energies))
+    e = energy_block(spec, 0, spec.size)
+    assert np.allclose(e, energies, rtol=1e-12, atol=0)
+    res = run_replica(spec)
+    ref = naive_replica(spec, e)
+    for level, chunks_hit in ((-4.0, 5), (-1.0, 2)):
+        extremes = -(e + shift_constant(5))
+        assert len({i // 4 for i in np.flatnonzero(extremes >= level)}) == chunks_hit
+        assert np.array_equal(res.exceedance[level], ref["exceedance"][level])
 
 
 def assert_results_identical(a, b):
@@ -503,10 +538,11 @@ def test_free_energy_concentrates_at_high_temperature():
     assert good >= 95
 
 
-# The order-only path is checked against the energy path at both closed
-# forms, the general table and the largest shape, on intervals that
-# straddle 0, have an infinite end, lie beyond the edge (alpha log 2)**(1/alpha)
-# or cover the line, and on b levels with few and with many exceedances.
+# The cut counts, taken from the uniforms, are checked against the energies
+# at both closed forms, the general table and the largest shape, on intervals
+# that straddle 0, have an infinite end, lie beyond the edge
+# (alpha log 2)**(1/alpha) or cover the line, and on b levels with few and
+# with many exceedances.
 ORDER_ALPHAS = [1.0, 1.5, 2.0, 7.3, 100.0]
 ORDER_INTERVALS = (
     (-0.3, 0.2), (-0.05, 0.0), (-math.inf, -0.5), (0.4, math.inf), (1.5, 2.0), (-math.inf, math.inf)
@@ -514,16 +550,20 @@ ORDER_INTERVALS = (
 ORDER_LEVELS = (-2.0, 0.0, 1.5)
 
 
-def assert_order_path_matches_energy_path(spec):
-    bare = run_replica(spec)
-    full = run_replica(dataclasses.replace(spec, betas=(1.0,), top_m=0))
-    assert bare.log_z == {} and full.log_z.keys() == {1.0}
-    assert math.isnan(bare.min_energy)
-    assert bare.interval_hits == full.interval_hits
-    assert bare.exceedance.keys() == full.exceedance.keys()
+def assert_cut_counts_match_energies(spec):
+    # the hits and positions of energy_block's energies, bit for bit
+    res = run_replica(spec)
+    assert res.log_z == {} and math.isnan(res.min_energy)
+    n = spec.n
+    e = energy_block(spec, 0, spec.size)
+    assert res.interval_hits == {
+        (a, b): int(np.count_nonzero((e > a * n) & (e < b * n))) for a, b in spec.intervals
+    }
+    extremes = -(e + shift_constant(n))
+    assert res.exceedance.keys() == set(spec.b_levels)
     for level in spec.b_levels:
-        assert np.array_equal(bare.exceedance[level], full.exceedance[level])
-    return bare
+        assert np.array_equal(res.exceedance[level], extremes[extremes >= level])
+    return res
 
 
 @pytest.mark.parametrize("alpha", ORDER_ALPHAS)
@@ -534,7 +574,7 @@ def test_order_only_path_matches_energy_path(alpha, n):
         env=Environment(alpha, n), betas=(), intervals=ORDER_INTERVALS, b_levels=ORDER_LEVELS,
         master_seed=31, replica_id=n,
     )
-    res = assert_order_path_matches_energy_path(spec)
+    res = assert_cut_counts_match_energies(spec)
     assert res.interval_hits[(-math.inf, math.inf)] == spec.size
 
 
@@ -542,7 +582,7 @@ def test_order_only_path_matches_energy_path(alpha, n):
 def test_order_only_path_at_window_edges(monkeypatch, alpha):
     # Draws at each cut's tail mass, at its window's edges and a few ulps
     # either side of them, so that draws fall in every window, just inside
-    # and just outside it.  Both paths read them through uniform_block.
+    # and just outside it.  The counts and energy_block read them through uniform_block.
     n = 13
     spec = make_spec(
         env=Environment(alpha, n), betas=(), intervals=ORDER_INTERVALS, b_levels=ORDER_LEVELS,
@@ -584,9 +624,9 @@ def test_order_only_path_at_window_edges(monkeypatch, alpha):
 
     monkeypatch.setattr(Environment, "quantile", recorded)
     run_replica(spec)
-    # every draw in a window was placed by its energy on the order-only path
+    # every draw in a window was placed by its energy
     assert np.isin(inside, np.concatenate(evaluated)).all()
-    assert_order_path_matches_energy_path(spec)
+    assert_cut_counts_match_energies(spec)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
@@ -595,8 +635,8 @@ def test_order_only_path_needs_no_monotone_quantile(monkeypatch, alpha):
     # magnitude of every draw with an odd last mantissa bit is raised by a
     # relative 2**-46, which moves its tail mass by well under 1.5e-12
     # here.  The lowest energy then sits one ulp above the smallest draw,
-    # and the order-only path must still place every draw on the side of
-    # each cut that its energy lies on.
+    # and the cut counts must still place every draw on the side of each
+    # cut that its energy lies on.
     quantile = Environment.quantile
 
     def wobbly(self, u, out=None):
@@ -624,4 +664,4 @@ def test_order_only_path_needs_no_monotone_quantile(monkeypatch, alpha):
     low = env.quantile(values[2])
     assert low < env.quantile(values[1]) < env.quantile(values[0])
     spec = make_spec(env=env, betas=(), intervals=ORDER_INTERVALS, b_levels=ORDER_LEVELS)
-    assert_order_path_matches_energy_path(spec)
+    assert_cut_counts_match_energies(spec)

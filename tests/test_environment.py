@@ -197,7 +197,7 @@ def test_quantile_table_edges(alpha):
         env.quantile(np.array([0.3, np.nan]))
 
 
-# the shapes the order-only path of the engine is checked at: both closed
+# the shapes the engine's cut counts are checked at: both closed
 # forms, the general table, and the largest shape accepted
 EXACT_ALPHAS = [1.0, 1.5, 2.0, 7.3, 100.0]
 

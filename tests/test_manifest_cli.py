@@ -156,6 +156,15 @@ def test_no_two_builtins_stream_the_same_replicas():
     assert len(set(keys)) == len(keys), sorted(keys)
 
 
+def test_no_experiment_reads_betas_with_cuts():
+    # the engine draws the uniforms of a spec with betas and with intervals or
+    # b levels twice, once for each; no manifest may ask for that
+    for experiment, entry in REGISTRY.items():
+        assert not ("betas" in entry.fields and {"intervals", "b_levels"} & set(entry.fields)), (
+            experiment
+        )
+
+
 def test_readme_checks_table_matches_registry():
     # README "Checks vocabulary" rows: experiment | `check`, ... | `param`, ...: text,
     # each check once, in the registry's order, with its parameters in manifest order
@@ -284,8 +293,9 @@ def test_builtin_unknown_name():
         (lambda d: d.update(top_m=64), "top_m: not read by free_energy"),
         # the pd block
         (lambda d: as_pd(d, epsilon_mass=0), "pd.epsilon_mass:"),
-        # an epsilon_mass whose typical window outgrows the sampler's point budget
+        # an epsilon_mass whose window, at a low top point, outgrows the point budget
         (lambda d: as_pd(d, epsilon_mass=1e-12), "pd.epsilon_mass: 1e-12 at beta=2.0"),
+        (lambda d: as_pd(d, epsilon_mass=1e-7), "pd.epsilon_mass: 1e-07 at beta=2.0"),
         (lambda d: (as_pd(d, m=0.8), d.update(betas=[1.25])),
          "pd.epsilon_mass: 1e-06 at beta=1.25"),
         (lambda d: (as_pd(d, m=2 / 3), d.update(betas=[1.5])),
@@ -300,6 +310,9 @@ def test_builtin_unknown_name():
         (lambda d: as_rate(d, intervals=[(0.3, 0.2)]), "intervals[0]:"),
         (lambda d: as_rate(d, intervals=[(0.1, 0.2, 0.3)]), "intervals[0]:"),
         (lambda d: as_exceedance(d, b_levels=["x"]), "b_levels[0]:"),
+        # at or below -n log 2 the mean count e^-b is 2^n or more
+        (lambda d: as_exceedance(d, b_levels=[0.0, -8 * float(np.log(2.0))]),
+         "b_levels[1]: expected a number > -n log 2"),
         # a repeated interval or b level would write its rows twice
         (lambda d: as_rate(d, intervals=[(0.1, 0.2), (0.1, 0.2)]),
          "intervals[1]: repeats the interval (0.1, 0.2)"),
@@ -840,6 +853,15 @@ def test_cli_run_exit_codes(tmp_path, capsys, monkeypatch):
         as_thin_chi_square(doc, b, replicas)
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["run", str(path), "--output-dir", str(tmp_path / "thin")]) == 2
+    # a b level whose mean count e^-b exceeds the 2^n configurations is bad
+    # input, not an overflow in the count law
+    for b, check in ((-1000.0, {"check": "count_zero_prob", "tol": 0.5}),
+                     (-800.0, {"check": "count_chi_square"})):
+        doc = tiny_doc()
+        as_exceedance(doc, [{**check, "b": b}], b_levels=[b])
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "low")]) == 2
+        assert "b_levels[0]: expected a number > -n log 2" in capsys.readouterr().err
     doc = tiny_doc()
     as_wide_marginals(doc)
     path.write_text(json.dumps(doc), encoding="utf-8")

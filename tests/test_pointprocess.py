@@ -8,10 +8,12 @@ import pytest
 from scipy import stats
 from scipy.special import digamma
 
+from remlab import pointprocess
 from remlab.pointprocess import (
     MAX_WINDOW_POINTS,
     MIN_TRUNCATION_B,
     WeightSequence,
+    check_point_budget,
     sample_pd_poisson,
     sample_pd_stick,
     sample_poisson_points,
@@ -104,6 +106,32 @@ def test_pd_params_validation():
     for b in (-40.0, -18.03, MIN_TRUNCATION_B - 1e-9):
         with pytest.raises(ValueError, match="truncation_b must be finite and >= -18.0218"):
             sample_pd_poisson(2.0, b, 1e-6, rng)
+
+
+def test_point_budget_rule_accepts_only_settings_whose_draws_fit(monkeypatch):
+    # At a budget of 4096 points the window's slabs reach it within a few
+    # units, so the draws show where the rule must reject: every setting it
+    # accepts runs 300 keyed draws without exhausting the budget, and the
+    # settings it rejects fail in some.
+    monkeypatch.setattr(pointprocess, "MAX_WINDOW_POINTS", 4096)
+    monkeypatch.setattr(pointprocess, "MIN_TRUNCATION_B", -math.log(4096))
+    accepted, rejected_failures = 0, 0
+    for beta in (1.5, 2.0, 3.0):
+        for eps in (0.1, 0.032, 0.01, 0.0032, 0.001, 3.2e-4):
+            failures = 0
+            for i in range(300):
+                try:
+                    sample_pd_poisson(beta, 0.0, eps, stream_generator(7, i, POISSON_STREAM))
+                except RuntimeError:
+                    failures += 1
+            try:
+                check_point_budget(beta, 0.0, eps)
+            except ValueError:
+                rejected_failures += failures
+            else:
+                accepted += 1
+                assert failures == 0, (beta, eps)
+    assert 0 < accepted < 18 and rejected_failures > 0
 
 
 def test_poisson_points_mean_counts():

@@ -58,10 +58,15 @@ def test_stream_generator_matches_philox_key():
     assert np.array_equal(a, b)
 
 
+def fresh_block(key, start, stop):
+    """Positions [start, stop) through ``uniform_block``, from a stream that stands at ``start``."""
+    return uniform_block(UniformStream(key, start), start, stop)
+
+
 def test_uniform_block_matches_sequential_draw():
     key = seed_derivation(42, 0, ENERGY_STREAM)
     reference = Generator(Philox(key=key)).random(5000)
-    assert np.array_equal(uniform_block(key, 0, 5000), reference)
+    assert np.array_equal(fresh_block(key, 0, 5000), reference)
 
 
 @pytest.mark.parametrize("cut", [1, 3, 4, 7, 1024, 4093])
@@ -69,15 +74,15 @@ def test_uniform_block_concatenation_invariance(cut):
     # random access must agree with one contiguous pass regardless of
     # where the block boundary falls relative to the 4-double counter step
     key = seed_derivation(7, 11, ENERGY_STREAM)
-    whole = uniform_block(key, 0, 5000)
-    split = np.concatenate([uniform_block(key, 0, cut), uniform_block(key, cut, 5000)])
+    whole = fresh_block(key, 0, 5000)
+    split = np.concatenate([fresh_block(key, 0, cut), fresh_block(key, cut, 5000)])
     assert np.array_equal(whole, split)
 
 
 def test_uniform_block_interior_window():
     key = seed_derivation(9, 2, ENERGY_STREAM)
-    whole = uniform_block(key, 0, 3000)
-    assert np.array_equal(uniform_block(key, 1237, 2741), whole[1237:2741])
+    whole = fresh_block(key, 0, 3000)
+    assert np.array_equal(fresh_block(key, 1237, 2741), whole[1237:2741])
 
 
 def philox_window(key, start, stop):
@@ -103,7 +108,7 @@ def test_uniform_stream_draws_what_random_access_draws(lo):
         got.append(u.copy())
     got = np.concatenate(got)
     assert np.array_equal(got, philox_window(key, lo, hi))
-    assert np.array_equal(got, uniform_block(key, lo, hi))
+    assert np.array_equal(got, fresh_block(key, lo, hi))
     assert np.array_equal(got[7:], philox_window(key, lo + 7, hi))
     assert stream.position == hi
     with pytest.raises(ValueError):
@@ -125,19 +130,19 @@ def test_uniform_stream_moves_to_the_asked_start():
 
 
 def test_uniform_block_empty_and_invalid():
-    key = seed_derivation(0, 0, 0)
-    assert uniform_block(key, 10, 10).size == 0
+    stream = UniformStream(seed_derivation(0, 0, 0), 10)
+    assert uniform_block(stream, 10, 10).size == 0
     with pytest.raises(ValueError):
-        uniform_block(key, 10, 9)
+        uniform_block(stream, 10, 9)
     with pytest.raises(ValueError):
-        uniform_block(key, -1, 9)
+        uniform_block(stream, -1, 9)
 
 
 def test_uniform_block_range_and_determinism():
     key = seed_derivation(1234, 5, ENERGY_STREAM)
-    u = uniform_block(key, 0, 100000)
+    u = fresh_block(key, 0, 100000)
     assert u.min() >= 0.0 and u.max() < 1.0
-    assert np.array_equal(u, uniform_block(key, 0, 100000))
+    assert np.array_equal(u, fresh_block(key, 0, 100000))
     # crude moment checks: mean 1/2 and var 1/12 for U(0,1)
     assert abs(u.mean() - 0.5) < 0.005
     assert abs(u.var() - 1.0 / 12.0) < 0.005
@@ -145,9 +150,9 @@ def test_uniform_block_range_and_determinism():
 
 def test_streams_decorrelated_across_replicas_and_labels():
     n = 100000
-    base = uniform_block(seed_derivation(42, 0, ENERGY_STREAM), 0, n)
-    other_replica = uniform_block(seed_derivation(42, 1, ENERGY_STREAM), 0, n)
-    other_label = uniform_block(seed_derivation(42, 0, POISSON_STREAM), 0, n)
+    base = fresh_block(seed_derivation(42, 0, ENERGY_STREAM), 0, n)
+    other_replica = fresh_block(seed_derivation(42, 1, ENERGY_STREAM), 0, n)
+    other_label = fresh_block(seed_derivation(42, 0, POISSON_STREAM), 0, n)
     assert abs(np.corrcoef(base, other_replica)[0, 1]) < 0.01
     assert abs(np.corrcoef(base, other_label)[0, 1]) < 0.01
     assert not np.array_equal(base, other_replica)

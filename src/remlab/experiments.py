@@ -85,9 +85,14 @@ class RunOutcome:
 
 @dataclass(frozen=True)
 class Check:
-    """One check: ``evaluate(manifest, data, **params) -> (passed, detail)``.
+    """One check: ``evaluate(manifest, data, **params) -> (passed, report, measured)``.
 
-    ``data`` is what the experiment's ``build`` returned.  ``params`` maps
+    ``data`` is what the experiment's ``build`` returned, ``report`` the
+    ``stats.TestReport`` the check ran or None, and ``measured`` the other
+    numbers it measured.  A level test declares ``level`` as ``_LEVEL``, is
+    not passed it and returns ``passed`` None: ``_evaluate`` decides
+    ``p_value > level``, and writes every detail as the resolved parameters,
+    the report's fields, ``measured`` and ``master_seed``.  ``params`` maps
     each parameter, in manifest order, to ``(kind, default)`` with a kind
     of ``remlab.manifest.KINDS``: a default of ``...`` makes it required,
     and a callable default is called with the manifest's fields as a dict.
@@ -273,7 +278,19 @@ def _evaluate(manifest: ExperimentManifest, data, item: dict) -> CheckResult:
     params = dict(item)
     name = params.pop("check")
     spec = REGISTRY[manifest.experiment].checks[name]
-    passed, detail = spec.evaluate(manifest, data, **params)
+    args = {key: value for key, value in params.items() if key != "level"}
+    passed, report, measured = spec.evaluate(manifest, data, **args)
+    if passed is None:  # a level test
+        passed = report.p_value > params["level"]
+    detail = dict(params)
+    if report is not None:
+        detail.update(dataclasses.asdict(report))  # statistic, p_value, sample_sizes
+    detail.update(measured, master_seed=manifest.master_seed)
+    # strict JSON: a non-finite float as results.csv spells it, "inf", "-inf" or "nan"
+    detail = {
+        key: repr(float(value)) if isinstance(value, float) and not math.isfinite(value) else value
+        for key, value in detail.items()
+    }
     return CheckResult(name + spec.label.format(**params), passed, detail)
 
 
@@ -300,9 +317,7 @@ def _mean_within(manifest: ExperimentManifest, fe: dict, beta: float, tol: float
     mean = float(np.mean(fe[beta]))
     target = free_energy_limit(manifest.alpha, beta)
     deviation = abs(mean - target)
-    return deviation <= tol, {
-        "beta": beta, "mean": mean, "target": target, "tol": tol, "deviation": deviation,
-    }
+    return deviation <= tol, None, {"mean": mean, "target": target, "deviation": deviation}
 
 
 def _curve_shape(manifest: ExperimentManifest, fe: dict, center_beta: float, window: float):
@@ -316,13 +331,11 @@ def _curve_shape(manifest: ExperimentManifest, fe: dict, center_beta: float, win
     deviations = [abs(m - free_energy_limit(manifest.alpha, b)) for b, m in zip(betas, means)]
     peak = int(np.argmax(deviations))
     peak_near_center = abs(betas[peak] - center_beta) <= window + 1e-12
-    return convex and nondecreasing and peak_near_center, {
+    return convex and nondecreasing and peak_near_center, None, {
         "convex": convex,
         "nondecreasing": nondecreasing,
         "max_deviation": deviations[peak],
         "max_deviation_beta": betas[peak],
-        "center_beta": center_beta,
-        "window": window,
     }
 
 
@@ -362,24 +375,20 @@ def _pooled_rate_in(manifest: ExperimentManifest, hits: dict, interval, low, hig
     pooled = math.inf
     if total > 0:
         pooled = -(math.log(total / len(hits[interval])) - n * LOG2) / n
-    return low <= pooled <= high, {
-        "interval": list(interval), "pooled_rate": pooled, "low": low, "high": high,
-        "total_hits": int(total),
-    }
+    return low <= pooled <= high, None, {"pooled_rate": pooled, "total_hits": int(total)}
 
 
 def _zero_hits(manifest: ExperimentManifest, hits: dict, interval):
     counts = hits[interval]
-    return all(h == 0 for h in counts), {"interval": list(interval), "max_hits": int(max(counts))}
+    return all(h == 0 for h in counts), None, {"max_hits": int(max(counts))}
 
 
 def _outside_fraction_below(manifest, hits: dict, interval, threshold, min_replicas):
     size = 1 << manifest.n
     fractions = [1.0 - h / size for h in hits[interval]]
     below = sum(f < threshold for f in fractions)
-    return below >= min_replicas, {
-        "interval": list(interval), "threshold": threshold, "replicas_below": int(below),
-        "min_replicas": min_replicas, "fractions": [float(f) for f in fractions],
+    return below >= min_replicas, None, {
+        "replicas_below": int(below), "fractions": [float(f) for f in fractions],
     }
 
 
@@ -410,9 +419,8 @@ def _max_marginal_deviation(manifest: ExperimentManifest, results, beta: float, 
     # lopsided even though the mean is exactly uniform.
     averaged = np.mean([r.marginal[beta] for r in results], axis=0)
     worst = float(np.max(np.abs(averaged - 1.0 / patterns)))
-    return worst < tol, {
-        "beta": beta, "max_deviation": worst, "tol": tol,
-        "patterns": patterns, "replicas": len(results),
+    return worst < tol, None, {
+        "max_deviation": worst, "patterns": patterns, "replicas": len(results),
     }
 
 
@@ -450,18 +458,12 @@ def _counts(positions: dict, b: float) -> np.ndarray:
 def _count_zero_prob(manifest: ExperimentManifest, positions: dict, b: float, tol: float):
     observed = float(np.mean(_counts(positions, b) == 0))
     target = poisson_count_pmf(b, 0)
-    return abs(observed - target) <= tol, {
-        "b": b, "observed": observed, "target": target, "tol": tol,
-    }
+    return abs(observed - target) <= tol, None, {"observed": observed, "target": target}
 
 
-def _count_chi_square(manifest, positions: dict, b: float, kmax: int, level: float):
+def _count_chi_square(manifest: ExperimentManifest, positions: dict, b: float, kmax: int):
     observed = np.bincount(np.minimum(_counts(positions, b), kmax + 1), minlength=kmax + 2)
-    report = chi_square_gof(observed, poisson_count_probs(b, kmax))
-    return report.p_value > level, {
-        "b": b, "statistic": report.statistic, "p_value": report.p_value,
-        "level": level, "bins": report.sample_sizes[1],
-    }
+    return None, chi_square_gof(observed, poisson_count_probs(b, kmax)), {}
 
 
 # The fewest pooled exceedances, replicas * exp(-b), that positions_ks may
@@ -470,19 +472,15 @@ def _count_chi_square(manifest, positions: dict, b: float, kmax: int, level: flo
 MIN_POOLED_EXCEEDANCES = 20.0
 
 
-def _positions_ks(manifest: ExperimentManifest, positions: dict, b: float, level: float):
+def _positions_ks(manifest: ExperimentManifest, positions: dict, b: float):
     pooled = np.concatenate(positions[b]) if positions[b] else np.empty(0)
     if pooled.size == 0:
-        return False, {"b": b, "reason": "no exceedances observed"}
+        return False, None, {"reason": "no exceedances observed"}
 
     def shifted_exp_cdf(t):
         return np.where(t < b, 0.0, -np.expm1(-(np.asarray(t, dtype=float) - b)))
 
-    report = ks_one_sample(pooled, shifted_exp_cdf)
-    return report.p_value > level, {
-        "b": b, "statistic": report.statistic, "p_value": report.p_value,
-        "level": level, "pooled_points": int(pooled.size),
-    }
+    return None, ks_one_sample(pooled, shifted_exp_cdf), {}
 
 
 # --------------------------------------------------------------------------
@@ -542,10 +540,7 @@ def _ks(first: str, second: str, column: int) -> Callable:
         report = ks_two_sample(
             [s[column] for s in samples[first]], [s[column] for s in samples[second]]
         )
-        return report.statistic < max_statistic, {
-            "statistic": report.statistic, "max_statistic": max_statistic,
-            "p_value": report.p_value, "sample_sizes": list(report.sample_sizes),
-        }
+        return report.statistic < max_statistic, report, {}
 
     return evaluate
 
@@ -673,6 +668,6 @@ def run_experiment(
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
     }
     with open(target / "summary.json", "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2)
+        json.dump(summary, handle, indent=2, allow_nan=False)
         handle.write("\n")
     return RunOutcome(resolved, target, tuple(checks), passed)

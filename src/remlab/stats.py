@@ -8,12 +8,12 @@ package's import time.  Each test imports ``scipy.special`` when it runs,
 so a run without a KS or chi-square test at ``alpha = 1`` never loads it.
 All p-values are asymptotic, which every caller in this package can
 afford: acceptance sample sizes start in the hundreds.  A test returns
-no verdict; the check that runs it decides, comparing the p-value with
-its level (``DEFAULT_LEVEL`` unless the manifest sets one) or the
-statistic with a bound.  That default is deliberately small so a full
-verification run has a low false-alarm rate; the verification harness
-additionally retries a failed statistical check once on a fresh derived
-seed.
+no verdict: ``experiments._evaluate`` compares a level check's p-value
+with its level (``DEFAULT_LEVEL`` unless the manifest sets one), and a
+check with a bound on the statistic decides itself.  That default is
+deliberately small so a full verification run has a low false-alarm
+rate; the verification harness additionally retries a failed
+statistical check once on a fresh derived seed.
 """
 
 from __future__ import annotations

@@ -6,8 +6,10 @@ manifest with a failed check is rerun exactly once, all of its checks,
 on a derived seed (master_seed + 1), so a statistical false alarm must
 recur on fresh replicas to fail, while a real defect keeps failing.
 Only ``count_chi_square`` and ``positions_ks`` test at a stated level
-(0.001 by default); the other checks compare with hand-set bounds whose
-false-alarm rate has not been measured.
+(0.001 by default), which ``experiments._evaluate`` decides; the other
+checks compare with hand-set bounds whose false-alarm rate has not been
+measured.  ``_evaluate`` writes every check's detail, with the seed of
+the run that produced it, the retry's on a retry.
 """
 
 from __future__ import annotations

@@ -203,7 +203,7 @@ def test_exceedance_poisson_law(verified):
         "exceedance positions KS",
         ks.passed,
         f"statistic={ks.detail['statistic']:.4f} p={ks.detail['p_value']:.4f} "
-        f"points={ks.detail['pooled_points']} retried={record.retried}",
+        f"points={ks.detail['sample_sizes'][0]} retried={record.retried}",
     )
     ok = ok and ks.passed
     assert ok

@@ -3,7 +3,9 @@ import dataclasses
 import hashlib
 import importlib.util
 import inspect
+import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -19,7 +21,7 @@ import remlab.engine
 import remlab.experiments
 import remlab.verify
 from remlab.cli import main
-from remlab.experiments import REGISTRY, RunOutcome, resolve_workers, run_experiment
+from remlab.experiments import _LEVEL, REGISTRY, RunOutcome, resolve_workers, run_experiment
 from remlab.manifest import (
     KINDS,
     ExperimentManifest,
@@ -30,6 +32,7 @@ from remlab.manifest import (
     load,
 )
 from remlab.rng import RETRY_SEED_INCREMENT, seed_derivation, stream_generator
+from remlab.stats import DEFAULT_LEVEL, TestReport
 from remlab.theory import critical_beta, free_energy_limit
 from remlab.verify import BUILTIN_NAMES, builtin_manifest, run_builtin
 
@@ -191,7 +194,9 @@ def test_registry_table_is_self_consistent():
         assert set(entry.fields) <= manifest_fields, experiment
         for name, spec in entry.checks.items():
             manifest, data, *params = inspect.signature(spec.evaluate).parameters.values()
-            assert [p.name for p in params] == list(spec.params), name
+            # _evaluate decides a level test, so its evaluate is not passed the level
+            assert [p.name for p in params] == [k for k in spec.params if k != "level"], name
+            assert spec.params.get("level", _LEVEL) is _LEVEL, name
             assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params), name
             if spec.needs:  # (field, least): a manifest list or a "pd.<count>"
                 head, _, count = spec.needs[0].partition(".")
@@ -777,6 +782,84 @@ def test_pd_compare_artifacts(tmp_path):
     assert {c.name for c in outcome.checks} == {"ks_w1", "stick_ks_w1"}
 
 
+def shape_docs():
+    # one small manifest per experiment, every check of its vocabulary attached
+    free = tiny_doc(betas=[0.5, 1.0, 2.0], checks=[
+        {"check": "mean_within", "beta": 2.0, "tol": 0.5}, {"check": "curve_shape"},
+    ])
+    rate = tiny_doc(replicas=4)
+    as_rate(rate, [
+        {"check": "pooled_rate_in", "interval": [0.1, 0.2], "low": 0.0, "high": 1.0},
+        {"check": "zero_hits", "interval": [0.8, 0.9]},
+        {"check": "outside_fraction_below", "interval": [0.1, 0.2], "threshold": 0.9,
+         "min_replicas": 2},
+    ], intervals=((0.1, 0.2), (0.8, 0.9)))
+    marginals = tiny_doc(experiment="marginals", k_marginal=2, checks=[
+        {"check": "max_marginal_deviation", "beta": 0.5, "tol": 0.5},
+    ])
+    exceedance = tiny_doc(replicas=60)
+    as_exceedance(exceedance, [
+        {"check": "count_zero_prob", "b": 0.0, "tol": 0.5},
+        {"check": "count_chi_square", "b": 0.0},
+        {"check": "positions_ks", "b": 0.0},
+    ])
+    pd = tiny_doc(env={"alpha": 1.0, "n": 10}, replicas=12)
+    as_pd(pd, [{"check": name, "max_statistic": 0.99}
+               for name in ("ks_w1", "ks_sumsq", "stick_ks_w1")], stick_draws=8, stick_length=30)
+    return {"free_energy": free, "rate_function": rate, "marginals": marginals,
+            "exceedance": exceedance, "pd_compare": pd}
+
+
+@pytest.mark.parametrize("experiment", list(REGISTRY))
+def test_every_detail_has_one_shape(tmp_path, experiment):
+    doc = shape_docs()[experiment]
+    assert {c["check"] for c in doc["checks"]} == set(REGISTRY[experiment].checks)
+    run_experiment(from_dict(doc), workers=1, output_dir=tmp_path)
+    resolved = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    for item, check in zip(resolved["checks"], summary["checks"]):
+        params = {key: value for key, value in item.items() if key != "check"}
+        detail = check["detail"]
+        # the resolved parameters first, the seed of the run last
+        assert dict(itertools.islice(detail.items(), len(params))) == params, check["name"]
+        assert list(detail)[-1] == "master_seed" and detail["master_seed"] == 11, check["name"]
+        if "level" in params:
+            reported = {"statistic", "p_value", "level", "sample_sizes"}
+            assert reported <= set(detail), check["name"]
+            assert check["passed"] == (detail["p_value"] > detail["level"]), check["name"]
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_level_checks_pass_only_above_the_level(tmp_path, monkeypatch, above):
+    # a report at exactly the level fails; one a step above it passes
+    p_value = math.nextafter(DEFAULT_LEVEL, 1.0) if above else DEFAULT_LEVEL
+    report = TestReport(0.5, p_value, (100, 0))
+    monkeypatch.setattr(remlab.experiments, "chi_square_gof", lambda *args: report)
+    monkeypatch.setattr(remlab.experiments, "ks_one_sample", lambda *args: report)
+    outcome = run_experiment(from_dict(shape_docs()["exceedance"]), output_dir=tmp_path)
+    levels = [c for c in outcome.checks if "level" in c.detail]
+    assert [c.name for c in levels] == ["count_chi_square(b=0)", "positions_ks(b=0)"]
+    for check in levels:
+        assert check.passed is above
+        assert (check.detail["level"], check.detail["p_value"]) == (DEFAULT_LEVEL, p_value)
+
+
+def test_summary_is_strict_json(tmp_path):
+    # no hits on (0.8, 0.9) at n=10 make the pooled rate infinite
+    doc = tiny_doc(env={"alpha": 1.0, "n": 10}, master_seed=1, replicas=4)
+    as_rate(doc, [{"check": "pooled_rate_in", "interval": [0.8, 0.9], "low": 0.8, "high": 0.9}],
+            intervals=((0.8, 0.9),))
+    outcome = run_experiment(from_dict(doc), output_dir=tmp_path)
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    text = (tmp_path / "summary.json").read_text(encoding="utf-8")
+    (check,) = json.loads(text, parse_constant=reject)["checks"]
+    assert check["detail"]["pooled_rate"] == "inf" and not check["passed"]
+    assert outcome.checks[0].detail["pooled_rate"] == "inf"
+
+
 # sha256 of pd_compare's results.csv and theory.csv for PD_PINNED_DOC.  results.csv
 # was recorded from the runner whose replicas sent their whole spectra back
 # through the pool.  theory.csv was re-recorded when the PD samplers began to
@@ -970,6 +1053,19 @@ def test_verify_duration_includes_the_retry(tmp_path, monkeypatch):
     assert seeds == [None, base + RETRY_SEED_INCREMENT]
     assert record.retried and record.passed and not record.first_outcome.passed
     assert record.duration == 10.0
+
+
+def test_retried_details_carry_the_retry_seed(tmp_path, monkeypatch):
+    # a check that no run passes: the retry's details hold the retry's seed
+    failing = from_dict(tiny_doc(checks=[{"check": "mean_within", "beta": 0.5, "tol": 1e-12}]))
+    monkeypatch.setattr(remlab.verify, "builtin_manifest", lambda name: failing)
+    record = run_builtin("marginals_laplace", output_root=tmp_path)
+    base, retry = failing.master_seed, failing.master_seed + RETRY_SEED_INCREMENT
+    assert record.retried and not record.passed
+    assert [c.detail["master_seed"] for c in record.first_outcome.checks] == [base]
+    assert [c.detail["master_seed"] for c in record.outcome.checks] == [retry]
+    summary = json.loads((tmp_path / "marginals_laplace-retry" / "summary.json").read_text())
+    assert summary["checks"][0]["detail"]["master_seed"] == retry
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 

@@ -27,7 +27,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one experiment manifest")
     run_p.add_argument("manifest", help="path to a manifest JSON file")
     run_p.add_argument("--workers", help="worker processes (integer or 'auto')")
-    run_p.add_argument("--output-dir", help="override the manifest output_dir")
+    run_p.add_argument("--output-dir", default="remlab-out", help="artifact directory")
     run_p.add_argument("--seed", type=int, help="override the manifest master_seed")
     run_p.set_defaults(func=_cmd_run)
 
@@ -61,7 +61,7 @@ def _cmd_run(args) -> int:
         print(f"manifest error: {exc}", file=sys.stderr)
         return 2
     try:
-        workers = resolve_workers(manifest, args.workers)
+        workers = resolve_workers(args.workers)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -90,7 +90,7 @@ def _cmd_verify(args) -> int:
             )
             return 2
     try:
-        workers = resolve_workers(None, args.workers)
+        workers = resolve_workers(args.workers)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -140,8 +140,10 @@ class ReplicaSpec:
         for name, values in (("betas", betas), ("intervals", intervals), ("b_levels", levels)):
             if len(set(values)) != len(values):  # each value keys its own results
                 raise ValueError(f"{name} must be distinct, got {values!r}")
-        if not isinstance(self.top_m, int) or isinstance(self.top_m, bool) or self.top_m < 0:
-            raise ValueError(f"top_m must be an integer >= 0, got {self.top_m!r}")
+        # at most one chunk's energies, kept per chunk until the fold
+        m = self.top_m
+        if not isinstance(m, int) or isinstance(m, bool) or not 0 <= m <= 1 << CHUNK_BITS:
+            raise ValueError(f"top_m must be an integer in [0, 2^{CHUNK_BITS}], got {m!r}")
         # range checks on the seed fields happen here
         seed_derivation(self.master_seed, self.replica_id, ENERGY_STREAM)
 
@@ -210,8 +212,7 @@ class ChunkSummary:
     of the run, relative to its own ``min_energy``:
     ``sum exp(-beta (E - min_energy))``, in total and per pattern of the
     low ``k_marginal`` bits.  ``best`` holds the lowest ``keep``
-    energies, unordered, and ``positions`` one array per chunk and b
-    level.
+    energies, unordered, and ``positions`` one array per b level.
     """
 
     min_energy: float
@@ -220,7 +221,7 @@ class ChunkSummary:
     z: dict[float, float]
     y: dict[float, np.ndarray]
     hits: tuple[int, ...]
-    positions: tuple[tuple[np.ndarray, ...], ...]
+    positions: tuple[np.ndarray, ...]
 
 
 def chunks(spec: ReplicaSpec) -> list[tuple[int, int]]:
@@ -393,7 +394,7 @@ def _cuts(spec: ReplicaSpec, lo: int, hi: int) -> tuple:
             for level, into in zip(levels, found):
                 into.append(extremes[extremes >= level])
     hits = tuple(h - l for l, h in zip(below[::2], below[1::2]))
-    return hits, tuple((np.concatenate(into) if into else np.empty(0),) for into in found)
+    return hits, tuple(np.concatenate(into) if into else np.empty(0) for into in found)
 
 
 def merge(left: ChunkSummary, right: ChunkSummary) -> ChunkSummary:
@@ -426,7 +427,7 @@ def merge(left: ChunkSummary, right: ChunkSummary) -> ChunkSummary:
         z=z,
         y=y,
         hits=tuple(a + b for a, b in zip(left.hits, right.hits)),
-        positions=tuple(a + b for a, b in zip(left.positions, right.positions)),
+        positions=tuple(np.concatenate(pair) for pair in zip(left.positions, right.positions)),
     )
 
 
@@ -462,7 +463,7 @@ def finish(spec: ReplicaSpec, summary: ChunkSummary) -> ReplicaResult:
         spectrum=spectrum,
         marginal=marginal,
         interval_hits=dict(zip(spec.intervals, summary.hits)),
-        exceedance={b: np.concatenate(p) for b, p in zip(spec.b_levels, summary.positions)},
+        exceedance=dict(zip(spec.b_levels, summary.positions)),
     )
 
 

@@ -1,9 +1,10 @@
 """Experiment runners: manifest in, artifact bundle out.
 
 Each experiment type emits results.csv, theory.csv (matching closed-form
-values on the same grid), a resolved copy of the manifest, and
-summary.json with a pass/fail record per attached check.  Exceedance
-runs additionally emit positions.csv.
+values on the same grid), the manifest it ran (``to_json()``, its check
+parameters resolved by the parser), and summary.json with a pass/fail
+record per attached check.  Exceedance runs additionally emit
+positions.csv.
 
 ``REGISTRY`` declares each experiment type once, in one table: the
 manifest fields it reads, the keyed draws it needs besides its replicas,
@@ -14,10 +15,10 @@ in one pool or in this process, and returns their results in id order.
 
 Determinism contract: every random quantity is derived from
 (master_seed, replica or draw id, stream label) through the keyed
-counter-based generator, and aggregation happens in id order, so CSV
-bodies are byte-identical for any worker count.  Floats are written in
-shortest round-trip decimal form; timestamps appear only in
-summary.json.
+counter-based generator, and aggregation happens in id order, so the
+CSVs and manifest.json are byte-identical for any worker count and
+output directory.  Floats are written in shortest round-trip decimal
+form; timestamps appear only in summary.json.
 """
 
 from __future__ import annotations
@@ -160,13 +161,8 @@ class Draw:
         return _spectrum_stats(self.sampler(*self.args, rng).entries)
 
 
-def resolve_workers(manifest: ExperimentManifest | None, override=None) -> int:
-    """Worker count precedence: explicit override, manifest (if any), REMLAB_WORKERS, 1."""
-    value = override
-    if value is None and manifest is not None:
-        value = manifest.workers
-    if value is None:
-        value = os.environ.get("REMLAB_WORKERS") or None
+def resolve_workers(value) -> int:
+    """The worker count ``value`` asks for: an integer >= 1, ``"auto"``, or 1 where unset."""
     if value is None:
         return 1
     if value == "auto":
@@ -439,7 +435,7 @@ def _exceedance(manifest: ExperimentManifest, results, draws):
         for i, pts in enumerate(positions[b])
         for p in pts
     ]
-    kmax = max([8] + [c.get("kmax", 8) for c in manifest.checks])
+    kmax = max([_THEORY_KMAX, *(c["kmax"] for c in manifest.checks if "kmax" in c)])
     theory_rows = [
         (b, k, poisson_count_pmf(b, k)) for b in manifest.b_levels for k in range(kmax + 1)
     ]
@@ -553,6 +549,9 @@ _POSITIVE = ("positive", ...)
 _FRACTION = ("fraction", ...)
 _MAX_STATISTIC = {"max_statistic": _FRACTION}
 _LEVEL = ("fraction", DEFAULT_LEVEL)
+# exceedance's theory.csv lists P(count = k) up to the largest count_chi_square
+# kmax (declared below, 5 by default), and at least up to this one
+_THEORY_KMAX = 8
 _INTERVAL_LABEL = "({interval[0]:g},{interval[1]:g})"
 
 # Order matters: error messages list the experiments in this order, and
@@ -612,48 +611,40 @@ REGISTRY = {
 # --------------------------------------------------------------------------
 
 
-def run_experiment(
-    manifest: ExperimentManifest,
-    workers=None,
-    output_dir=None,
-    master_seed=None,
-) -> RunOutcome:
-    """Run one manifest and write its artifact bundle.
+def run_experiment(manifest: ExperimentManifest, workers=None, output_dir="remlab-out"):
+    """Run one manifest and write its artifact bundle into ``output_dir``.
 
-    ``workers``, ``output_dir`` and ``master_seed`` override the manifest
-    fields (the CLI maps its flags here).  Returns the outcome with one
-    CheckResult per attached check.
+    ``workers`` is read by ``resolve_workers``; neither it nor
+    ``output_dir`` changes an artifact other than ``summary.json``.
+    Returns the outcome with one CheckResult per attached check.
     """
-    if master_seed is not None:
-        manifest = dataclasses.replace(manifest, master_seed=master_seed)
-    count = resolve_workers(manifest, workers)
-    target = Path(output_dir if output_dir is not None else manifest.output_dir or "remlab-out")
+    count = resolve_workers(workers)
+    target = Path(output_dir)
     target.mkdir(parents=True, exist_ok=True)
-    resolved = dataclasses.replace(manifest, output_dir=str(target), workers=count)
 
-    entry = REGISTRY[resolved.experiment]
-    specs = _engine_specs(resolved, entry.fields)
-    samples = entry.draws(resolved)
+    entry = REGISTRY[manifest.experiment]
+    specs = _engine_specs(manifest, entry.fields)
+    samples = entry.draws(manifest)
     draw_tasks = [d for group in samples.values() for d in group]
     results, processes = _map_tasks(specs, draw_tasks, count, entry.keep)
     drawn = iter(results[len(specs) :])
     draws = {name: list(itertools.islice(drawn, len(group))) for name, group in samples.items()}
-    tables, data = entry.build(resolved, results[: len(specs)], draws)
-    checks = [_evaluate(resolved, data, item) for item in resolved.checks]
+    tables, data = entry.build(manifest, results[: len(specs)], draws)
+    checks = [_evaluate(manifest, data, item) for item in manifest.checks]
     for name, (header, rows) in tables.items():
         _write_csv(target / name, header, rows)
     with open(target / "manifest.json", "w", encoding="utf-8") as handle:
-        handle.write(resolved.to_json())
+        handle.write(manifest.to_json())
 
     passed = all(c.passed for c in checks)
     summary = {
-        "experiment": resolved.experiment,
+        "experiment": manifest.experiment,
         "passed": passed,
         "checks": [
             {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
         ],
         "seeds": {
-            "master_seed": resolved.master_seed,
+            "master_seed": manifest.master_seed,
             "key_scheme": "(master_seed << 64) | (replica_id << 16) | stream",
             "streams": {"energy": ENERGY_STREAM, "poisson": POISSON_STREAM, "stick": STICK_STREAM},
         },
@@ -670,4 +661,4 @@ def run_experiment(
     with open(target / "summary.json", "w", encoding="utf-8") as handle:
         json.dump(summary, handle, indent=2, allow_nan=False)
         handle.write("\n")
-    return RunOutcome(resolved, target, tuple(checks), passed)
+    return RunOutcome(manifest, target, tuple(checks), passed)

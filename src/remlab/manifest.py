@@ -1,8 +1,10 @@
 """Experiment manifests: one JSON document describes one experiment.
 
-A manifest fixes everything a run needs (environment, temperatures,
-replica count, seeds, experiment-specific blocks, attached checks) so
-that a run is reproducible from the file alone.  Every value is read
+A manifest fixes everything that decides a run's artifacts
+(environment, temperatures, replica count, seeds, experiment-specific
+blocks, attached checks) so that a run is reproducible from the file
+alone; where a run writes and how many processes it uses are arguments
+of the run, not fields.  Every value is read
 once, as one of the kinds in ``KINDS``: each field of
 ``ExperimentManifest`` and ``PDBlock`` declares its kind next to its
 default, and each check parameter declares its kind in the experiment
@@ -73,10 +75,8 @@ class ExperimentManifest:
     intervals: tuple = _kind("[pair]", ())
     k_marginal: int = _kind("size", 0)
     b_levels: tuple = _kind("[level]", ())
-    top_m: int = _kind("count", TOP_M)
+    top_m: int = _kind("pool", TOP_M)
     pd: PDBlock | None = _kind("pd", None)
-    output_dir: str | None = _kind("path", None)
-    workers: int | str | None = _kind("workers", None)
     checks: tuple = _kind("checks", ())
 
     def to_dict(self) -> dict:
@@ -94,10 +94,6 @@ class ExperimentManifest:
         }
         if self.pd is not None:
             doc["pd"] = dataclasses.asdict(self.pd)
-        if self.output_dir is not None:
-            doc["output_dir"] = self.output_dir
-        if self.workers is not None:
-            doc["workers"] = self.workers
         return doc
 
     def to_json(self) -> str:
@@ -141,10 +137,6 @@ def _pair(value, path: str) -> tuple:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         _fail(path, f"expected a [low, high] pair, got {value!r}")
     return _number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]")
-
-
-def _workers(value, path: str):
-    return value if value == "auto" else _integer(value, path)
 
 
 def _rule(base, test=lambda value, fields: True, expected: str = ""):
@@ -260,6 +252,10 @@ KINDS = {
     "b": _rule(_number, lambda v, f: v in f["b_levels"], "a level in the b_levels list"),
     "count": _rule(_integer, lambda v, f: v >= 1, "an integer >= 1"),
     "natural": _rule(_integer, lambda v, f: v >= 0, "an integer >= 0"),
+    # at most one chunk's energies: each chunk keeps min(top_m, 2^n) of them
+    "pool": _rule(
+        _integer, lambda v, f: 1 <= v <= 1 << CHUNK_BITS, f"an integer in [1, 2^{CHUNK_BITS}]"
+    ),
     "spins": _rule(_integer, lambda v, f: 1 <= v <= MAX_N, f"an integer in [1, {MAX_N}]"),
     "size": _rule(
         _integer,
@@ -270,8 +266,6 @@ KINDS = {
     "replicas": _rule(_integer, lambda v, f: 1 <= v <= f["replicas"], "a count <= replicas"),
     "pair": _rule(_pair, lambda v, f: v[0] < v[1], "low < high"),
     "interval": _rule(_pair, lambda v, f: v in f["intervals"], "a pair in the intervals list"),
-    "path": _rule(lambda v, p: v, lambda v, f: isinstance(v, str), "a string path"),
-    "workers": _rule(_workers, lambda v, f: v == "auto" or v >= 1, "an integer >= 1 or 'auto'"),
     "truncation": _rule(
         _number,
         lambda v, f: MIN_TRUNCATION_B <= v <= MAX_TRUNCATION_B,

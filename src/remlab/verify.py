@@ -20,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 
 from .experiments import RunOutcome, run_experiment
-from .manifest import ExperimentManifest, from_json
+from .manifest import ExperimentManifest, from_dict, from_json
 from .rng import RETRY_SEED_INCREMENT
 
 BUILTIN_NAMES = (
@@ -63,12 +63,10 @@ def run_builtin(name: str, workers=None, output_root="remlab-verify") -> VerifyR
     first = run_experiment(manifest, workers=workers, output_dir=root / name)
     final = first
     if not first.passed:
-        final = run_experiment(
-            manifest,
-            workers=workers,
-            output_dir=root / f"{name}-retry",
-            master_seed=manifest.master_seed + RETRY_SEED_INCREMENT,
-        )
+        # reseeded through the parser, as ``remlab run --seed`` is, so the seed is range-checked
+        seed = manifest.master_seed + RETRY_SEED_INCREMENT
+        retry = from_dict({**manifest.to_dict(), "master_seed": seed})
+        final = run_experiment(retry, workers=workers, output_dir=root / f"{name}-retry")
     return VerifyRecord(name, final, first, final is not first, time.perf_counter() - start)
 
 

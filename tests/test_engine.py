@@ -164,6 +164,10 @@ def test_replica_spec_validation():
         ReplicaSpec(env=env, betas=(), b_levels=(0.0, -0.0))
     with pytest.raises(ValueError):
         ReplicaSpec(env=env, betas=(1.0,), top_m=-1)
+    # at most one chunk's energies, which each chunk keeps until the fold
+    ReplicaSpec(env=env, betas=(1.0,), top_m=CHUNK)
+    with pytest.raises(ValueError, match="top_m"):
+        ReplicaSpec(env=env, betas=(1.0,), top_m=CHUNK + 1)
     with pytest.raises(ValueError):
         ReplicaSpec(env=env, betas=(1.0,), b_levels=(float("inf"),))
     with pytest.raises(ValueError):
@@ -503,7 +507,7 @@ def test_summarize_matches_whole_chunk_reductions(monkeypatch, n, chunk, k):
             int(np.count_nonzero((e > a * n) & (e < b * n))) for a, b in spec.intervals
         )
         extremes = -(e + shift)
-        for level, (pos,) in zip(spec.b_levels, summary.positions):
+        for level, pos in zip(spec.b_levels, summary.positions):
             assert np.array_equal(pos, extremes[extremes >= level])
         assert np.array_equal(np.sort(summary.best), np.sort(e)[:32])
         for beta in spec.betas:

@@ -31,7 +31,7 @@ from remlab.manifest import (
     from_json,
     load,
 )
-from remlab.rng import RETRY_SEED_INCREMENT, seed_derivation, stream_generator
+from remlab.rng import MAX_SEED, RETRY_SEED_INCREMENT, seed_derivation, stream_generator
 from remlab.stats import DEFAULT_LEVEL, TestReport
 from remlab.theory import critical_beta, free_energy_limit
 from remlab.verify import BUILTIN_NAMES, builtin_manifest, run_builtin
@@ -125,13 +125,10 @@ def test_round_trip_full_manifest():
             "stick_length": 50,
         },
         "checks": [{"check": "ks_w1", "max_statistic": 0.9}],
-        "output_dir": "somewhere",
-        "workers": "auto",
     }
     manifest = from_dict(doc)
     assert from_json(manifest.to_json()) == manifest
     assert manifest.pd.truncation_b == -1.0
-    assert manifest.workers == "auto"
 
 
 def test_builtin_names_cover_all_experiments():
@@ -225,14 +222,29 @@ def test_package_all_matches_its_bindings():
     assert sorted(remlab.__all__) == sorted(public | {"__version__"})
 
 
+# Public methods that only the tests use, kept for the open ROADMAP item
+# that will use them inside the package.
+TEST_ONLY_METHODS = {
+    "Environment.interval_probability",  # item 7: finite-n theory of rate_window
+    "WeightSequence.deficit",  # item 14: the PD samplers' retirement
+}
+
+
 def test_every_export_is_used_inside_the_package():
-    # an export that no module of the package names, imports included, is
-    # public API that only the tests use
-    used = set()
+    # an export, or a public method or property of a class of the package,
+    # that no module of the package names, imports included, is public API
+    # that only the tests use
+    used, methods = set(), set()
     for path in Path(remlab.__file__).parent.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                methods.update(
+                    (node.name, item.name) for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                )
+            if path.name == "__init__.py":
+                continue
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -240,6 +252,9 @@ def test_every_export_is_used_inside_the_package():
             elif isinstance(node, ast.alias):
                 used.add(node.name.rpartition(".")[2])
     assert sorted(set(remlab.__all__) - used - {"__version__"}) == []
+    assert len(methods) > len(TEST_ONLY_METHODS)
+    unused = {f"{cls}.{name}" for cls, name in methods if name not in used}
+    assert sorted(unused) == sorted(TEST_ONLY_METHODS)
 
 
 def test_builtin_unknown_name():
@@ -275,8 +290,12 @@ def test_builtin_unknown_name():
         # 2**30 floats per beta and 2**31 CSV rows
         (as_wide_marginals, "k_marginal: expected an integer in [0, min(n, 20)]"),
         (lambda d: d.update(top_m=0), "top_m"),
-        (lambda d: d.update(workers=0), "workers"),
-        (lambda d: d.update(workers="many"), "workers"),
+        # more than a chunk's energies: each chunk keeps min(top_m, 2^n) until the fold
+        (lambda d: (as_pd(d), d.update(top_m=(1 << 20) + 1)),
+         "top_m: expected an integer in [1, 2^20], got 1048577"),
+        # where and on how many processes a run goes is no manifest field
+        (lambda d: d.update(workers=2), "workers"),
+        (lambda d: d.update(workers="auto"), "workers"),
         (lambda d: d.update(checks=[{"check": "ks_w1", "max_statistic": 0.1}]), "checks[0]"),
         (lambda d: d.update(checks=[{"check": "mean_within", "beta": 0.7, "tol": 0.1}]), "beta"),
         (lambda d: d.update(checks=[{"check": "mean_within", "beta": 0.5}]), "tol"),
@@ -324,7 +343,6 @@ def test_builtin_unknown_name():
         (lambda d: as_exceedance(d, b_levels=[0.0, -1.0, 0.0]), "b_levels[2]: repeats the b_level 0.0"),
         (lambda d: d.update(betas="0.5"), "betas:"),
         (lambda d: d.update(betas=[10**400]), "betas[0]:"),
-        (lambda d: d.update(output_dir=3), "output_dir:"),
         (lambda d: d.update(env={"alpha": "1", "n": 8}), "env.alpha:"),
         (lambda d: d.update(env={"alpha": 1.0, "n": True}), "env.n:"),
         # check parameters
@@ -467,27 +485,22 @@ def test_manifest_text_errors(text, fragment):
 
 
 def test_resolve_workers_precedence(monkeypatch):
-    manifest = from_dict(tiny_doc())
-    monkeypatch.delenv("REMLAB_WORKERS", raising=False)
-    assert resolve_workers(manifest) == 1
+    # the flag or argument is the one source; unset means 1, whatever the environment holds
     monkeypatch.setenv("REMLAB_WORKERS", "3")
-    assert resolve_workers(manifest) == 3
-    withworkers = from_dict(tiny_doc(workers=2))
-    assert resolve_workers(withworkers) == 2
-    assert resolve_workers(withworkers, 5) == 5
+    assert resolve_workers(None) == 1
+    assert resolve_workers(5) == resolve_workers("5") == 5
     # "auto" is the CPUs this process may run on, or the CPU count where the
     # platform cannot say
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-    assert resolve_workers(withworkers, "auto") == 3
-    assert resolve_workers(from_dict(tiny_doc(workers="auto"))) == 3
+    assert resolve_workers("auto") == 3
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert resolve_workers(withworkers, "auto") == 64
+    assert resolve_workers("auto") == 64
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert resolve_workers(withworkers, "auto") == 1
-    monkeypatch.setenv("REMLAB_WORKERS", "junk")
-    with pytest.raises(ValueError):
-        resolve_workers(manifest)
+    assert resolve_workers("auto") == 1
+    for bad in ("junk", 0, "-2"):
+        with pytest.raises(ValueError):
+            resolve_workers(bad)
 
 
 def test_pd_epsilon_mass_accepted_where_used():
@@ -537,10 +550,7 @@ def test_run_experiment_artifacts(tmp_path):
     assert theory[0] == "beta,limit"
     assert float(theory[1].split(",")[1]) == free_energy_limit(1.0, 0.5)
 
-    resolved = from_json((out / "manifest.json").read_text(encoding="utf-8"))
-    assert resolved.master_seed == manifest.master_seed
-    assert resolved.output_dir == str(out)
-    assert resolved.workers == 1
+    assert (out / "manifest.json").read_text(encoding="utf-8") == manifest.to_json()
 
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     assert summary["passed"] is True
@@ -555,6 +565,30 @@ def test_run_experiment_is_deterministic_across_workers(tmp_path):
     b = run_experiment(manifest, workers=4, output_dir=tmp_path / "w4")
     for name in ("results.csv", "theory.csv"):
         assert (a.output_dir / name).read_bytes() == (b.output_dir / name).read_bytes()
+
+
+def test_artifacts_are_independent_of_workers_and_output_dir(tmp_path, monkeypatch):
+    # only summary.json records where and on how many processes a run went;
+    # with the pool threshold at 1 the workers=2 run goes to a pool of 2
+    monkeypatch.setattr(remlab.experiments, "POOL_MIN_CONFIGS", 1)
+    manifest = from_dict(tiny_doc(replicas=4, betas=[0.5, 1.5]))
+    a = run_experiment(manifest, workers=1, output_dir=tmp_path / "one")
+    b = run_experiment(manifest, workers=2, output_dir=tmp_path / "elsewhere" / "two")
+    summary = json.loads((b.output_dir / "summary.json").read_text(encoding="utf-8"))
+    assert (summary["workers"], summary["processes"]) == (2, 2)
+    for name in ("results.csv", "theory.csv", "manifest.json"):
+        assert (a.output_dir / name).read_bytes() == (b.output_dir / name).read_bytes()
+
+
+def test_run_settings_are_not_manifest_keys(tmp_path, capsys):
+    for key, value in (("workers", 2), ("output_dir", "out")):
+        with pytest.raises(ManifestError) as err:
+            from_dict(tiny_doc(**{key: value}))
+        assert str(err.value) == f"manifest root: unknown keys ['{key}']"
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(tiny_doc(**{key: value})), encoding="utf-8")
+        assert main(["run", str(path), "--output-dir", str(tmp_path / key)]) == 2
+        assert "manifest root: unknown keys" in capsys.readouterr().err
 
 
 def test_small_runs_stay_out_of_the_pool(tmp_path, monkeypatch):
@@ -656,13 +690,15 @@ def test_summary_records_processes(tmp_path):
 
 
 def test_run_experiment_seed_override_changes_results(tmp_path):
+    # a seed is overridden in the manifest, through the parser, as --seed and the retry do
     manifest = from_dict(tiny_doc())
     a = run_experiment(manifest, output_dir=tmp_path / "a")
-    b = run_experiment(manifest, output_dir=tmp_path / "b", master_seed=12)
+    b = run_experiment(from_dict({**manifest.to_dict(), "master_seed": 12}), output_dir=tmp_path / "b")
     assert (a.output_dir / "results.csv").read_bytes() != (
         b.output_dir / "results.csv"
     ).read_bytes()
     assert b.manifest.master_seed == 12
+    assert load(b.output_dir / "manifest.json").master_seed == 12
 
 
 def test_curve_shape_defaults_to_critical_beta(tmp_path):
@@ -1041,16 +1077,16 @@ def test_verify_duration_includes_the_retry(tmp_path, monkeypatch):
     clock = [0.0]
     seeds = []
 
-    def run_once(manifest, workers=None, output_dir=None, master_seed=None):
+    def run_once(manifest, workers=None, output_dir=None):
         clock[0] += 5.0
-        seeds.append(master_seed)
+        seeds.append(manifest.master_seed)
         return RunOutcome(manifest, Path(output_dir), (), passed=len(seeds) > 1)
 
     monkeypatch.setattr(remlab.verify, "run_experiment", run_once)
     monkeypatch.setattr(remlab.verify, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
     record = run_builtin("marginals_laplace", output_root=tmp_path)
     base = builtin_manifest("marginals_laplace").master_seed
-    assert seeds == [None, base + RETRY_SEED_INCREMENT]
+    assert seeds == [base, base + RETRY_SEED_INCREMENT]
     assert record.retried and record.passed and not record.first_outcome.passed
     assert record.duration == 10.0
 
@@ -1066,6 +1102,14 @@ def test_retried_details_carry_the_retry_seed(tmp_path, monkeypatch):
     assert [c.detail["master_seed"] for c in record.outcome.checks] == [retry]
     summary = json.loads((tmp_path / "marginals_laplace-retry" / "summary.json").read_text())
     assert summary["checks"][0]["detail"]["master_seed"] == retry
+
+
+def test_retry_seed_is_range_checked(tmp_path, monkeypatch):
+    # the retry reseeds through the parser: a seed past 2^64 - 1 is a manifest error
+    doc = tiny_doc(master_seed=MAX_SEED - 1, checks=[{"check": "mean_within", "beta": 0.5, "tol": 1e-12}])
+    monkeypatch.setattr(remlab.verify, "builtin_manifest", lambda name: from_dict(doc))
+    with pytest.raises(ManifestError, match="master_seed"):
+        run_builtin("marginals_laplace", output_root=tmp_path)
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 

@@ -146,8 +146,10 @@ class Environment:
         object.__setattr__(self, "n", int(self.n))
         if alpha != 1.0:
             # Load scipy.special, and for a general shape build the quantile
-            # table, now and not on the first draw: worker processes forked
-            # after this inherit both instead of each redoing them per pool.
+            # table, now and not on the first draw: pool workers forked after
+            # this inherit both.  The pool is kept across runs, so
+            # workers forked before an alpha is first seen load what it needs
+            # and build its table once each, on their first task of it.
             from scipy import special  # noqa: F401
 
             if alpha != 2.0:

@@ -32,7 +32,9 @@ import json
 import math
 import os
 import platform
-from concurrent.futures import ProcessPoolExecutor
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -124,10 +126,13 @@ class Experiment:
     where it is listed.  ``draws(manifest)`` gives ``{sample: [Draw]}``,
     submitted in the dict's order; it runs inside ``run_experiment``, so a
     sampler patched here before the run (as perfbench's spans do) is the
-    one its draws hold.  ``keep(result)`` is what the experiment keeps
-    of each ``ReplicaResult``, computed in the process that finished the
-    replica, so a pool sends back no more: ``pd_compare``'s replicas, like
-    its draws, send back ``(w1, sumsq)`` of their Gibbs spectrum.
+    one its draws hold where they run in this process.  A pool worker
+    holds the modules as they were when the pool forked, at the first
+    pooled call, and a later patch does not reach it.  ``keep(result)``
+    is what the experiment keeps of each ``ReplicaResult``, computed in
+    the process that finished the replica, so a pool sends back no more:
+    ``pd_compare``'s replicas, like its draws, send back ``(w1, sumsq)``
+    of their Gibbs spectrum.
     ``build(manifest, results, draws)`` gets what was kept of the
     replicas and the draws' results under the draws' names, and returns
     ``({file name: (header, rows)}, data)``.
@@ -172,7 +177,12 @@ def resolve_workers(value) -> int:
         return os.cpu_count() or 1
     try:
         count = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    # int() would take True for 1 and round 2.5 down to 2: neither is a count
+    if count is None or isinstance(value, (bool, np.bool_)) or (
+        not isinstance(value, str) and count != value
+    ):
         raise ValueError(f"workers: expected a positive integer or 'auto', got {value!r}")
     if count < 1:
         raise ValueError(f"workers: expected a positive integer or 'auto', got {count}")
@@ -180,7 +190,8 @@ def resolve_workers(value) -> int:
 
 
 def _run_task(task, keep=_whole):
-    # run_replica is looked up when the task runs, so a patched one is called
+    # run_replica is looked up when the task runs, in the process that runs
+    # it: a pool worker holds the module as it was when the pool forked
     if isinstance(task, Draw):
         return task()
     if isinstance(task, ReplicaSpec):
@@ -189,9 +200,54 @@ def _run_task(task, keep=_whole):
     return summary
 
 
-# Starting and reaping a process pool costs about 20 ms on 2 CPUs, more
-# than it saves when each process would stream fewer energies than this.
+# Starting a process pool costs about 20 ms on 2 CPUs, more than it saves
+# when each process would stream fewer energies than this.  The pool is
+# kept across calls (see _kept_pool), so in a process that makes several
+# pooled calls at one process count only the first pays it.
 POOL_MIN_CONFIGS = 1 << 19
+
+# The pool kept across calls, as (processes, executor), or None before the
+# first pooled call.  At interpreter exit concurrent.futures shuts it down.
+# The lock makes pooled calls from several threads run one at a time.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _end_with_parent(parent: int) -> None:
+    """Pool worker initializer: exit once the process that forked this worker is gone.
+
+    A kept worker waits for tasks between calls, and it holds the write end
+    of its own call queue, so it would wait for ever if its parent were
+    killed or left through ``os._exit`` and never shut the pool down.
+    """
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _kept_pool(processes: int) -> ProcessPoolExecutor:
+    """The kept pool if it has ``processes`` workers; otherwise a new one, forked in its place."""
+    global _pool
+    if _pool is None or _pool[0] != processes:
+        # the old pool's threads are joined first, so none runs when the new one forks
+        _discard_pool()
+        pool = ProcessPoolExecutor(
+            max_workers=processes, initializer=_end_with_parent, initargs=(os.getpid(),)
+        )
+        _pool = processes, pool
+    return _pool[1]
+
+
+def _discard_pool() -> None:
+    """Shut the kept pool down, if there is one, and wait for its workers to exit."""
+    global _pool
+    if _pool is not None:
+        pool, _pool = _pool[1], None
+        pool.shutdown(cancel_futures=True)
 
 
 def _map_tasks(specs: list, draws: list, workers: int, keep=_whole) -> tuple[list, int]:
@@ -211,6 +267,13 @@ def _map_tasks(specs: list, draws: list, workers: int, keep=_whole) -> tuple[lis
     replicas and fill the processes that finish first.  Results return
     in submission (id) order either way, so the schedule never leaks
     into the artifacts.
+
+    The pool is the one ``_kept_pool`` keeps for every call that needs
+    as many processes.  A call that fails discards the pool, so the next
+    call forks afresh.  If the pool was kept from an earlier call and
+    breaks, one of its workers may have died between the calls, so the
+    whole call runs once more on a fresh pool; only a break there fails
+    it.  Results depend on the tasks alone, so a rerun changes none.
     """
     split = any(len(chunks(spec)) > 1 for spec in specs)
     tasks = [(spec, lo, hi) for spec in specs for lo, hi in chunks(spec)] if split else specs
@@ -219,17 +282,28 @@ def _map_tasks(specs: list, draws: list, workers: int, keep=_whole) -> tuple[lis
     if streaming <= 1 or sum(spec.size for spec in specs) < streaming * POOL_MIN_CONFIGS:
         return [run(task) for task in [*specs, *draws]], 1
     processes = min(workers, len(tasks) + len(draws))
-    with ProcessPoolExecutor(max_workers=processes) as pool:
-        slots = processes * 4  # whole replicas and draws go about four chunks per process
-        # a chunk summary may hold long marginal vectors, so chunk tasks go one at a time
-        replicas = pool.map(run, tasks, chunksize=1 if split else max(1, len(tasks) // slots))
-        drawn = pool.map(_run_task, draws, chunksize=max(1, len(draws) // slots))
-        if split:
-            replicas = [
-                keep(finish(spec, fold(itertools.islice(replicas, len(chunks(spec))))))
-                for spec in specs
-            ]
-        return [*replicas, *drawn], processes
+    slots = processes * 4  # whole replicas and draws go about four chunks per process
+    with _pool_lock:
+        reused = _pool is not None and _pool[0] == processes
+        while True:
+            pool = _kept_pool(processes)
+            try:
+                # a chunk summary may hold long marginal vectors, so chunk tasks go one at a time
+                replicas = pool.map(
+                    run, tasks, chunksize=1 if split else max(1, len(tasks) // slots)
+                )
+                drawn = pool.map(_run_task, draws, chunksize=max(1, len(draws) // slots))
+                if split:
+                    replicas = [
+                        keep(finish(spec, fold(itertools.islice(replicas, len(chunks(spec))))))
+                        for spec in specs
+                    ]
+                return [*replicas, *drawn], processes
+            except BaseException as exc:
+                _discard_pool()
+                if not (reused and isinstance(exc, BrokenProcessPool)):
+                    raise
+                reused = False
 
 
 def _cell(value) -> str:

@@ -6,10 +6,14 @@ import inspect
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
+import time
 import types
 from pathlib import Path
 
@@ -498,8 +502,10 @@ def test_resolve_workers_precedence(monkeypatch):
     assert resolve_workers("auto") == 64
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert resolve_workers("auto") == 1
-    for bad in ("junk", 0, "-2"):
-        with pytest.raises(ValueError):
+    # a float is a count only where it is integral, and a flag is never one
+    assert resolve_workers(2.0) == 2
+    for bad in ("junk", 0, "-2", 2.5, True, np.True_, float("inf")):
+        with pytest.raises(ValueError, match="workers: expected a positive integer"):
             resolve_workers(bad)
 
 
@@ -580,6 +586,190 @@ def test_artifacts_are_independent_of_workers_and_output_dir(tmp_path, monkeypat
         assert (a.output_dir / name).read_bytes() == (b.output_dir / name).read_bytes()
 
 
+def pool_pids() -> set:
+    # the kept pool's workers are this process's only multiprocessing children
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+def pid_alive(pid: int) -> bool:
+    # an orphan that has exited but is not yet reaped is a zombie: not alive
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def wait_gone(pids, seconds: float = 10.0) -> list:
+    # the pids still alive after waiting up to ``seconds`` for them to exit
+    deadline = time.monotonic() + seconds
+    while any(pid_alive(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return [pid for pid in pids if pid_alive(pid)]
+
+
+def csv_bytes(directory: Path) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(directory.glob("*.csv"))}
+
+
+def test_pooled_calls_reuse_one_pool(tmp_path, monkeypatch):
+    # with the pool threshold at 1, each workers=2 call goes to a pool of 2,
+    # forked at the first such call and kept for the next
+    monkeypatch.setattr(remlab.experiments, "POOL_MIN_CONFIGS", 1)
+    manifest = from_dict(tiny_doc(replicas=4, betas=[0.5, 1.5]))
+    serial = run_experiment(manifest, workers=1, output_dir=tmp_path / "serial")
+    assert pool_pids() == set()
+    first = run_experiment(manifest, workers=2, output_dir=tmp_path / "first")
+    pids = pool_pids()
+    assert len(pids) == 2
+    second = run_experiment(manifest, workers=2, output_dir=tmp_path / "second")
+    assert pool_pids() == pids
+    for outcome in (first, second):
+        summary = json.loads((outcome.output_dir / "summary.json").read_text(encoding="utf-8"))
+        assert (summary["workers"], summary["processes"]) == (2, 2)
+        assert csv_bytes(outcome.output_dir) == csv_bytes(serial.output_dir)
+
+    # a call that needs 3 processes replaces the pool, and the old workers exit
+    third = run_experiment(manifest, workers=3, output_dir=tmp_path / "third")
+    assert len(pool_pids()) == 3 and not pool_pids() & pids
+    assert not any(pid_alive(pid) for pid in pids)
+    assert csv_bytes(third.output_dir) == csv_bytes(serial.output_dir)
+
+
+def test_a_worker_lost_between_calls_is_replaced(tmp_path, monkeypatch):
+    monkeypatch.setattr(remlab.experiments, "POOL_MIN_CONFIGS", 1)
+    manifest = from_dict(tiny_doc(replicas=4))
+    first = run_experiment(manifest, workers=2, output_dir=tmp_path / "first")
+    # a worker killed long before the next call (the pool has noticed and
+    # reaped it), and one killed just before it (the pool may not have)
+    for wait, name in ((True, "reaped"), (False, "fresh")):
+        pids = pool_pids()
+        os.kill(min(pids), signal.SIGKILL)
+        if wait:
+            assert wait_gone([min(pids)]) == []
+        again = run_experiment(manifest, workers=2, output_dir=tmp_path / name)
+        assert len(pool_pids()) == 2 and not pool_pids() & pids
+        assert csv_bytes(again.output_dir) == csv_bytes(first.output_dir)
+
+
+def test_pooled_calls_from_two_threads_run_one_at_a_time(tmp_path, monkeypatch):
+    # calls that need 2 and 3 processes replace each other's pool; the lock
+    # keeps one from shutting the pool down under the other
+    monkeypatch.setattr(remlab.experiments, "POOL_MIN_CONFIGS", 1)
+    manifest = from_dict(tiny_doc(replicas=4))
+    serial = run_experiment(manifest, workers=1, output_dir=tmp_path / "serial")
+    outcomes, errors = {}, []
+
+    def call(workers):
+        try:
+            for i in range(3):
+                out = tmp_path / f"w{workers}-{i}"
+                outcomes[out] = run_experiment(manifest, workers=workers, output_dir=out)
+        except BaseException as exc:  # reported below, in the test's thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=call, args=(workers,)) for workers in (2, 3)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and len(outcomes) == 6
+    for out in outcomes:
+        assert csv_bytes(out) == csv_bytes(serial.output_dir)
+
+
+def test_a_worker_lost_during_a_call_fails_it_and_discards_the_pool(tmp_path, monkeypatch):
+    # a worker that dies on its task breaks the pool: the run is a runtime
+    # fault, and the next call forks a new pool, which holds the modules as
+    # they are then
+    monkeypatch.setattr(remlab.experiments, "POOL_MIN_CONFIGS", 1)
+    monkeypatch.setattr(remlab.experiments, "run_replica", lambda spec: os._exit(1))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(tiny_doc(replicas=4)), encoding="utf-8")
+    args = ["run", str(path), "--workers", "2", "--output-dir"]
+    assert main([*args, str(tmp_path / "broken")]) == 3
+    assert remlab.experiments._pool is None and pool_pids() == set()
+    monkeypatch.undo()
+    monkeypatch.setattr(remlab.experiments, "POOL_MIN_CONFIGS", 1)
+    assert main([*args, str(tmp_path / "ok")]) == 0
+    assert len(pool_pids()) == 2
+
+
+POOLED_CHILD = """
+import multiprocessing, sys
+import remlab.cli, remlab.experiments
+remlab.experiments.POOL_MIN_CONFIGS = 1
+code = remlab.cli.main(["run", sys.argv[1], "--workers", "2", "--output-dir", sys.argv[2]])
+assert code == 0, code
+print("pids", *(child.pid for child in multiprocessing.active_children()), flush=True)
+"""
+
+
+def pooled_child(tmp_path, after: str) -> tuple:
+    # a process that runs one pooled manifest, prints its workers' pids,
+    # then does ``after``; returns the process and the pids
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(tiny_doc(replicas=4)), encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(remlab.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", POOLED_CHILD + after, str(path), str(tmp_path / "out")],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+        start_new_session=True,
+    )
+    line = proc.stdout.readline()
+    while line and not line.startswith("pids"):  # the CLI's own lines come first
+        line = proc.stdout.readline()
+    return proc, [int(pid) for pid in line.split()[1:]]
+
+
+def stop_group(proc) -> None:
+    # stop whatever is left of a pooled child, workers too
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.wait()
+    proc.stdout.close()
+
+
+def test_a_pooled_process_exits_with_its_workers(tmp_path):
+    # the kept pool needs no shutdown call: at interpreter exit
+    # concurrent.futures stops its workers, promptly
+    proc, pids = pooled_child(tmp_path, "")
+    try:
+        assert proc.wait(timeout=10) == 0
+        alive = [pid for pid in pids if pid_alive(pid)]
+    finally:
+        stop_group(proc)
+    assert len(pids) == 2 and alive == []
+
+
+@pytest.mark.parametrize("end", ["kill", "os_exit"])
+def test_workers_exit_when_their_process_dies(tmp_path, end):
+    # a process killed, or one that leaves through os._exit, never shuts its
+    # pool down; its workers notice they were orphaned and exit
+    after = "import os, time\n" + (
+        "time.sleep(60)\n" if end == "kill" else "time.sleep(0.2)\nos._exit(0)\n"
+    )
+    proc, pids = pooled_child(tmp_path, after)
+    try:
+        if end == "kill":
+            proc.kill()
+        assert proc.wait(timeout=10) in (0, -signal.SIGKILL)
+        alive = wait_gone(pids)
+    finally:
+        stop_group(proc)
+    assert len(pids) == 2 and alive == []
+
+
 def test_run_settings_are_not_manifest_keys(tmp_path, capsys):
     for key, value in (("workers", 2), ("output_dir", "out")):
         with pytest.raises(ManifestError) as err:
@@ -595,17 +785,15 @@ def test_small_runs_stay_out_of_the_pool(tmp_path, monkeypatch):
     pools = []
 
     class Pool:  # records the pool and its tasks, and runs them in this process
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **options):
             self.max_workers = max_workers
             self.tasks = []
             self.chunks = []  # (chunksize, task count) of each map call
+            self.shut = False
             pools.append(self)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self, cancel_futures=False):
+            self.shut = True
 
         def map(self, fn, items, chunksize=1):
             items = list(items)
@@ -632,7 +820,8 @@ def test_small_runs_stay_out_of_the_pool(tmp_path, monkeypatch):
     big_pd = tiny_doc(replicas=2, env={"alpha": 1.0, "n": 19})
     as_pd(big_pd, draws=3, stick_draws=2, stick_length=10, epsilon_mass=0.01)
     run_experiment(from_dict(big_pd), workers=4, output_dir=tmp_path / "big_pd")
-    assert len(pools) == 2  # one pool for the whole call
+    # one pool for the whole call; it needs 4 processes, so the pool of 2 is replaced
+    assert len(pools) == 2 and pools[0].shut and not pools[1].shut
     tasks = pools[1].tasks
     assert pools[1].max_workers == 4
     draws = tasks[2:]
@@ -653,11 +842,12 @@ def test_small_runs_stay_out_of_the_pool(tmp_path, monkeypatch):
         (0, lo, lo + (1 << 18)) for lo in range(0, 1 << 20, 1 << 18)
     ]
     assert pools[2].chunks == [(1, 4), (1, 0)]
-    # more such replicas than workers split the same way, in replica order
+    # more such replicas than workers split the same way, in replica order,
+    # on the same pool of 2, kept from the call before
     three = from_dict(tiny_doc(replicas=3, env={"alpha": 1.0, "n": 20}))
     run_experiment(three, workers=2, output_dir=tmp_path / "three")
-    assert len(pools) == 4
-    assert [(spec.replica_id, lo) for spec, lo, _ in pools[3].tasks] == [
+    assert len(pools) == 3 and not pools[2].shut
+    assert [(spec.replica_id, lo) for spec, lo, _ in pools[2].tasks[4:]] == [
         (r, lo) for r in range(3) for lo in range(0, 1 << 20, 1 << 18)
     ]
 
@@ -668,10 +858,13 @@ def test_small_runs_stay_out_of_the_pool(tmp_path, monkeypatch):
     monkeypatch.setattr(remlab.experiments, "POOL_MIN_CONFIGS", 1)
     many_pd = tiny_doc(replicas=40)
     as_pd(many_pd, draws=300, stick_draws=2, stick_length=10, epsilon_mass=0.01)
+    seen = len(pools[2].tasks)
     run_experiment(from_dict(many_pd), workers=2, output_dir=tmp_path / "many_pd")
-    assert len(pools) == 5
-    assert pools[4].chunks == [(40 // 8, 40), (304 // 8, 304)]
-    assert all(isinstance(t, remlab.experiments.ReplicaSpec) for t in pools[4].tasks[:40])
+    assert len(pools) == 3
+    assert pools[2].chunks[-2:] == [(40 // 8, 40), (304 // 8, 304)]
+    assert all(
+        isinstance(t, remlab.experiments.ReplicaSpec) for t in pools[2].tasks[seen:seen + 40]
+    )
 
 
 def test_summary_records_processes(tmp_path):

@@ -8,9 +8,9 @@ and never needs to be held in memory at once.
 ``run_replica`` reduces the configuration space in fixed chunks, in
 three steps.  ``summarize`` reduces each chunk to a
 :class:`ChunkSummary`: Gibbs quantities from energies, cut counts from
-uniforms.  Each chunk's uniforms come from one generator, block of
-``_ENERGY_BLOCK`` after block, so each pass works on data that stays in
-the caches.
+uniforms.  Each of these two parts stands one generator at the chunk's
+start and draws the uniforms from it, block of ``_ENERGY_BLOCK`` after
+block, so each pass works on data that stays in the caches.
 
 - The Gibbs quantities, for a spec with betas: the chunk's minimum, the
   ``top_m`` lowest energies, and, per beta, the Gibbs-factor sum and the
@@ -60,7 +60,7 @@ import numpy as np
 
 from remlab.environment import Environment
 from remlab.pointprocess import WeightSequence
-from remlab.rng import ENERGY_STREAM, UniformStream, seed_derivation, uniform_block
+from remlab.rng import ENERGY_STREAM, seed_derivation, stream_generator, uniform_block
 from remlab.theory import LOG2, shift_constant
 
 CHUNK_BITS = 20
@@ -155,11 +155,6 @@ class ReplicaSpec:
     def size(self) -> int:
         return 1 << self.env.n
 
-    @property
-    def key(self) -> int:
-        """The key of the replica's energy stream."""
-        return seed_derivation(self.master_seed, self.replica_id, ENERGY_STREAM)
-
 
 @dataclass(frozen=True)
 class ReplicaResult:
@@ -188,35 +183,35 @@ def energy_block(spec: ReplicaSpec, lo: int, hi: int) -> np.ndarray:
     """Energies of configurations ``lo .. hi-1``, regenerated from the key.
 
     Pure function of (master_seed, replica_id, index range): any two
-    calls covering an index agree bit for bit.  One generator draws the
-    uniforms of the range block by block, straight into the output, and
-    the quantile runs in place on each block.
+    calls covering an index agree bit for bit.  One generator stood at
+    ``lo`` draws the uniforms block by block into the output, and the
+    quantile runs in place on each block.
     """
     if not 0 <= lo <= hi <= spec.size:
         raise ValueError(f"index range [{lo}, {hi}) out of [0, {spec.size})")
     out = np.empty(hi - lo)
-    stream = UniformStream(spec.key, lo)
-    for start in range(lo, hi, _ENERGY_BLOCK):
-        stop = min(start + _ENERGY_BLOCK, hi)
-        block = out[start - lo : stop - lo]
-        spec.env.quantile(uniform_block(stream, start, stop, out=block), out=block)
+    gen = stream_generator(spec.master_seed, spec.replica_id, ENERGY_STREAM, lo)
+    for a in range(0, hi - lo, _ENERGY_BLOCK):
+        block = out[a : a + _ENERGY_BLOCK]
+        spec.env.quantile(uniform_block(gen, block), out=block)
     return out
 
 
 @dataclass(frozen=True)
 class ChunkSummary:
-    """What a replica keeps of a run of consecutive chunks.
+    """What a replica keeps of a chunk, or of consecutive chunks merged.
 
     The Gibbs quantities come first, the cut counts last.  ``z`` and
     ``y`` map each beta to the Gibbs-factor sum and the marginal vector
-    of the run, relative to its own ``min_energy``:
+    of the chunks, relative to their own ``min_energy``:
     ``sum exp(-beta (E - min_energy))``, in total and per pattern of the
-    low ``k_marginal`` bits.  ``best`` holds the lowest ``keep``
-    energies, unordered, and ``positions`` one array per b level.
+    low ``k_marginal`` bits.  ``best`` holds the lowest energies,
+    unordered: ``min(top_m, 2^n)`` of them for a spec with betas, since
+    a chunk holds ``min(2^20, 2^n)`` energies and ``top_m <= 2^20``.
+    ``positions`` holds one array per b level.
     """
 
     min_energy: float
-    keep: int
     best: np.ndarray
     z: dict[float, float]
     y: dict[float, np.ndarray]
@@ -224,9 +219,9 @@ class ChunkSummary:
     positions: tuple[np.ndarray, ...]
 
 
-def chunks(spec: ReplicaSpec) -> list[tuple[int, int]]:
-    """The replica's chunks, as index ranges ``(lo, hi)`` in order."""
-    return [(lo, min(lo + CHUNK, spec.size)) for lo in range(0, spec.size, CHUNK)]
+def chunks(spec: ReplicaSpec) -> range:
+    """The first index of each of the replica's chunks, in order."""
+    return range(0, spec.size, CHUNK)
 
 
 def _pairwise(reduce_block, lo: int, hi: int):
@@ -269,24 +264,21 @@ def _add_by_pattern(y: np.ndarray, work: np.ndarray, lead: int, count: int, firs
     y[: count - done] += g[done:]
 
 
-def summarize(spec: ReplicaSpec, lo: int, hi: int):
-    """One :class:`ChunkSummary` per chunk of ``[lo, hi)``, in index order.
+def summarize(spec: ReplicaSpec, lo: int) -> ChunkSummary:
+    """The :class:`ChunkSummary` of the chunk that starts at ``lo``, one of ``chunks(spec)``.
 
-    ``lo`` and ``hi`` must be chunk boundaries (``hi`` may be the size),
-    so that the chunks are the replica's own, whoever asks for them.
-    Each chunk's Gibbs quantities come from its energies (``_gibbs``),
-    its interval hits and exceedance positions from its uniforms
+    Its Gibbs quantities come from its energies (``_gibbs``), its
+    interval hits and exceedance positions from its uniforms
     (``_cuts``); see the module docstring.
     """
-    if not 0 <= lo <= hi <= spec.size or lo % CHUNK or (hi % CHUNK and hi != spec.size):
-        raise ValueError(f"[{lo}, {hi}) is not a run of whole chunks of [0, {spec.size})")
-    for start in range(lo, hi, CHUNK):
-        stop = min(start + CHUNK, hi)
-        yield ChunkSummary(*_gibbs(spec, start, stop), *_cuts(spec, start, stop))
+    if lo not in chunks(spec):
+        raise ValueError(f"{lo} is not the start of a chunk of [0, {spec.size})")
+    hi = min(lo + CHUNK, spec.size)
+    return ChunkSummary(*_gibbs(spec, lo, hi), *_cuts(spec, lo, hi))
 
 
 def _lowest(env: Environment, e: np.ndarray, keep: int) -> np.ndarray:
-    """A copy of the ``keep`` lowest values of ``e``, unordered.
+    """A copy of the ``keep`` lowest values of ``e`` (all of them if fewer), unordered.
 
     Where ``_POOL_MARGIN * keep`` is under ``e.size``, only the energies
     at or below ``env.quantile(_POOL_MARGIN * keep / e.size)`` are
@@ -304,7 +296,7 @@ def _lowest(env: Environment, e: np.ndarray, keep: int) -> np.ndarray:
 
 
 def _gibbs(spec: ReplicaSpec, lo: int, hi: int) -> tuple:
-    """``(min_energy, keep, best, z, y)`` of the chunk ``[lo, hi)``, from its energies.
+    """``(min_energy, best, z, y)`` of the chunk ``[lo, hi)``, from its energies.
 
     The minimum and the lowest energies are taken over the whole chunk;
     the per-beta sums and marginals run block by block, in index order,
@@ -313,12 +305,11 @@ def _gibbs(spec: ReplicaSpec, lo: int, hi: int) -> tuple:
     """
     betas = spec.betas
     if not betas:
-        return math.nan, 0, np.empty(0), {}, {}
+        return math.nan, np.empty(0), {}, {}
     patterns = 1 << spec.k_marginal
-    keep = min(spec.top_m, spec.size)
     e = energy_block(spec, lo, hi)
     chunk_min = float(e.min())
-    best = _lowest(spec.env, e, keep)
+    best = _lowest(spec.env, e, spec.top_m)
     width = min(_ENERGY_BLOCK, e.size)
     # the Gibbs factors of one block, after room for a row of the marginals
     lead = patterns if patterns <= width else 0
@@ -342,7 +333,7 @@ def _gibbs(spec: ReplicaSpec, lo: int, hi: int) -> tuple:
     if patterns == 1:
         # with no marginal spins the one pattern holds the whole sum
         y = {beta: np.array([z[beta]]) for beta in betas}
-    return chunk_min, keep, best, z, y
+    return chunk_min, best, z, y
 
 
 def _exceedance_cut(level: float, shift: float) -> float:
@@ -376,12 +367,11 @@ def _cuts(spec: ReplicaSpec, lo: int, hi: int) -> tuple:
     # every draw that may exceed a b level lies at or below ``reach``
     reach = max((env.uniform_window(_exceedance_cut(b, shift))[1] for b in levels), default=0.0)
     buf = np.empty(min(_ENERGY_BLOCK, hi - lo))
-    stream = UniformStream(spec.key, lo)
+    gen = stream_generator(spec.master_seed, spec.replica_id, ENERGY_STREAM, lo)
     below = [0] * len(ends)
     found = [[] for _ in levels]
     for a in range(lo, hi, _ENERGY_BLOCK):
-        b = min(a + _ENERGY_BLOCK, hi)
-        u = uniform_block(stream, a, b, out=buf[: b - a])
+        u = uniform_block(gen, buf[: min(_ENERGY_BLOCK, hi - a)])
         for i, ((u_lo, u_hi), x) in enumerate(ends):
             count = np.count_nonzero(u < u_lo)
             if np.count_nonzero(u <= u_hi) > count:
@@ -404,6 +394,7 @@ def merge(left: ChunkSummary, right: ChunkSummary) -> ChunkSummary:
     side that holds it is multiplied by exactly 1, which is skipped.
     Both summaries are consumed: the marginal vectors are rescaled and
     summed in place, in ``left``'s arrays, so a fold allocates none.
+    The merge keeps as many of the lowest energies as ``left`` holds.
     """
     low = min(left.min_energy, right.min_energy)
     z, y = {}, {}
@@ -418,8 +409,8 @@ def merge(left: ChunkSummary, right: ChunkSummary) -> ChunkSummary:
             right.y[beta] *= rf
         y[beta] += right.y[beta]
     best = np.concatenate([left.best, right.best])
-    if best.size > left.keep:
-        best = np.partition(best, left.keep - 1)[: left.keep]
+    if best.size > left.best.size:
+        best = np.partition(best, left.best.size - 1)[: left.best.size]
     return replace(
         left,
         min_energy=low,
@@ -447,7 +438,7 @@ def finish(spec: ReplicaSpec, summary: ChunkSummary) -> ReplicaResult:
         total = summary.z[beta]
         log_z[beta] = math.log(total) - beta * min_energy
         marginal[beta] = summary.y[beta] / total
-        if summary.keep:
+        if summary.best.size:
             # exp(-beta (E - min)) / total in one array; the energies ascend,
             # so the weights descend and any that underflowed to 0 come last
             w = np.subtract(best, min_energy)
@@ -469,7 +460,7 @@ def finish(spec: ReplicaSpec, summary: ChunkSummary) -> ReplicaResult:
 
 def run_replica(spec: ReplicaSpec) -> ReplicaResult:
     """Measure one replica exhaustively; see the module docstring."""
-    return finish(spec, fold(summarize(spec, 0, spec.size)))
+    return finish(spec, fold(summarize(spec, lo) for lo in chunks(spec)))
 
 
 def free_energy(result: ReplicaResult, beta: float) -> float:

@@ -196,14 +196,13 @@ def _run_task(task, keep=_whole):
         return task()
     if isinstance(task, ReplicaSpec):
         return keep(run_replica(task))
-    (summary,) = summarize(*task)  # a (spec, lo, hi) chunk task
-    return summary
+    return summarize(*task)  # a (spec, lo) chunk task
 
 
-# Starting a process pool costs about 20 ms on 2 CPUs, more than it saves
-# when each process would stream fewer energies than this.  The pool is
-# kept across calls (see _kept_pool), so in a process that makes several
-# pooled calls at one process count only the first pays it.
+# Starting a process pool (README.md, "Command line", gives its cost) costs
+# more than it saves when each process would stream fewer energies than
+# this.  The pool is kept across calls (see _kept_pool), so in a process
+# that makes several pooled calls at one process count only the first pays it.
 POOL_MIN_CONFIGS = 1 << 19
 
 # The pool kept across calls, as (processes, executor), or None before the
@@ -254,7 +253,7 @@ def _map_tasks(specs: list, draws: list, workers: int, keep=_whole) -> tuple[lis
     """``keep`` of each replica's result, the draws' results, and the processes that ran them.
 
     When a replica spans more than one chunk, each of its chunks is a
-    task of its own, a ``(spec, lo, hi)`` that ``engine.summarize``
+    task of its own, a ``(spec, lo)`` that ``engine.summarize``
     reduces; this process folds each replica's chunk summaries in chunk
     order, as ``run_replica`` does, finishes it and applies ``keep``.
     Replicas of one chunk are one task each, finished and kept where
@@ -276,7 +275,7 @@ def _map_tasks(specs: list, draws: list, workers: int, keep=_whole) -> tuple[lis
     it.  Results depend on the tasks alone, so a rerun changes none.
     """
     split = any(len(chunks(spec)) > 1 for spec in specs)
-    tasks = [(spec, lo, hi) for spec in specs for lo, hi in chunks(spec)] if split else specs
+    tasks = [(spec, lo) for spec in specs for lo in chunks(spec)] if split else specs
     streaming = min(workers, len(tasks))  # processes the replica tasks alone would keep busy
     run = functools.partial(_run_task, keep=keep)
     if streaming <= 1 or sum(spec.size for spec in specs) < streaming * POOL_MIN_CONFIGS:
@@ -627,6 +626,7 @@ _LEVEL = ("fraction", DEFAULT_LEVEL)
 # kmax (declared below, 5 by default), and at least up to this one
 _THEORY_KMAX = 8
 _INTERVAL_LABEL = "({interval[0]:g},{interval[1]:g})"
+_BUNDLE_CSVS = {"results.csv", "theory.csv", "positions.csv"}  # every table a build returns
 
 # Order matters: error messages list the experiments in this order, and
 # manifest.json writes each check's parameters in the order declared here.
@@ -690,6 +690,8 @@ def run_experiment(manifest: ExperimentManifest, workers=None, output_dir="remla
 
     ``workers`` is read by ``resolve_workers``; neither it nor
     ``output_dir`` changes an artifact other than ``summary.json``.
+    A bundle CSV that this run does not write is removed from
+    ``output_dir``; no other file there is touched.
     Returns the outcome with one CheckResult per attached check.
     """
     count = resolve_workers(workers)
@@ -707,6 +709,8 @@ def run_experiment(manifest: ExperimentManifest, workers=None, output_dir="remla
     checks = [_evaluate(manifest, data, item) for item in manifest.checks]
     for name, (header, rows) in tables.items():
         _write_csv(target / name, header, rows)
+    for name in _BUNDLE_CSVS - tables.keys():  # left by an earlier run into this directory
+        (target / name).unlink(missing_ok=True)
     with open(target / "manifest.json", "w", encoding="utf-8") as handle:
         handle.write(manifest.to_json())
 

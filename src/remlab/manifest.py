@@ -28,7 +28,7 @@ from .engine import CHUNK_BITS, MAX_BETA, MAX_N, TOP_M
 from .environment import MAX_ALPHA
 from .experiments import MIN_POOLED_EXCEEDANCES, REGISTRY
 from .pointprocess import MIN_TRUNCATION_B, check_point_budget
-from .rng import MAX_SEED
+from .rng import MAX_SEED, _REPLICA_BITS
 from .stats import pool_right_tail
 from .theory import LOG2, poisson_count_probs
 
@@ -70,7 +70,7 @@ class ExperimentManifest:
     alpha: float = _kind("shape")
     n: int = _kind("spins")
     betas: tuple = _kind("[inverse_temperature]", ())
-    replicas: int = _kind("count", 1)
+    replicas: int = _kind("ids", 1)
     master_seed: int = _kind("seed", 0)
     intervals: tuple = _kind("[pair]", ())
     k_marginal: int = _kind("size", 0)
@@ -168,6 +168,13 @@ def _pd(value, path: str, fields: dict) -> PDBlock:
         check_point_budget(betas[0], pd.truncation_b, pd.epsilon_mass)
     except ValueError as exc:
         _fail(f"{path}.epsilon_mass", str(exc))
+    # the Poisson draws' ids run to draws + stick_draws - 1
+    if pd.draws + pd.stick_draws > 1 << _REPLICA_BITS:
+        _fail(
+            f"{path}.draws",
+            f"expected draws + stick_draws <= 2^{_REPLICA_BITS}, the ids a stream key holds, "
+            f"got {pd.draws + pd.stick_draws}",
+        )
     return pd
 
 
@@ -252,6 +259,10 @@ KINDS = {
     "b": _rule(_number, lambda v, f: v in f["b_levels"], "a level in the b_levels list"),
     "count": _rule(_integer, lambda v, f: v >= 1, "an integer >= 1"),
     "natural": _rule(_integer, lambda v, f: v >= 0, "an integer >= 0"),
+    # replica ids run to replicas - 1, and a stream key holds ids below 2^48
+    "ids": _rule(
+        _integer, lambda v, f: 1 <= v <= 1 << _REPLICA_BITS, f"an integer in [1, 2^{_REPLICA_BITS}]"
+    ),
     # at most one chunk's energies: each chunk keeps min(top_m, 2^n) of them
     "pool": _rule(
         _integer, lambda v, f: 1 <= v <= 1 << CHUNK_BITS, f"an integer in [1, 2^{CHUNK_BITS}]"

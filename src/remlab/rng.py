@@ -9,14 +9,10 @@ the same stream, regardless of process, worker count, or call order.
 Philox is counter based: constructing it with ``counter=c`` positions
 the stream at 64-bit draw ``4*c`` (one 256-bit counter block yields four
 64-bit outputs, and one ``random()`` double consumes one output).  That
-gives O(1) random access into a replica's energy stream.  The generator
-buffers the rest of a counter block, so drawing from it again continues
-at the next position: a ``UniformStream`` keeps one generator and the
-position it stands at, and ``uniform_block`` draws a run of positions
-block after block from it into a buffer the caller reuses, making a new
-generator only where a block does not start where the last one stopped.
-The doubles are the same, bit for bit, however the run is split into
-blocks.
+gives O(1) random access into a replica's energy stream:
+``stream_generator`` stands a generator at any position, and drawing
+from it continues position after position.  The doubles are the same,
+bit for bit, however a run of positions is split into draws.
 """
 
 from __future__ import annotations
@@ -56,57 +52,20 @@ def seed_derivation(master_seed: int, replica_id: int, stream_label: int = 0) ->
     return (int(master_seed) << 64) | (int(replica_id) << _LABEL_BITS) | int(stream_label)
 
 
-def stream_generator(master_seed: int, replica_id: int, stream_label: int = 0) -> Generator:
-    """A fresh Generator positioned at the start of the addressed stream."""
-    return Generator(Philox(key=seed_derivation(master_seed, replica_id, stream_label)))
+def stream_generator(
+    master_seed: int, replica_id: int, stream_label: int = 0, position: int = 0
+) -> Generator:
+    """A fresh Generator whose next double is the one at ``position`` of the addressed stream."""
+    if position < 0:
+        raise ValueError(f"invalid stream position {position}")
+    block, skip = divmod(position, 4)
+    key = seed_derivation(master_seed, replica_id, stream_label)
+    gen = Generator(Philox(key=key, counter=block))
+    gen.random(skip)  # the positions of the counter block before ``position``
+    return gen
 
 
-class UniformStream:
-    """One keyed stream read in order by one Philox generator.
-
-    ``position`` is the stream position of the generator's next double.
-    ``uniform_block`` draws from it and moves it on; asked for positions
-    that do not start at ``position``, it first moves the generator there.
-    """
-
-    __slots__ = ("key", "position", "_gen")
-
-    def __init__(self, key: int, position: int = 0) -> None:
-        self.key = key
-        self.seek(position)
-
-    def seek(self, position: int) -> None:
-        """Stand the generator at ``position``."""
-        if position < 0:
-            raise ValueError(f"invalid stream position {position}")
-        block, skip = divmod(position, 4)
-        self._gen = Generator(Philox(key=self.key, counter=block))
-        self._gen.random(skip)  # the positions of the counter block before ``position``
-        self.position = position
-
-
-def uniform_block(
-    stream: UniformStream, start: int, stop: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Uniform [0, 1) doubles at positions [start, stop) of a keyed stream.
-
-    ``stream`` then stands at ``stop``; one that stands at ``start``
-    draws on without a new generator.  The doubles are written into
-    ``out`` when it is given, a float64 array of ``stop - start``
-    entries, and returned.
-
-    Deterministic random access: the same (key, position) always yields
-    the same double, whether positions are visited in one sweep or in
-    arbitrary disjoint blocks.
-    """
-    if start < 0 or stop < start:
-        raise ValueError(f"invalid block [{start}, {stop})")
-    if stream.position != start:
-        stream.seek(start)
-    if out is None:
-        out = np.empty(stop - start)
-    elif out.shape != (stop - start,):
-        raise ValueError(f"out has shape {out.shape}, not ({stop - start},)")
-    stream._gen.random(out=out)
-    stream.position = stop
+def uniform_block(gen: Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the float64 array ``out`` with ``gen``'s next uniform [0, 1) doubles and return it."""
+    gen.random(out=out)
     return out

@@ -238,7 +238,7 @@ def test_pd_poisson_matches_stick(verified):
     assert check.passed
 
 
-def _random_spec(rng):
+def _random_spec(rng, chunk):
     alpha = float(rng.choice([1.0, 1.0, 1.5, 2.0, 2.5, 3.0]))
     n = int(rng.integers(4, 13))
     betas = list(np.round(rng.uniform(0.05, 2.5, rng.integers(1, 4)), 6))
@@ -255,7 +255,8 @@ def _random_spec(rng):
         k_marginal=int(rng.integers(0, min(3, n) + 1)),
         intervals=tuple(intervals),
         b_levels=tuple(b_levels),
-        top_m=int(rng.integers(1, 65)),
+        # no more than a chunk holds, as top_m <= 2^20 is with the engine's own chunk
+        top_m=min(int(rng.integers(1, 65)), chunk),
         master_seed=int(rng.integers(0, 1 << 32)),
         replica_id=int(rng.integers(0, 1000)),
     )
@@ -291,12 +292,12 @@ def test_engine_matches_naive_oracle_random_specs(monkeypatch):
         worst = 0.0
         split = 0
         for _ in range(50):
-            spec = _random_spec(rng)
+            spec = _random_spec(rng, chunk)
             InlinePool.tasks = []
             (from_tasks,), _ = _map_tasks([spec], [], 2)
             # a replica of one chunk is one task: it stays in this process
             assert InlinePool.tasks == [
-                (spec, lo, min(lo + chunk, spec.size)) for lo in range(0, spec.size, chunk)
+                (spec, lo) for lo in range(0, spec.size, chunk)
             ] * (spec.size > chunk)
             split += len(InlinePool.tasks) > 1
             want = naive_replica(spec)

@@ -25,7 +25,7 @@ from remlab.engine import (
     summarize,
 )
 from remlab.environment import Environment
-from remlab.rng import ENERGY_STREAM, UniformStream, seed_derivation, uniform_block
+from remlab.rng import ENERGY_STREAM, stream_generator, uniform_block
 from remlab.theory import LOG2, shift_constant
 
 E_CONST = math.e
@@ -58,16 +58,37 @@ def pinned(monkeypatch, values):
     monkeypatch.setattr(engine, "uniform_block", unpinned)
 
 
+def edit_uniforms(monkeypatch, edit):
+    """Pass every block of uniforms the engine draws through ``edit(u, start)``.
+
+    ``start`` is the stream position of ``u[0]``: the engine's generators
+    are replaced by ones that know the position they stand at.
+    """
+    draw = engine.uniform_block
+
+    class Positioned:
+        def __init__(self, master_seed, replica_id, stream_label=0, position=0):
+            self.gen = stream_generator(master_seed, replica_id, stream_label, position)
+            self.position = position
+
+    def block(stream, out):
+        draw(stream.gen, out)
+        edit(out, stream.position)
+        stream.position += out.size
+        return out
+
+    monkeypatch.setattr(engine, "stream_generator", Positioned)
+    monkeypatch.setattr(engine, "uniform_block", block)
+
+
 def pinned_uniforms(monkeypatch, values):
     """Make every draw of the energy stream read ``values`` at its positions."""
     arr = np.asarray(values, dtype=float)
 
-    def block(stream, start, stop, out=None):
-        out = np.empty(stop - start) if out is None else out
-        out[...] = arr[start:stop]
-        return out
+    def pin(u, start):
+        u[...] = arr[start : start + u.size]
 
-    monkeypatch.setattr(engine, "uniform_block", block)
+    edit_uniforms(monkeypatch, pin)
 
 
 def laplace_uniforms(energies):
@@ -99,8 +120,8 @@ def test_energy_block_window_consistency():
     # generated in blocks, bit-identical to one pass of the uniform and quantile layers
     for alpha in (1.0, 1.5, 2.0):
         wide = make_spec(env=Environment(alpha, 17))
-        key = seed_derivation(wide.master_seed, wide.replica_id, ENERGY_STREAM)
-        once = wide.env.quantile(uniform_block(UniformStream(key, 1001), 1001, wide.size))
+        gen = stream_generator(wide.master_seed, wide.replica_id, ENERGY_STREAM, 1001)
+        once = wide.env.quantile(uniform_block(gen, np.empty(wide.size - 1001)))
         assert np.array_equal(energy_block(wide, 1001, wide.size), once)
     with pytest.raises(ValueError):
         energy_block(spec, 0, spec.size + 1)
@@ -266,7 +287,7 @@ def test_top_m_pool_matches_full_sort(monkeypatch, alpha):
         monkeypatch.setattr(engine, "_POOL_MARGIN", margin)
         cut = spec.env.quantile(margin * spec.top_m / spec.size)
         assert (np.count_nonzero(e <= cut) >= spec.top_m) == filtered
-        (summary,) = summarize(spec, 0, spec.size)
+        summary = summarize(spec, 0)
         assert np.array_equal(np.sort(summary.best), lowest)
         res = run_replica(spec)
         assert res.spectrum[1.0].entries.tobytes() == default.spectrum[1.0].entries.tobytes()
@@ -378,7 +399,7 @@ def test_ground_state_in_last_chunk(monkeypatch):
         env=Environment(1.0, 5),
         betas=(0.0, 0.4, 6.0),
         k_marginal=2,
-        top_m=8,
+        top_m=4,
     )
     assert math.exp(-6.0 * (energies[27] - energies[29])) == 0.0
     pinned(monkeypatch, energies)
@@ -430,9 +451,9 @@ def assert_results_identical(a, b):
 
 @pytest.mark.parametrize("chunk", [7, 64])
 def test_run_replica_is_split_invariant(monkeypatch, chunk):
-    # Summaries of any chunk-aligned split, folded left to right, are the
-    # ones run_replica folds: the result is bit-identical however a
-    # replica's chunks are shared out.
+    # Chunk summaries made in any order, each alone, and folded left to
+    # right are the ones run_replica folds: the result is bit-identical
+    # however a replica's chunks are shared out.
     monkeypatch.setattr(engine, "CHUNK", chunk)
     spec = make_spec(
         env=Environment(1.0, 8),
@@ -444,19 +465,64 @@ def test_run_replica_is_split_invariant(monkeypatch, chunk):
         master_seed=77,
     )
     whole = run_replica(spec)
-    bounds = [lo for lo, _ in chunks(spec)][1:]
-    assert len(bounds) >= 3
-    splits = [()] + [(c,) for c in bounds] + [
-        (c, d) for i, c in enumerate(bounds) for d in bounds[i + 1 :]
-    ]
-    for cuts in splits:
-        edges = [0, *cuts, spec.size]
-        parts = [summarize(spec, lo, hi) for lo, hi in zip(edges, edges[1:])]
-        assert_results_identical(finish(spec, fold(s for part in parts for s in part)), whole)
-    with pytest.raises(ValueError, match="whole chunks"):
-        next(summarize(spec, 1, spec.size))
-    with pytest.raises(ValueError, match="whole chunks"):
-        next(summarize(spec, 0, chunk + 1))
+    starts = list(chunks(spec))
+    assert len(starts) >= 4
+    orders = [starts, starts[::-1], starts[1::2] + starts[::2], starts[2:] + starts[:2]]
+    for order in orders:
+        made = {lo: summarize(spec, lo) for lo in order}
+        assert_results_identical(finish(spec, fold(made[lo] for lo in starts)), whole)
+
+
+@pytest.mark.parametrize("chunk", [7, 64, CHUNK])
+def test_summarize_takes_only_chunk_starts(monkeypatch, chunk):
+    monkeypatch.setattr(engine, "CHUNK", chunk)
+    spec = make_spec(env=Environment(1.0, 8))
+    assert summarize(spec, 0).min_energy == energy_block(spec, 0, min(chunk, spec.size)).min()
+    for lo in (-chunk, -1, 1, chunk - 1, chunk + 1, spec.size, spec.size + chunk):
+        with pytest.raises(ValueError, match="not the start of a chunk"):
+            summarize(spec, lo)
+
+
+@pytest.mark.parametrize("top_m", [0, 1, 100, 256])
+def test_summaries_hold_min_top_m_energies(monkeypatch, top_m):
+    # Every chunk holds top_m energies or all of them, and so does every
+    # fold of chunks: a merge keeps as many as its left side holds.
+    monkeypatch.setattr(engine, "CHUNK", 256)
+    for n in (6, 8, 11):  # a chunk's quarter, one chunk, eight chunks
+        spec = make_spec(env=Environment(1.0, n), top_m=top_m)
+        summaries = [summarize(spec, lo) for lo in chunks(spec)]
+        assert [s.best.size for s in summaries] == [min(top_m, spec.size)] * len(summaries)
+        folded = fold(summaries)
+        assert folded.best.size == min(top_m, spec.size)
+        lowest = np.sort(energy_block(spec, 0, spec.size))[:top_m]
+        assert np.array_equal(np.sort(folded.best), lowest)
+        # a spec without betas keeps no energies
+        bare = dataclasses.replace(spec, betas=())
+        assert fold(summarize(bare, lo) for lo in chunks(bare)).best.size == 0
+
+
+def test_each_part_opens_one_generator_per_chunk(monkeypatch):
+    # Each engine part stands one generator at each chunk's start and reads
+    # the chunk's blocks from it in order; energy_block opens one per call.
+    monkeypatch.setattr(engine, "CHUNK", 1 << 10)
+    monkeypatch.setattr(engine, "_ENERGY_BLOCK", 1 << 7)
+    opened = []
+
+    def counted(*args):
+        opened.append(args)
+        return stream_generator(*args)
+
+    monkeypatch.setattr(engine, "stream_generator", counted)
+    cuts = dict(intervals=((0.1, 0.4),), b_levels=(0.0,))
+    for betas, kw, parts in (((1.0,), {}, 1), ((), cuts, 1), ((1.0,), cuts, 2)):
+        spec = make_spec(env=Environment(1.5, 12), betas=betas, **kw)
+        opened.clear()
+        run_replica(spec)
+        key = (spec.master_seed, spec.replica_id, ENERGY_STREAM)
+        assert sorted(opened) == sorted((*key, lo) for lo in chunks(spec) for _ in range(parts))
+    opened.clear()
+    energy_block(spec, 5, 3000)
+    assert opened == [(*key, 5)]
 
 
 @pytest.mark.parametrize("bits", range(15, 21))
@@ -497,9 +563,9 @@ def test_summarize_matches_whole_chunk_reductions(monkeypatch, n, chunk, k):
         master_seed=5,
     )
     shift = shift_constant(n)
-    got = list(summarize(spec, 0, spec.size))
-    assert len(got) == len(chunks(spec))
-    for (lo, hi), summary in zip(chunks(spec), got):
+    for lo in chunks(spec):
+        summary = summarize(spec, lo)
+        hi = min(lo + chunk, spec.size)
         e = energy_block(spec, lo, hi)
         chunk_min = e.min()
         assert summary.min_energy == chunk_min
@@ -610,15 +676,12 @@ def test_order_only_path_at_window_edges(monkeypatch, alpha):
         assert lo <= centre <= hi
     values = np.array([v for v in values if 0.0 <= v < 1.0])
     assert values.size < 4096
-    draw = engine.uniform_block
 
-    def injected(stream, start, stop, out=None):
-        u = draw(stream, start, stop, out=out)
-        k = max(0, min(stop, values.size) - start)
+    def inject(u, start):
+        k = max(0, min(start + u.size, values.size) - start)
         u[:k] = values[start : start + k]
-        return u
 
-    monkeypatch.setattr(engine, "uniform_block", injected)
+    edit_uniforms(monkeypatch, inject)
     evaluated = []
     quantile = Environment.quantile
 
@@ -655,15 +718,12 @@ def test_order_only_path_needs_no_monotone_quantile(monkeypatch, alpha):
     monkeypatch.setattr(Environment, "quantile", wobbly)
     smallest = 2.0 ** -45
     values = np.array([0.3, smallest, np.nextafter(smallest, 1.0), 0.7])
-    draw = engine.uniform_block
 
-    def injected(stream, start, stop, out=None):
-        u = draw(stream, start, stop, out=out)
-        k = max(0, min(stop, values.size) - start)
+    def inject(u, start):
+        k = max(0, min(start + u.size, values.size) - start)
         u[:k] = values[start : start + k]
-        return u
 
-    monkeypatch.setattr(engine, "uniform_block", injected)
+    edit_uniforms(monkeypatch, inject)
     env = Environment(alpha, 13)
     low = env.quantile(values[2])
     assert low < env.quantile(values[1]) < env.quantile(values[0])

@@ -329,6 +329,12 @@ def test_builtin_unknown_name():
         (lambda d: (as_pd(d, m=2 / 3), d.update(betas=[1.5])),
          "pd.epsilon_mass: 1e-06 at beta=1.5"),
         (lambda d: as_pd(d, draws=0), "pd.draws:"),
+        # ids that no stream key holds: replica and draw ids lie below 2^48,
+        # and the Poisson draws' ids run to draws + stick_draws - 1
+        (lambda d: d.update(replicas=2**48 + 5), "replicas: expected an integer in [1, 2^48]"),
+        (lambda d: as_pd(d, draws=2**48 + 5), "pd.draws: expected draws + stick_draws <= 2^48"),
+        (lambda d: as_pd(d, draws=2**48 - 1, stick_draws=2),
+         "pd.draws: expected draws + stick_draws <= 2^48, the ids a stream key holds, got"),
         (lambda d: as_pd(d, stick_draws=-1), "pd.stick_draws:"),
         (lambda d: as_pd(d, stick_length=0), "pd.stick_length:"),
         (lambda d: as_pd(d, bogus=1), "pd: unknown keys"),
@@ -452,6 +458,15 @@ def test_pd_compare_requires_matching_m():
     with pytest.raises(ManifestError) as err:
         from_dict(doc)
     assert "pd.m" in str(err.value)
+
+
+def test_counts_up_to_the_last_keyed_id_parse():
+    # the largest counts whose ids a stream key holds; parsed, never run
+    assert from_dict(tiny_doc(replicas=2**48)).replicas == 2**48
+    doc = tiny_doc()
+    as_pd(doc, draws=2**48 - 2, stick_draws=2)
+    assert from_dict(doc).pd.draws == 2**48 - 2
+    assert seed_derivation(0, 2**48 - 1, 1) >> 16 == 2**48 - 1
 
 
 def test_json_syntax_error_reports_position():
@@ -604,6 +619,14 @@ def pid_alive(pid: int) -> bool:
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
+def exited(pid: int) -> bool:
+    # whether a child process has exited, without reaping it; a reaped one has
+    try:
+        return os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None
+    except ChildProcessError:
+        return True
+
+
 def wait_gone(pids, seconds: float = 10.0) -> list:
     # the pids still alive after waiting up to ``seconds`` for them to exit
     deadline = time.monotonic() + seconds
@@ -651,6 +674,8 @@ def test_a_worker_lost_between_calls_is_replaced(tmp_path, monkeypatch):
         os.kill(min(pids), signal.SIGKILL)
         if wait:
             assert wait_gone([min(pids)]) == []
+        while not exited(min(pids)):  # a kill takes effect some time after os.kill returns
+            time.sleep(0.001)
         again = run_experiment(manifest, workers=2, output_dir=tmp_path / name)
         assert len(pool_pids()) == 2 and not pool_pids() & pids
         assert csv_bytes(again.output_dir) == csv_bytes(first.output_dir)
@@ -838,8 +863,8 @@ def test_small_runs_stay_out_of_the_pool(tmp_path, monkeypatch):
     run_experiment(one, workers=2, output_dir=tmp_path / "one")
     assert len(pools) == 3
     assert pools[2].max_workers == 2
-    assert [(spec.replica_id, lo, hi) for spec, lo, hi in pools[2].tasks] == [
-        (0, lo, lo + (1 << 18)) for lo in range(0, 1 << 20, 1 << 18)
+    assert [(spec.replica_id, lo) for spec, lo in pools[2].tasks] == [
+        (0, lo) for lo in range(0, 1 << 20, 1 << 18)
     ]
     assert pools[2].chunks == [(1, 4), (1, 0)]
     # more such replicas than workers split the same way, in replica order,
@@ -847,7 +872,7 @@ def test_small_runs_stay_out_of_the_pool(tmp_path, monkeypatch):
     three = from_dict(tiny_doc(replicas=3, env={"alpha": 1.0, "n": 20}))
     run_experiment(three, workers=2, output_dir=tmp_path / "three")
     assert len(pools) == 3 and not pools[2].shut
-    assert [(spec.replica_id, lo) for spec, lo, _ in pools[2].tasks[4:]] == [
+    assert [(spec.replica_id, lo) for spec, lo in pools[2].tasks[4:]] == [
         (r, lo) for r in range(3) for lo in range(0, 1 << 20, 1 << 18)
     ]
 
@@ -1056,6 +1081,28 @@ def test_every_detail_has_one_shape(tmp_path, experiment):
             reported = {"statistic", "p_value", "level", "sample_sizes"}
             assert reported <= set(detail), check["name"]
             assert check["passed"] == (detail["p_value"] > detail["level"]), check["name"]
+
+
+def test_a_reused_output_directory_holds_one_bundle(tmp_path):
+    # An exceedance run, then a free_energy run into the same directory:
+    # the first run's positions.csv goes, a file of no bundle stays.
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept", encoding="utf-8")
+    docs = shape_docs()
+    run_experiment(from_dict(docs["exceedance"]), workers=1, output_dir=out)
+    assert (out / "positions.csv").exists()
+    run_experiment(from_dict(docs["free_energy"]), workers=1, output_dir=out)
+    assert not (out / "positions.csv").exists()
+    assert (out / "notes.txt").read_text(encoding="utf-8") == "kept"
+    # after any run, the directory holds that run's bundle, as a fresh one would
+    for name in ["exceedance", *REGISTRY, "exceedance"]:
+        run_experiment(from_dict(docs[name]), workers=1, output_dir=out)
+        fresh = tmp_path / f"fresh-{name}"
+        run_experiment(from_dict(docs[name]), workers=1, output_dir=fresh)
+        files = {path.name: path.read_bytes() for path in fresh.iterdir() if path.suffix == ".csv"}
+        assert {path.name: path.read_bytes() for path in out.glob("*.csv")} == files, name
+        assert (out / "notes.txt").exists()
 
 
 @pytest.mark.parametrize("above", [False, True])

@@ -8,7 +8,6 @@ from remlab.rng import (
     ENERGY_STREAM,
     POISSON_STREAM,
     STICK_STREAM,
-    UniformStream,
     seed_derivation,
     stream_generator,
     uniform_block,
@@ -58,31 +57,30 @@ def test_stream_generator_matches_philox_key():
     assert np.array_equal(a, b)
 
 
-def fresh_block(key, start, stop):
-    """Positions [start, stop) through ``uniform_block``, from a stream that stands at ``start``."""
-    return uniform_block(UniformStream(key, start), start, stop)
+def fresh_block(seed, replica, label, start, stop):
+    """Positions [start, stop) through ``uniform_block``, from a generator standing at ``start``."""
+    return uniform_block(stream_generator(seed, replica, label, start), np.empty(stop - start))
 
 
 def test_uniform_block_matches_sequential_draw():
     key = seed_derivation(42, 0, ENERGY_STREAM)
     reference = Generator(Philox(key=key)).random(5000)
-    assert np.array_equal(fresh_block(key, 0, 5000), reference)
+    assert np.array_equal(fresh_block(42, 0, ENERGY_STREAM, 0, 5000), reference)
 
 
 @pytest.mark.parametrize("cut", [1, 3, 4, 7, 1024, 4093])
 def test_uniform_block_concatenation_invariance(cut):
     # random access must agree with one contiguous pass regardless of
     # where the block boundary falls relative to the 4-double counter step
-    key = seed_derivation(7, 11, ENERGY_STREAM)
-    whole = fresh_block(key, 0, 5000)
-    split = np.concatenate([fresh_block(key, 0, cut), fresh_block(key, cut, 5000)])
+    address = (7, 11, ENERGY_STREAM)
+    whole = fresh_block(*address, 0, 5000)
+    split = np.concatenate([fresh_block(*address, 0, cut), fresh_block(*address, cut, 5000)])
     assert np.array_equal(whole, split)
 
 
 def test_uniform_block_interior_window():
-    key = seed_derivation(9, 2, ENERGY_STREAM)
-    whole = fresh_block(key, 0, 3000)
-    assert np.array_equal(fresh_block(key, 1237, 2741), whole[1237:2741])
+    whole = fresh_block(9, 2, ENERGY_STREAM, 0, 3000)
+    assert np.array_equal(fresh_block(9, 2, ENERGY_STREAM, 1237, 2741), whole[1237:2741])
 
 
 def philox_window(key, start, stop):
@@ -98,51 +96,42 @@ def test_uniform_stream_draws_what_random_access_draws(lo):
     # unaligned start and across 2**20, the engine's chunk edge.
     key = seed_derivation(3, 5, ENERGY_STREAM)
     hi = lo + 9000
-    stream = UniformStream(key, lo)
+    gen = stream_generator(3, 5, ENERGY_STREAM, lo)
     buf = np.empty(1000)
     got = []
     for start in range(lo, hi, 997):
-        stop = min(start + 997, hi)
-        u = uniform_block(stream, start, stop, out=buf[: stop - start])
+        u = uniform_block(gen, buf[: min(start + 997, hi) - start])
         assert np.shares_memory(u, buf)
         got.append(u.copy())
     got = np.concatenate(got)
     assert np.array_equal(got, philox_window(key, lo, hi))
-    assert np.array_equal(got, fresh_block(key, lo, hi))
+    assert np.array_equal(got, fresh_block(3, 5, ENERGY_STREAM, lo, hi))
     assert np.array_equal(got[7:], philox_window(key, lo + 7, hi))
-    assert stream.position == hi
-    with pytest.raises(ValueError):
-        uniform_block(stream, hi, hi + 3, out=buf)
+    # the generator then stands at ``hi``
+    assert np.array_equal(uniform_block(gen, buf[:3]), philox_window(key, hi, hi + 3))
 
 
 def test_uniform_stream_moves_to_the_asked_start():
-    # A block that does not start where the stream stands is still drawn
-    # from its own positions, behind or ahead of the stream, at any offset
-    # within a counter block; the stream then stands at the block's end.
+    # A generator stood at a position behind or ahead of another, at any
+    # offset within a counter block, draws that position's doubles.
     key = seed_derivation(3, 5, ENERGY_STREAM)
     whole = philox_window(key, 0, 4000)
-    stream = UniformStream(key, 1001)
     for start, stop in [(1001, 1500), (7, 300), (300, 302), (2999, 4000), (1002, 1003)]:
-        assert np.array_equal(uniform_block(stream, start, stop), whole[start:stop])
-        assert stream.position == stop
-    with pytest.raises(ValueError):
-        UniformStream(key, -1)
+        assert np.array_equal(fresh_block(3, 5, ENERGY_STREAM, start, stop), whole[start:stop])
 
 
 def test_uniform_block_empty_and_invalid():
-    stream = UniformStream(seed_derivation(0, 0, 0), 10)
-    assert uniform_block(stream, 10, 10).size == 0
+    gen = stream_generator(0, 0, 0, 10)
+    assert uniform_block(gen, np.empty(0)).size == 0
+    assert np.array_equal(uniform_block(gen, np.empty(2)), fresh_block(0, 0, 0, 10, 12))
     with pytest.raises(ValueError):
-        uniform_block(stream, 10, 9)
-    with pytest.raises(ValueError):
-        uniform_block(stream, -1, 9)
+        stream_generator(0, 0, 0, -1)
 
 
 def test_uniform_block_range_and_determinism():
-    key = seed_derivation(1234, 5, ENERGY_STREAM)
-    u = fresh_block(key, 0, 100000)
+    u = fresh_block(1234, 5, ENERGY_STREAM, 0, 100000)
     assert u.min() >= 0.0 and u.max() < 1.0
-    assert np.array_equal(u, fresh_block(key, 0, 100000))
+    assert np.array_equal(u, fresh_block(1234, 5, ENERGY_STREAM, 0, 100000))
     # crude moment checks: mean 1/2 and var 1/12 for U(0,1)
     assert abs(u.mean() - 0.5) < 0.005
     assert abs(u.var() - 1.0 / 12.0) < 0.005
@@ -150,9 +139,9 @@ def test_uniform_block_range_and_determinism():
 
 def test_streams_decorrelated_across_replicas_and_labels():
     n = 100000
-    base = fresh_block(seed_derivation(42, 0, ENERGY_STREAM), 0, n)
-    other_replica = fresh_block(seed_derivation(42, 1, ENERGY_STREAM), 0, n)
-    other_label = fresh_block(seed_derivation(42, 0, POISSON_STREAM), 0, n)
+    base = fresh_block(42, 0, ENERGY_STREAM, 0, n)
+    other_replica = fresh_block(42, 1, ENERGY_STREAM, 0, n)
+    other_label = fresh_block(42, 0, POISSON_STREAM, 0, n)
     assert abs(np.corrcoef(base, other_replica)[0, 1]) < 0.01
     assert abs(np.corrcoef(base, other_label)[0, 1]) < 0.01
     assert not np.array_equal(base, other_replica)

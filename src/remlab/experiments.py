@@ -10,8 +10,8 @@ positions.csv.
 manifest fields it reads, the keyed draws it needs besides its replicas,
 how the results become tables, and its checks with their parameters.
 The manifest parser validates against it, and ``run_experiment`` runs
-every type the same way: one task map runs the replicas and the draws,
-in one pool or in this process, and returns their results in id order.
+every type the same way: one task map runs each replica and draw as a
+call, here or in one pool, and returns the results in id order.
 
 Determinism contract: every random quantity is derived from
 (master_seed, replica or draw id, stream label) through the keyed
@@ -26,7 +26,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import datetime
-import functools
 import itertools
 import json
 import math
@@ -36,6 +35,7 @@ import threading
 import time
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -123,16 +123,16 @@ class Experiment:
     as ``"alpha": "double_exponential"`` for a law derived at ``alpha = 1``
     only.  The parser rejects a value other than the default in a field
     that only other experiments read; ``top_m`` reaches the engine only
-    where it is listed.  ``draws(manifest)`` gives ``{sample: [Draw]}``,
-    submitted in the dict's order; it runs inside ``run_experiment``, so a
-    sampler patched here before the run (as perfbench's spans do) is the
-    one its draws hold where they run in this process.  A pool worker
-    holds the modules as they were when the pool forked, at the first
-    pooled call, and a later patch does not reach it.  ``keep(result)``
-    is what the experiment keeps of each ``ReplicaResult``, computed in
-    the process that finished the replica, so a pool sends back no more:
-    ``pd_compare``'s replicas, like its draws, send back ``(w1, sumsq)``
-    of their Gibbs spectrum.
+    where it is listed.  ``draws(manifest)`` gives ``{sample: [call]}``,
+    calls of ``_draw`` submitted in the dict's order; it runs inside
+    ``run_experiment``, so a sampler patched here before the run (as
+    perfbench's spans do) is the one its calls hold where they run in
+    this process.  A pool worker holds the modules as they were when the
+    pool forked, at the first pooled call, and a later patch does not
+    reach it.  ``keep(result)`` is what the experiment keeps of each
+    ``ReplicaResult``, computed in the process that finished the replica,
+    so a pool sends back no more: ``pd_compare``'s replicas, like its
+    draws, send back ``(w1, sumsq)`` of their Gibbs spectrum.
     ``build(manifest, results, draws)`` gets what was kept of the
     replicas and the draws' results under the draws' names, and returns
     ``({file name: (header, rows)}, data)``.
@@ -143,27 +143,6 @@ class Experiment:
     checks: dict
     draws: Callable = lambda manifest: {}
     keep: Callable = _whole
-
-
-@dataclass(frozen=True)
-class Draw:
-    """One keyed draw, run in the task map next to the replicas.
-
-    Calls the function ``sampler(*args, rng)``, with the generator of
-    ``(master_seed, draw_id, stream)``, and returns only ``(w1, sumsq)``
-    of the weights, so a pool sends back two floats per draw, as it does
-    per ``pd_compare`` replica.
-    """
-
-    sampler: Callable
-    args: tuple
-    master_seed: int
-    draw_id: int
-    stream: int
-
-    def __call__(self) -> tuple[float, float]:
-        rng = stream_generator(self.master_seed, self.draw_id, self.stream)
-        return _spectrum_stats(self.sampler(*self.args, rng).entries)
 
 
 def resolve_workers(value) -> int:
@@ -189,14 +168,19 @@ def resolve_workers(value) -> int:
     return count
 
 
-def _run_task(task, keep=_whole):
+def _finished(spec: ReplicaSpec, keep: Callable):
     # run_replica is looked up when the task runs, in the process that runs
     # it: a pool worker holds the module as it was when the pool forked
-    if isinstance(task, Draw):
-        return task()
-    if isinstance(task, ReplicaSpec):
-        return keep(run_replica(task))
-    return summarize(*task)  # a (spec, lo) chunk task
+    return keep(run_replica(spec))
+
+
+def _draw(sampler: Callable, args: tuple, master_seed: int, draw_id: int, stream: int):
+    """``(w1, sumsq)`` of ``sampler(*args, rng)``, ``rng`` keyed by the other three."""
+    return _spectrum_stats(sampler(*args, stream_generator(master_seed, draw_id, stream)).entries)
+
+
+def _call(task: Callable):
+    return task()
 
 
 # Starting a process pool (README.md, "Command line", gives its cost) costs
@@ -252,12 +236,14 @@ def _discard_pool() -> None:
 def _map_tasks(specs: list, draws: list, workers: int, keep=_whole) -> tuple[list, int]:
     """``keep`` of each replica's result, the draws' results, and the processes that ran them.
 
-    When a replica spans more than one chunk, each of its chunks is a
-    task of its own, a ``(spec, lo)`` that ``engine.summarize``
-    reduces; this process folds each replica's chunk summaries in chunk
-    order, as ``run_replica`` does, finishes it and applies ``keep``.
-    Replicas of one chunk are one task each, finished and kept where
-    they run, so only what ``keep`` returns crosses the pool.
+    Each task is a ``partial`` of a module-level function, called with no
+    arguments, so a pool pickles it by reference: ``_finished(spec,
+    keep)`` for a replica, ``_draw`` for each of ``draws``, and, where a
+    replica spans more than one chunk, ``engine.summarize(spec, lo)`` for
+    each chunk; this process folds each replica's chunk summaries in
+    chunk order, as ``run_replica`` does, finishes it and applies
+    ``keep``.  Replicas of one chunk are one task each, finished and kept
+    where they run, so only what ``keep`` returns crosses the pool.
     Only the replicas' energies decide whether a pool pays; the draws go
     wherever the replicas go.  In a pool, chunk tasks go one at a time,
     while whole replicas and draws are chunked apart, each into about
@@ -274,12 +260,12 @@ def _map_tasks(specs: list, draws: list, workers: int, keep=_whole) -> tuple[lis
     whole call runs once more on a fresh pool; only a break there fails
     it.  Results depend on the tasks alone, so a rerun changes none.
     """
+    wholes = [partial(_finished, spec, keep) for spec in specs]
     split = any(len(chunks(spec)) > 1 for spec in specs)
-    tasks = [(spec, lo) for spec in specs for lo in chunks(spec)] if split else specs
+    tasks = [partial(summarize, s, lo) for s in specs for lo in chunks(s)] if split else wholes
     streaming = min(workers, len(tasks))  # processes the replica tasks alone would keep busy
-    run = functools.partial(_run_task, keep=keep)
     if streaming <= 1 or sum(spec.size for spec in specs) < streaming * POOL_MIN_CONFIGS:
-        return [run(task) for task in [*specs, *draws]], 1
+        return [task() for task in [*wholes, *draws]], 1
     processes = min(workers, len(tasks) + len(draws))
     slots = processes * 4  # whole replicas and draws go about four chunks per process
     with _pool_lock:
@@ -289,9 +275,9 @@ def _map_tasks(specs: list, draws: list, workers: int, keep=_whole) -> tuple[lis
             try:
                 # a chunk summary may hold long marginal vectors, so chunk tasks go one at a time
                 replicas = pool.map(
-                    run, tasks, chunksize=1 if split else max(1, len(tasks) // slots)
+                    _call, tasks, chunksize=1 if split else max(1, len(tasks) // slots)
                 )
-                drawn = pool.map(_run_task, draws, chunksize=max(1, len(draws) // slots))
+                drawn = pool.map(_call, draws, chunksize=max(1, len(draws) // slots))
                 if split:
                     replicas = [
                         keep(finish(spec, fold(itertools.islice(replicas, len(chunks(spec))))))
@@ -590,13 +576,13 @@ def _pd_draws(manifest: ExperimentManifest) -> dict:
     args = (beta, pd.truncation_b, pd.epsilon_mass)
 
     def poisson(ids):
-        return [Draw(sample_pd_poisson, args, seed, i, POISSON_STREAM) for i in ids]
+        return [partial(_draw, sample_pd_poisson, args, seed, i, POISSON_STREAM) for i in ids]
 
     return {
         "pd_poisson": poisson(range(pd.draws)),
         "pd_poisson_cross": poisson(range(pd.draws, pd.draws + pd.stick_draws)),
         "pd_stick": [
-            Draw(sample_pd_stick, (pd.m, pd.stick_length), seed, j, STICK_STREAM)
+            partial(_draw, sample_pd_stick, (pd.m, pd.stick_length), seed, j, STICK_STREAM)
             for j in range(pd.stick_draws)
         ],
     }

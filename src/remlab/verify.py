@@ -14,6 +14,7 @@ the run that produced it, the retry's on a retry.
 
 from __future__ import annotations
 
+import shutil
 import time
 from dataclasses import dataclass
 from importlib import resources
@@ -59,6 +60,9 @@ def builtin_manifest(name: str) -> ExperimentManifest:
 def run_builtin(name: str, workers=None, output_root="remlab-verify") -> VerifyRecord:
     manifest = builtin_manifest(name)
     root = Path(output_root)
+    retry_dir = root / f"{name}-retry"
+    if retry_dir.exists():  # left by an earlier verify into this root, not this run's
+        shutil.rmtree(retry_dir)
     start = time.perf_counter()
     first = run_experiment(manifest, workers=workers, output_dir=root / name)
     final = first
@@ -66,7 +70,7 @@ def run_builtin(name: str, workers=None, output_root="remlab-verify") -> VerifyR
         # reseeded through the parser, as ``remlab run --seed`` is, so the seed is range-checked
         seed = manifest.master_seed + RETRY_SEED_INCREMENT
         retry = from_dict({**manifest.to_dict(), "master_seed": seed})
-        final = run_experiment(retry, workers=workers, output_dir=root / f"{name}-retry")
+        final = run_experiment(retry, workers=workers, output_dir=retry_dir)
     return VerifyRecord(name, final, first, final is not first, time.perf_counter() - start)
 
 

@@ -296,8 +296,8 @@ def test_engine_matches_naive_oracle_random_specs(monkeypatch):
             InlinePool.tasks = []
             (from_tasks,), _ = _map_tasks([spec], [], 2)
             # a replica of one chunk is one task: it stays in this process
-            assert InlinePool.tasks == [
-                (spec, lo) for lo in range(0, spec.size, chunk)
+            assert [(t.func, t.args) for t in InlinePool.tasks] == [
+                (engine.summarize, (spec, lo)) for lo in range(0, spec.size, chunk)
             ] * (spec.size > chunk)
             split += len(InlinePool.tasks) > 1
             want = naive_replica(spec)

@@ -587,6 +587,27 @@ def test_summarize_matches_whole_chunk_reductions(monkeypatch, n, chunk, k):
             assert np.array_equal(summary.y[beta], want)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 100.0])
+def test_last_chunk_at_n30_counts_what_its_energies_hold(alpha):
+    # Keyed access to the last chunk of the largest n: the cut counts from
+    # uniforms equal those of the chunk's energies, with cut ends near zero
+    # energy (x = -6e-3 to 9e-3, where x**alpha / scale underflows at
+    # alpha 100) and at the rate edge (alpha log 2)**(1/alpha) per site.
+    n = 30
+    edge = (alpha * LOG2) ** (1.0 / alpha)
+    spec = ReplicaSpec(
+        env=Environment(alpha, n),
+        betas=(),
+        intervals=((-edge, -2e-4), (-1e-5, 1e-4), (3e-4, edge)),
+        master_seed=42,
+    )
+    lo = (1 << n) - CHUNK
+    e = energy_block(spec, lo, lo + CHUNK)
+    assert summarize(spec, lo).hits == tuple(
+        int(np.count_nonzero((e > a * n) & (e < b * n))) for a, b in spec.intervals
+    )
+
+
 def test_run_replica_deterministic():
     spec = make_spec(env=Environment(2.0, 12), betas=(1.1,), k_marginal=2)
     a = run_replica(spec)

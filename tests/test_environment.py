@@ -1,5 +1,6 @@
 """Exponential-type site distribution: density, cdf, quantile, sampling."""
 
+import itertools
 import math
 import warnings
 from functools import partial
@@ -11,6 +12,7 @@ from scipy import integrate, special, stats
 from naive_oracle import cdf, density, normalizing_constant
 from remlab.environment import Environment
 from remlab.rng import ENERGY_STREAM, stream_generator
+from tail_oracle_values import TAILS
 
 ALPHAS = [1.0, 1.5, 2.0, 3.0]
 SIZES = [1, 8, 24]
@@ -219,14 +221,18 @@ def test_quantile_is_elementwise_and_in_place(alpha):
     assert np.array_equal(block, whole[3:20003])
 
 
-@pytest.mark.parametrize("alpha", EXACT_ALPHAS)
+@pytest.mark.parametrize("alpha", EXACT_ALPHAS + [60.0])
 def test_uniform_window_brackets_the_crossing(alpha):
     # Every draw below the window has its energy below the cut, every draw
     # above it has its energy above: checked one ulp at a time at both
-    # edges and at the cut's own tail mass, and on random draws.
+    # edges and at the cut's own tail mass, and on random draws.  At large
+    # alpha, cuts near zero energy are where x**alpha / scale is subnormal.
     env = Environment(alpha, 18)
     rng = np.random.default_rng(int(alpha * 10))
-    for x in (-math.inf, -1e6, -40.0, -7.0, -0.3, -0.0, 0.0, 1e-9, 0.3, 7.0, 40.0, 1e6, math.inf):
+    cuts = [-math.inf, -1e6, -40.0, -7.0, -0.3, -0.0, 0.0, 1e-9, 0.3, 7.0, 40.0, 1e6, math.inf]
+    if alpha >= 60.0:
+        cuts += [sign * 10.0 ** (k / 2) for k in range(-12, -3) for sign in (-1.0, 1.0)]
+    for x in cuts:
         lo, hi = env.uniform_window(x)
         m = env.tail_probability(abs(x))
         assert 0.0 <= lo <= hi and hi - lo <= 1e-9 + 2.0 ** -51
@@ -250,6 +256,17 @@ def test_tail_probability_values_and_errors():
         env.tail_probability(-0.1)
     g = Environment(2.0, 9)
     assert abs(g.tail_probability(3.0) - stats.norm.sf(1.0)) < 1e-15
+
+
+def test_tail_probability_matches_the_exact_table():
+    # Exact tails at large alpha from |x| = 1e-12 n to 0.1 n (tools/tail_oracle.py),
+    # where x**alpha / scale falls to subnormal or 0 near zero energy
+    for (alpha, n), group in itertools.groupby(TAILS, key=lambda row: row[:2]):
+        x, want = np.array([row[2:] for row in group]).T
+        env = Environment(alpha, n)
+        got = env.tail_probability(x)
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-12, (alpha, n)
+        assert [env.tail_probability(v) for v in x] == got.tolist()
 
 
 @pytest.mark.parametrize("alpha", [60.0, 100.0])

@@ -25,7 +25,15 @@ import remlab.engine
 import remlab.experiments
 import remlab.verify
 from remlab.cli import main
-from remlab.experiments import _LEVEL, REGISTRY, RunOutcome, resolve_workers, run_experiment
+from remlab.experiments import (
+    _LEVEL,
+    REGISTRY,
+    RunOutcome,
+    _draw,
+    _finished,
+    resolve_workers,
+    run_experiment,
+)
 from remlab.manifest import (
     KINDS,
     ExperimentManifest,
@@ -850,8 +858,9 @@ def test_small_runs_stay_out_of_the_pool(tmp_path, monkeypatch):
     tasks = pools[1].tasks
     assert pools[1].max_workers == 4
     draws = tasks[2:]
-    assert all(isinstance(t, remlab.experiments.ReplicaSpec) for t in tasks[:2])
-    assert [(d.sampler.__name__, d.draw_id) for d in draws] == [
+    assert [(t.func, t.args[0].replica_id) for t in tasks[:2]] == [(_finished, 0), (_finished, 1)]
+    assert all(d.func is _draw for d in draws)
+    assert [(d.args[0].__name__, d.args[3]) for d in draws] == [
         ("sample_pd_poisson", i) for i in range(5)
     ] + [("sample_pd_stick", j) for j in range(2)]
 
@@ -863,7 +872,8 @@ def test_small_runs_stay_out_of_the_pool(tmp_path, monkeypatch):
     run_experiment(one, workers=2, output_dir=tmp_path / "one")
     assert len(pools) == 3
     assert pools[2].max_workers == 2
-    assert [(spec.replica_id, lo) for spec, lo in pools[2].tasks] == [
+    assert all(t.func is remlab.engine.summarize for t in pools[2].tasks)
+    assert [(t.args[0].replica_id, t.args[1]) for t in pools[2].tasks] == [
         (0, lo) for lo in range(0, 1 << 20, 1 << 18)
     ]
     assert pools[2].chunks == [(1, 4), (1, 0)]
@@ -872,7 +882,7 @@ def test_small_runs_stay_out_of_the_pool(tmp_path, monkeypatch):
     three = from_dict(tiny_doc(replicas=3, env={"alpha": 1.0, "n": 20}))
     run_experiment(three, workers=2, output_dir=tmp_path / "three")
     assert len(pools) == 3 and not pools[2].shut
-    assert [(spec.replica_id, lo) for spec, lo in pools[2].tasks[4:]] == [
+    assert [(t.args[0].replica_id, t.args[1]) for t in pools[2].tasks[4:]] == [
         (r, lo) for r in range(3) for lo in range(0, 1 << 20, 1 << 18)
     ]
 
@@ -887,9 +897,9 @@ def test_small_runs_stay_out_of_the_pool(tmp_path, monkeypatch):
     run_experiment(from_dict(many_pd), workers=2, output_dir=tmp_path / "many_pd")
     assert len(pools) == 3
     assert pools[2].chunks[-2:] == [(40 // 8, 40), (304 // 8, 304)]
-    assert all(
-        isinstance(t, remlab.experiments.ReplicaSpec) for t in pools[2].tasks[seen:seen + 40]
-    )
+    assert [(t.func, t.args[0].replica_id) for t in pools[2].tasks[seen:seen + 40]] == [
+        (_finished, r) for r in range(40)
+    ]
 
 
 def test_summary_records_processes(tmp_path):
@@ -1176,8 +1186,9 @@ def test_pd_draw_stats_are_those_of_the_sampler_weights():
     draws = REGISTRY["pd_compare"].draws(manifest)
     assert [len(d) for d in draws.values()] == [30, 10, 10]
     for draw in (d for sample in draws.values() for d in sample):
-        rng = stream_generator(draw.master_seed, draw.draw_id, draw.stream)
-        w = draw.sampler(*draw.args, rng).entries
+        assert draw.func is _draw and not draw.keywords
+        sampler, args, master_seed, draw_id, stream = draw.args
+        w = sampler(*args, stream_generator(master_seed, draw_id, stream)).entries
         w1, sumsq = draw()
         assert w1 == float(np.max(w))
         assert sumsq == float(np.sum(w * w))
@@ -1342,6 +1353,18 @@ def test_retried_details_carry_the_retry_seed(tmp_path, monkeypatch):
     assert [c.detail["master_seed"] for c in record.outcome.checks] == [retry]
     summary = json.loads((tmp_path / "marginals_laplace-retry" / "summary.json").read_text())
     assert summary["checks"][0]["detail"]["master_seed"] == retry
+
+
+def test_verify_removes_a_stale_retry_bundle(tmp_path, monkeypatch):
+    # a verify that passes first time leaves no retry bundle of an earlier verify
+    root = tmp_path / "root"
+    args = ["verify", "--only", "marginals_laplace", "--output-dir", str(root)]
+    for tol, code, retried in ((1e-12, 1, True), (0.5, 0, False)):
+        manifest = from_dict(tiny_doc(checks=[{"check": "mean_within", "beta": 0.5, "tol": tol}]))
+        monkeypatch.setattr(remlab.verify, "builtin_manifest", lambda name: manifest)
+        assert main(args) == code
+        assert (root / "marginals_laplace").is_dir()
+        assert (root / "marginals_laplace-retry").exists() == retried
 
 
 def test_retry_seed_is_range_checked(tmp_path, monkeypatch):

@@ -241,29 +241,6 @@ def _pairwise(reduce_block, lo: int, hi: int):
     return _pairwise(reduce_block, lo, lo + half) + _pairwise(reduce_block, lo + half, hi)
 
 
-def _add_by_pattern(y: np.ndarray, work: np.ndarray, lead: int, count: int, first: int) -> None:
-    """Add the factors ``work[lead : lead + count]`` of indices ``first, first + 1, ...`` into ``y``.
-
-    Index ``i`` adds into pattern ``i % y.size``, each pattern's factors
-    one at a time in index order, as ``np.bincount`` adds them.  Whole rows
-    of ``y.size`` factors are added by one reduction along the first axis
-    of a ``(rows + 1, y.size)`` view whose row 0 is a copy of ``y``, made
-    in the ``y.size`` slots just before the rows: the ``lead`` slots kept
-    free in front of the factors, then any factors already added.
-    """
-    size = y.size
-    g = work[lead : lead + count]
-    done = min(-first % size, count)
-    y[first % size : first % size + done] += g[:done]
-    rows = (count - done) // size
-    if rows:
-        top = lead + done - size
-        work[top : top + size] = y
-        np.sum(work[top : top + (rows + 1) * size].reshape(rows + 1, size), axis=0, out=y)
-        done += rows * size
-    y[: count - done] += g[done:]
-
-
 def summarize(spec: ReplicaSpec, lo: int) -> ChunkSummary:
     """The :class:`ChunkSummary` of the chunk that starts at ``lo``, one of ``chunks(spec)``.
 
@@ -300,37 +277,39 @@ def _gibbs(spec: ReplicaSpec, lo: int, hi: int) -> tuple:
 
     The minimum and the lowest energies are taken over the whole chunk;
     the per-beta sums and marginals run block by block, in index order,
-    on buffers of one block.  A spec without betas draws nothing here,
-    and its minimum is NaN.
+    on buffers of one block.  ``np.add.at`` adds each block's factors
+    into the marginals one at a time, in index order, as ``np.bincount``
+    adds them.  A spec without betas draws nothing here, and its minimum
+    is NaN.
     """
     betas = spec.betas
     if not betas:
         return math.nan, np.empty(0), {}, {}
-    patterns = 1 << spec.k_marginal
+    k = spec.k_marginal
     e = energy_block(spec, lo, hi)
     chunk_min = float(e.min())
     best = _lowest(spec.env, e, spec.top_m)
     width = min(_ENERGY_BLOCK, e.size)
-    # the Gibbs factors of one block, after room for a row of the marginals
-    lead = patterns if patterns <= width else 0
-    work = np.empty(lead + width)
+    work = np.empty(width)
     shifted = np.empty(width)
-    y = {beta: np.zeros(patterns) for beta in betas} if patterns > 1 else {}
+    y = {beta: np.zeros(1 << k) for beta in betas} if k else {}
 
     def reduce_block(a: int, b: int) -> np.ndarray:
         sums = np.empty(len(betas))
         rel = np.subtract(e[a:b], chunk_min, out=shifted[: b - a])
-        g = work[lead : lead + b - a]
+        g = work[: b - a]
+        # the marginal pattern of each index of the block, the low k bits
+        pattern = np.arange(lo + a, lo + b) & ((1 << k) - 1) if k else None
         for i, beta in enumerate(betas):
             np.multiply(rel, -beta, out=g)
             np.exp(g, out=g)
             sums[i] = g.sum()
-            if y:
-                _add_by_pattern(y[beta], work, lead, b - a, lo + a)
+            if k:
+                np.add.at(y[beta], pattern, g)
         return sums
 
     z = dict(zip(betas, _pairwise(reduce_block, 0, e.size).tolist()))
-    if patterns == 1:
+    if not k:
         # with no marginal spins the one pattern holds the whole sum
         y = {beta: np.array([z[beta]]) for beta in betas}
     return chunk_min, best, z, y

@@ -56,7 +56,7 @@ from .engine import (
 )
 from .environment import Environment
 from .pointprocess import sample_pd_poisson, sample_pd_stick
-from .rng import ENERGY_STREAM, POISSON_STREAM, STICK_STREAM, stream_generator
+from .rng import ENERGY_STREAM, KEY_SCHEME, POISSON_STREAM, STICK_STREAM, stream_generator
 from .stats import DEFAULT_LEVEL, chi_square_gof, ks_one_sample, ks_two_sample
 from .theory import (
     LOG2,
@@ -80,7 +80,6 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class RunOutcome:
-    manifest: ExperimentManifest
     output_dir: Path
     checks: tuple
     passed: bool
@@ -709,7 +708,7 @@ def run_experiment(manifest: ExperimentManifest, workers=None, output_dir="remla
         ],
         "seeds": {
             "master_seed": manifest.master_seed,
-            "key_scheme": "(master_seed << 64) | (replica_id << 16) | stream",
+            "key_scheme": KEY_SCHEME,
             "streams": {"energy": ENERGY_STREAM, "poisson": POISSON_STREAM, "stick": STICK_STREAM},
         },
         "workers": count,
@@ -725,4 +724,4 @@ def run_experiment(manifest: ExperimentManifest, workers=None, output_dir="remla
     with open(target / "summary.json", "w", encoding="utf-8") as handle:
         json.dump(summary, handle, indent=2, allow_nan=False)
         handle.write("\n")
-    return RunOutcome(manifest, target, tuple(checks), passed)
+    return RunOutcome(target, tuple(checks), passed)

@@ -30,6 +30,9 @@ RETRY_SEED_INCREMENT = 1  # documented retry rule: master_seed + 1
 MAX_SEED = 1 << 64  # master seeds lie in [0, MAX_SEED)
 _REPLICA_BITS = 48
 _LABEL_BITS = 16
+_SEED_SHIFT = _REPLICA_BITS + _LABEL_BITS  # 64
+# The layout of ``seed_derivation``'s key, as ``summary.json`` records it.
+KEY_SCHEME = f"(master_seed << {_SEED_SHIFT}) | (replica_id << {_LABEL_BITS}) | stream"
 
 
 def seed_derivation(master_seed: int, replica_id: int, stream_label: int = 0) -> int:
@@ -49,7 +52,7 @@ def seed_derivation(master_seed: int, replica_id: int, stream_label: int = 0) ->
         raise ValueError(f"replica_id must be in [0, 2**48), got {replica_id}")
     if not 0 <= stream_label < (1 << _LABEL_BITS):
         raise ValueError(f"stream_label must be in [0, 2**16), got {stream_label}")
-    return (int(master_seed) << 64) | (int(replica_id) << _LABEL_BITS) | int(stream_label)
+    return (int(master_seed) << _SEED_SHIFT) | (int(replica_id) << _LABEL_BITS) | int(stream_label)
 
 
 def stream_generator(

@@ -3,6 +3,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -12,7 +13,7 @@ from scipy import integrate, special, stats
 from naive_oracle import cdf, density, normalizing_constant
 from remlab.environment import Environment
 from remlab.rng import ENERGY_STREAM, stream_generator
-from tail_oracle_values import TAILS
+from tail_oracle_values import QUANTILES, TAILS
 
 ALPHAS = [1.0, 1.5, 2.0, 3.0]
 SIZES = [1, 8, 24]
@@ -267,6 +268,25 @@ def test_tail_probability_matches_the_exact_table():
         got = env.tail_probability(x)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-12, (alpha, n)
         assert [env.tail_probability(v) for v in x] == got.tolist()
+
+
+def test_quantile_matches_the_exact_table():
+    # Exact energies at n = 18 (tools/tail_oracle.py): deep tails u = 1.2345678
+    # 2**-k for k 2..53, their mirrors, and u = (1 +- 10**-j) / 2 for j 2..12,
+    # next to zero energy.  The quantile is within its stated relative 1e-13,
+    # the tail within its 1e-12, and each energy's window holds the draw
+    # whose exact energy it is.
+    for alpha, group in itertools.groupby(QUANTILES, key=lambda row: row[0]):
+        n, u, magnitude, tail = np.array(list(group))[:, 1:].T
+        env = Environment(alpha, int(n[0]))
+        want = np.copysign(magnitude, u - 0.5)
+        got = env.quantile(u)
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-13, alpha
+        assert np.max(np.abs(env.tail_probability(magnitude) / tail - 1.0)) <= 1e-12, alpha
+        for x, m in zip(want.tolist(), tail.tolist()):
+            lo, hi = env.uniform_window(x)
+            crossing = Fraction(m) if x <= 0 else 1 - Fraction(m)
+            assert Fraction(lo) <= crossing <= Fraction(hi), (alpha, x)
 
 
 @pytest.mark.parametrize("alpha", [60.0, 100.0])

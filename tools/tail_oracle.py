@@ -1,11 +1,21 @@
-"""Exact tails of remlab's energy law near zero energy, for the tests.
+"""Exact tails and quantiles of remlab's energy law, for the tests.
 
-For each shape ``alpha`` in ``ALPHAS``, size ``n`` in ``SIZES`` and
-``x = n * 10**(k/2)`` with ``k`` from -24 to -2 (``|x|`` from ``1e-12 n``
-to ``0.1 n``, where the general-shape tail once lost its precision), this
-computes ``P(E > x) = Q(1/alpha, x**alpha / (alpha n**(alpha-1))) / 2`` of
-the double ``x`` with mpmath at 40 digits and rounds it to the nearest
-double.  The rows become ``tests/tail_oracle_values.py``, which
+Tails near zero energy: for each shape ``alpha`` in ``ALPHAS``, size
+``n`` in ``SIZES`` and ``x = n * 10**(k/2)`` with ``k`` from -24 to -2
+(``|x|`` from ``1e-12 n`` to ``0.1 n``, where the general-shape tail once
+lost its precision), this computes ``P(E > x) = Q(1/alpha, x**alpha /
+(alpha n**(alpha-1))) / 2`` of the double ``x``.
+
+Quantiles: for each shape in ``QUANTILE_ALPHAS`` at ``n = QUANTILE_N``
+and each double ``u`` of ``uniforms()`` (deep tails ``1.2345678 *
+2**-k``, ``k`` from 2 to 53, their mirrors ``1 - u``, and ``(1 ± 10**-j)
+/ 2``, ``j`` from 2 to 12, next to zero energy), this solves ``P(|E| >
+y) = 2 min(u, 1-u)`` for the exact magnitude ``y`` of the energy of
+``u``, and computes the exact tail ``P(E > y')`` of the double ``y'``
+nearest it.
+
+Everything is computed with mpmath at 40 digits and rounded to the
+nearest double.  The rows become ``tests/tail_oracle_values.py``, which
 ``tests/test_environment.py`` reads, so the tests never import mpmath.
 
 Usage, from the repository root (mpmath must be installed; remlab need
@@ -23,18 +33,24 @@ import mpmath
 ALPHAS = (30.0, 40.0, 60.0, 100.0)
 SIZES = (1, 18, 30)
 STEPS = range(-24, -1)  # x = n * 10**(k/2)
+QUANTILE_ALPHAS = (1.5, 2.0, 3.0, 10.0, 100.0)
+QUANTILE_N = 18
 DIGITS = 40
 
 TARGET = Path(__file__).resolve().parent.parent / "tests" / "tail_oracle_values.py"
 
-HEADER = '''"""Exact tails ``P(E > x)`` of the energy law, computed with mpmath at {digits} digits.
+HEADER = '''"""Exact tails and quantiles of the energy law, computed with mpmath at {digits} digits.
 
-Generated by ``tools/tail_oracle.py``; rerun it rather than editing.  Each
-row is ``(alpha, n, x, tail)``, ``x`` and ``tail`` the doubles nearest the
-grid point and the exact tail of that ``x``.
+Generated by ``tools/tail_oracle.py``; rerun it rather than editing.
+
+``TAILS`` rows are ``(alpha, n, x, tail)``: ``x`` the double nearest the
+grid point and ``tail`` the exact ``P(E > x)``.
+
+``QUANTILES`` rows are ``(alpha, n, u, magnitude, tail)``: ``magnitude``
+the exact ``|E|`` of the draw ``u``, whose sign is that of ``u - 1/2``,
+and ``tail`` the exact ``P(E > magnitude)`` of that double.
 """
 
-TAILS = (
 '''
 
 
@@ -45,19 +61,74 @@ def exact_tail(alpha: float, n: int, x: float) -> float:
     return float(mpmath.gammainc(1 / alpha_, z, mpmath.inf, regularized=True) / 2)
 
 
-def rows() -> list:
-    with mpmath.workdps(DIGITS):
-        return [
-            (alpha, n, x, exact_tail(alpha, n, x))
-            for alpha in ALPHAS
-            for n in SIZES
-            for x in (n * 10.0 ** (k / 2) for k in STEPS)
-        ]
+def exact_magnitude(alpha: float, n: int, u: float) -> float:
+    """``|E|`` of the draw ``u``, the ``y`` with ``P(|E| > y) = 2 min(u, 1-u)``.
+
+    ``P(|E| > y) = Q(1/alpha, z)`` with ``z = y**alpha / scale``.  The
+    root is sought in ``w = log z``, in the log of ``Q`` where ``2 min(u,
+    1-u) <= 1/2`` and otherwise in the log of ``P = 1 - Q``, which keeps
+    the relative precision near zero energy: bisection down to a bracket
+    of width about 1e-5, then mpmath's ``findroot``.
+    """
+    a = 1 / mpmath.mpf(alpha)
+    q = 2 * min(mpmath.mpf(u), 1 - mpmath.mpf(u))
+    if q <= 0.5:
+        sign, target = 1, mpmath.log(q)  # log Q falls as w rises
+
+        def mass(w):
+            return mpmath.gammainc(a, mpmath.exp(w), mpmath.inf, regularized=True)
+    else:
+        sign, target = -1, mpmath.log(1 - q)  # log P rises with w
+
+        def mass(w):
+            return mpmath.gammainc(a, 0, mpmath.exp(w), regularized=True)
+
+    def gap(w):
+        return mpmath.log(mass(w)) - target
+
+    # z from e**-10000 (P below 1e-12 at alpha 100) to e**5 (Q below 2**-54)
+    lo, hi = mpmath.mpf(-10000), mpmath.mpf(5)
+    for _ in range(30):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if sign * gap(mid) > 0 else (lo, mid)
+    w = mpmath.findroot(gap, (lo, hi), solver="anderson")
+    scale = mpmath.mpf(alpha) * mpmath.mpf(n) ** (mpmath.mpf(alpha) - 1)
+    return float((scale * mpmath.exp(w)) ** (1 / mpmath.mpf(alpha)))
+
+
+def uniforms() -> list:
+    """The draws of the quantile rows: deep tails, their mirrors, and next to 1/2."""
+    deep = [1.2345678 * 2.0 ** -k for k in range(2, 54)]
+    centre = [(1.0 + s * 10.0 ** -j) / 2 for j in range(2, 13) for s in (-1, 1)]
+    return deep + [1.0 - u for u in deep] + centre
+
+
+def tail_rows() -> list:
+    return [
+        (alpha, n, x, exact_tail(alpha, n, x))
+        for alpha in ALPHAS
+        for n in SIZES
+        for x in (n * 10.0 ** (k / 2) for k in STEPS)
+    ]
+
+
+def quantile_rows() -> list:
+    rows = []
+    for alpha in QUANTILE_ALPHAS:
+        for u in uniforms():
+            y = exact_magnitude(alpha, QUANTILE_N, u)
+            rows.append((alpha, QUANTILE_N, u, y, exact_tail(alpha, QUANTILE_N, y)))
+    return rows
+
+
+def table(name: str, rows: list) -> str:
+    return f"{name} = (\n" + "".join(f"    {row!r},\n" for row in rows) + ")\n"
 
 
 def module_text() -> str:
-    body = "".join(f"    {row!r},\n" for row in rows())
-    return HEADER.format(digits=DIGITS) + body + ")\n"
+    with mpmath.workdps(DIGITS):
+        tails, quantiles = tail_rows(), quantile_rows()
+    return HEADER.format(digits=DIGITS) + table("TAILS", tails) + "\n" + table("QUANTILES", quantiles)
 
 
 def main() -> None:

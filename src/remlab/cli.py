@@ -1,15 +1,17 @@
 """Command line entry points: remlab run / verify / theory.
 
 Exit codes: 0 success with all checks passing, 1 one or more checks
-failed, 2 invalid input (bad manifest, bad arguments), 3 runtime
-failure.  Input is validated in full before a run starts, so any
-exception raised during the run is a runtime failure.
+failed, 2 invalid input (bad manifest, bad arguments, an output
+directory that cannot be created), 3 runtime failure.  Input is
+validated in full before a run starts, so any exception raised during
+the run is a runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .experiments import resolve_workers, run_experiment
 from .manifest import ManifestError, from_dict, load
@@ -62,7 +64,8 @@ def _cmd_run(args) -> int:
         return 2
     try:
         workers = resolve_workers(args.workers)
-    except ValueError as exc:
+        Path(args.output_dir).mkdir(parents=True, exist_ok=True)
+    except (ValueError, OSError) as exc:  # OSError: an output directory that cannot be made
         print(f"error: {exc}", file=sys.stderr)
         return 2
     outcome = run_experiment(manifest, workers=workers, output_dir=args.output_dir)
@@ -91,7 +94,8 @@ def _cmd_verify(args) -> int:
             return 2
     try:
         workers = resolve_workers(args.workers)
-    except ValueError as exc:
+        Path(args.output_dir).mkdir(parents=True, exist_ok=True)
+    except (ValueError, OSError) as exc:  # OSError: an output directory that cannot be made
         print(f"error: {exc}", file=sys.stderr)
         return 2
     records = run_all(workers=workers, output_root=args.output_dir, names=names)

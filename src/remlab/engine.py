@@ -161,8 +161,8 @@ class ReplicaResult:
     """Everything measured on one replica; per-beta maps are keyed by beta.
 
     ``spectrum`` maps each beta to the largest Gibbs weights in
-    descending order, a ``WeightSequence`` whose ``deficit`` is the mass
-    of the rest.
+    descending order, a ``WeightSequence``; one minus their sum is the
+    mass of the rest.
     ``exceedance`` maps each b level to the shifted positions
     ``-(H + shift_constant(n)) >= b`` in configuration-index order.
     ``min_energy`` is the ground state, or NaN for a spec without betas,
@@ -279,8 +279,10 @@ def _gibbs(spec: ReplicaSpec, lo: int, hi: int) -> tuple:
     the per-beta sums and marginals run block by block, in index order,
     on buffers of one block.  ``np.add.at`` adds each block's factors
     into the marginals one at a time, in index order, as ``np.bincount``
-    adds them.  A spec without betas draws nothing here, and its minimum
-    is NaN.
+    adds them, at each index's low ``k`` bits, sliced for a block from
+    one ring per chunk, ``ring[j] = j & (2**k - 1)``, one block plus
+    ``2**k`` long (8.6 MB at ``k = 20``, about one marginal vector).  A
+    spec without betas draws nothing here, and its minimum is NaN.
     """
     betas = spec.betas
     if not betas:
@@ -293,13 +295,15 @@ def _gibbs(spec: ReplicaSpec, lo: int, hi: int) -> tuple:
     work = np.empty(width)
     shifted = np.empty(width)
     y = {beta: np.zeros(1 << k) for beta in betas} if k else {}
+    mask = (1 << k) - 1
+    ring = np.arange(width + (1 << k)) & mask if k else None
 
     def reduce_block(a: int, b: int) -> np.ndarray:
         sums = np.empty(len(betas))
         rel = np.subtract(e[a:b], chunk_min, out=shifted[: b - a])
         g = work[: b - a]
         # the marginal pattern of each index of the block, the low k bits
-        pattern = np.arange(lo + a, lo + b) & ((1 << k) - 1) if k else None
+        pattern = ring[(lo + a) & mask :][: b - a] if k else None
         for i, beta in enumerate(betas):
             np.multiply(rel, -beta, out=g)
             np.exp(g, out=g)

@@ -21,11 +21,11 @@ sampler extends the window downward until the newly observed relative
 mass drops below ``epsilon_mass`` and the fluctuation of the unseen
 remainder is below the same threshold, then folds the exact conditional
 mean of the unseen mass into the normalizer.  Enumerated weights are
-unbiased at ``epsilon_mass`` resolution even when the reported deficit
-(the estimated unseen mass) is itself large.  ``check_point_budget``
-runs the same rule on the expected slab masses, so a manifest whose
-window would outgrow the point budget is rejected before any point is
-drawn.
+unbiased at ``epsilon_mass`` resolution even when the mass they miss
+from one (the estimated unseen mass) is itself large.
+``check_point_budget`` runs the same rule on the expected slab masses,
+so a manifest whose window would outgrow the point budget is rejected
+before any point is drawn.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ MAX_WINDOW_POINTS = 1 << 26
 MIN_TRUNCATION_B = -math.log(MAX_WINDOW_POINTS)
 # The top point's 1e-6 lower quantile: P(max < c) = exp(-exp(-c)) = 1e-6
 _LOW_TOP = -math.log(math.log(1e6))
-# Points per pass of a slab's transforms, 32 KB of float64
-_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -65,11 +63,6 @@ class WeightSequence:
             raise ValueError("entries must be finite and nonnegative")
         if total > 1.0 + 1e-9:
             raise ValueError("entries must sum to at most 1")
-
-    @property
-    def deficit(self) -> float:
-        """Mass missing from one: truncated tail, unseen points or weights past the pool."""
-        return max(0.0, 1.0 - float(self.entries.sum()))
 
 
 def sample_poisson_points(b: float, rng: np.random.Generator) -> np.ndarray:
@@ -95,15 +88,11 @@ def _weights(logs: np.ndarray, beta: float, cmax: float) -> np.ndarray:
     return np.exp(logs, out=logs)
 
 
-def _slab(
-    lo: float, hi: float, rng: np.random.Generator, beta: float | None = None, cmax: float = 0.0
-) -> np.ndarray:
+def _slab(lo: float, hi: float, rng: np.random.Generator) -> np.ndarray:
     """``L = log(exp(-lo) - u * mass)`` of each point ``c = -L`` of the process on ``(lo, hi]``.
 
     The restriction to ``(lo, hi]`` is independent of all other slabs.
-    Given ``beta``, each ``L`` becomes the point's ``_weights``.  Every
-    step runs in place on the uniforms, ``_BLOCK`` at a time, so a block
-    stays in the caches through all of them.
+    Every step runs in place on the uniforms.
     """
     top = math.exp(-lo)
     mass = top - math.exp(-hi)
@@ -113,14 +102,9 @@ def _slab(
             "raise epsilon_mass"
         )
     out = rng.random(int(rng.poisson(mass)))
-    for start in range(0, out.size, _BLOCK):
-        block = out[start : start + _BLOCK]
-        block *= mass
-        np.subtract(top, block, out=block)
-        np.log(block, out=block)
-        if beta is not None:
-            _weights(block, beta, cmax)
-    return out
+    out *= mass
+    np.subtract(top, out, out=out)
+    return np.log(out, out=out)
 
 
 def _stops(beta: float, b: float, cmax: float, mass: float, added: float, eps: float) -> bool:
@@ -174,7 +158,7 @@ def sample_pd_poisson(
     a time; ``epsilon_mass`` in (0, 1) bounds both the relative mass a
     step may still add and the relative uncertainty the unseen tail
     leaves in the weights (see the module docstring for the stopping rule
-    and the role of the deficit).
+    and the unseen mass).
     """
     beta = float(beta)
     if not math.isfinite(beta) or beta <= 1.0:
@@ -201,7 +185,7 @@ def sample_pd_poisson(
     mass = float(chunks[0].sum())
     added = math.inf
     while not _stops(beta, b, cmax, mass, added, eps):
-        chunks.append(_slab(b - 1.0, b, rng, beta, cmax))
+        chunks.append(_weights(_slab(b - 1.0, b, rng), beta, cmax))
         b -= 1.0
         added = float(chunks[-1].sum())
         mass += added
@@ -218,7 +202,7 @@ def sample_pd_stick(m: float, length: int, rng: np.random.Generator) -> WeightSe
     """PD(m, 0) via stick breaking: the first ``length`` sticks, in the order broken.
 
     Residual fractions are ``Beta(1-m, i*m)`` variates built from two
-    Gamma draws; the undistributed product of leftovers is the deficit.
+    Gamma draws; the sticks miss the product of the leftovers from one.
     """
     m = float(m)
     if not (math.isfinite(m) and 0.0 < m < 1.0):

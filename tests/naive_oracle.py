@@ -53,6 +53,11 @@ def naive_replica(spec, energies=None):
     return out
 
 
+def deficit(weights) -> float:
+    """The mass a ``WeightSequence`` misses from one, as ``naive_replica``'s spectra state it."""
+    return max(0.0, 1.0 - float(weights.entries.sum()))
+
+
 def normalizing_constant(env) -> float:
     """Value of the density at zero.
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import remlab.experiments
-from naive_oracle import naive_replica
+from naive_oracle import deficit, naive_replica
 from remlab import engine
 from remlab.engine import ReplicaSpec, run_replica
 from remlab.environment import Environment
@@ -313,7 +313,7 @@ def test_engine_matches_naive_oracle_random_specs(monkeypatch):
                     weights, tail = want["spectrum"][beta]
                     assert got.spectrum[beta].entries.size == weights.size
                     assert np.allclose(got.spectrum[beta].entries, weights, rtol=0.0, atol=1e-10)
-                    assert abs(got.spectrum[beta].deficit - tail) <= 1e-10
+                    assert abs(deficit(got.spectrum[beta]) - tail) <= 1e-10
                 for interval in spec.intervals:
                     assert got.interval_hits[interval] == want["interval_hits"][interval]
                 for level in spec.b_levels:

@@ -13,7 +13,7 @@ from scipy import integrate, special, stats
 from naive_oracle import cdf, density, normalizing_constant
 from remlab.environment import Environment
 from remlab.rng import ENERGY_STREAM, stream_generator
-from tail_oracle_values import QUANTILES, TAILS
+from tail_oracle_values import INTERVALS, QUANTILES, TAILS
 
 ALPHAS = [1.0, 1.5, 2.0, 3.0]
 SIZES = [1, 8, 24]
@@ -271,11 +271,11 @@ def test_tail_probability_matches_the_exact_table():
 
 
 def test_quantile_matches_the_exact_table():
-    # Exact energies at n = 18 (tools/tail_oracle.py): deep tails u = 1.2345678
-    # 2**-k for k 2..53, their mirrors, and u = (1 +- 10**-j) / 2 for j 2..12,
-    # next to zero energy.  The quantile is within its stated relative 1e-13,
-    # the tail within its 1e-12, and each energy's window holds the draw
-    # whose exact energy it is.
+    # Exact energies at n = 18 and alpha 1.01 to 100 (tools/tail_oracle.py):
+    # deep tails u = 1.2345678 2**-k for k 2..53, their mirrors, and u = (1 +-
+    # 10**-j) / 2 for j 2..12, next to zero energy.  The quantile is within
+    # its stated relative 1e-13, the tail within its 1e-12, and each energy's
+    # window holds the draw whose exact energy it is.
     for alpha, group in itertools.groupby(QUANTILES, key=lambda row: row[0]):
         n, u, magnitude, tail = np.array(list(group))[:, 1:].T
         env = Environment(alpha, int(n[0]))
@@ -287,6 +287,20 @@ def test_quantile_matches_the_exact_table():
             lo, hi = env.uniform_window(x)
             crossing = Fraction(m) if x <= 0 else 1 - Fraction(m)
             assert Fraction(lo) <= crossing <= Fraction(hi), (alpha, x)
+
+
+def test_interval_probability_matches_the_exact_table():
+    # Exact probabilities at alpha 1.5, 2 and 60, n 18 and 30 (tools/tail_oracle.py),
+    # of intervals in the tail, across 0, and at the rate edge (alpha log 2)**(1/alpha).
+    # The probability combines two tails, each within a relative 1e-12, so it is
+    # within 1e-12 of their sum; the rounding of the result and of the table's
+    # value add 2**-53 of it each, and across 0, where it is 1 - T(b) - T(-a)
+    # below 1, three roundings of at most 2**-53 each.
+    for alpha, n, low, high, p, tails in INTERVALS:
+        rounding = 3.0 * 2.0 ** -53 if low < 0.0 < high else 2.0 * 2.0 ** -53 * p
+        bound = (1e-12 * tails + rounding) / p
+        got = Environment(alpha, n).interval_probability(low, high)
+        assert abs(got / p - 1.0) <= bound, (alpha, n, low, high)
 
 
 @pytest.mark.parametrize("alpha", [60.0, 100.0])

@@ -238,7 +238,6 @@ def test_package_all_matches_its_bindings():
 # that will use them inside the package.
 TEST_ONLY_METHODS = {
     "Environment.interval_probability",  # item 7: finite-n theory of rate_window
-    "WeightSequence.deficit",  # item 14: the PD samplers' retirement
 }
 
 
@@ -1321,6 +1320,25 @@ def test_cli_verify_runtime_fault_exit_code(tmp_path, capsys, monkeypatch):
     assert main(["verify", "--only", "marginals_laplace", "--output-dir", str(tmp_path)]) == 3
     assert "engine fault" in capsys.readouterr().err
 
+
+
+def test_cli_unusable_output_dir_exit_code(tmp_path, capsys, monkeypatch):
+    # an output directory that cannot be created is bad input, found before
+    # any replica runs: a regular file, or a path below one
+    def broken(spec):
+        raise AssertionError("a replica ran")
+
+    monkeypatch.setattr(remlab.experiments, "run_replica", broken)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(tiny_doc()), encoding="utf-8")
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    for target in (blocker, blocker / "sub"):
+        assert main(["run", str(path), "--output-dir", str(target)]) == 2
+        assert main(["verify", "--only", "marginals_laplace", "--output-dir", str(target)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 4 and all(line.startswith("error: [Errno") for line in err)
+    assert all(str(blocker) in line for line in err)
 
 
 def test_verify_duration_includes_the_retry(tmp_path, monkeypatch):

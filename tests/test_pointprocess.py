@@ -35,8 +35,7 @@ def sumsq(seq):
 
 
 def test_weight_sequence_validation():
-    ws = WeightSequence(np.array([0.5, 0.3, 0.1]))
-    assert abs(ws.deficit - 0.1) < 1e-15
+    WeightSequence(np.array([0.5, 0.3, 0.1]))
     with pytest.raises(ValueError):
         WeightSequence(np.array([0.5, -0.1]))
     with pytest.raises(ValueError):
@@ -59,10 +58,8 @@ def test_weight_sequence_validation():
         with pytest.raises(ValueError, match=message):
             WeightSequence(np.array(entries))
     # a single entry, exact ties, zeros and any order are accepted
-    assert WeightSequence(np.array([1.0])).deficit == 0.0
-    assert WeightSequence(np.array([0.25, 0.25, 0.0, 0.0])).deficit == 0.5
-    assert WeightSequence(np.array([0.5 + 5e-10, 0.5 + 4e-10])).deficit == 0.0
-    assert WeightSequence(np.array([0.0, 0.1, 0.3])).deficit == 0.6
+    for entries in ([1.0], [0.25, 0.25, 0.0, 0.0], [0.5 + 5e-10, 0.5 + 4e-10], [0.0, 0.1, 0.3]):
+        WeightSequence(np.array(entries))
 
 
 def test_weight_sequence_checks_match_the_four_conditions():
@@ -183,7 +180,7 @@ def test_pd_poisson_output_contract():
     assert total <= 1.0
     # the unseen tail is folded into the normalizer; at beta=2 the stopping
     # rule leaves a deficit on the order of epsilon_mass, not 1e-9
-    assert 0.0 < ws.deficit < 5e-6
+    assert 0.0 < 1.0 - total < 5e-6
 
 
 def test_pd_poisson_rejects_bad_input():
@@ -250,7 +247,8 @@ def test_stick_deficit_matches_digamma_telescope():
     rng = stream_generator(13, 0, STICK_STREAM)
     target = float(digamma(0.5) - digamma(100.5))
     assert abs(target - -6.568684378603269) < 1e-12
-    logs = [math.log(sample_pd_stick(0.5, 200, rng).deficit) for _ in range(500)]
+    sums = [float(sample_pd_stick(0.5, 200, rng).entries.sum()) for _ in range(500)]
+    logs = [math.log(max(0.0, 1.0 - total)) for total in sums]
     assert abs(np.mean(logs) - target) < 0.4
 
 
@@ -270,7 +268,9 @@ def _entries_digest(sampler, args: tuple, stream: int, count: int = 24) -> str:
 # Recorded from the sampler that evaluated every weight's exp a second time
 # over the concatenated points; computing each weight once must keep the bytes.
 # (200, 1e-4, -8) starts with a window thousands of points deep, whose lowest
-# weights underflow to 0 and are dropped.
+# weights underflow to 0 and are dropped.  (2, 1e-6, 0) is the manifest
+# default, whose windows reach slabs of millions of points; its first four
+# draws are pinned.
 @pytest.mark.parametrize(
     "beta, eps, b, expected",
     [
@@ -279,10 +279,12 @@ def _entries_digest(sampler, args: tuple, stream: int, count: int = 24) -> str:
         (1.25, 5e-2, 0.0, "101cb04e969f00bb72acf264098380ade79d9f74ec6da2965018c3b1ea7e0494"),
         (2.5, 1e-3, 3.0, "8482e0791e7dc7ede8d4a74fa1ea1d3f66d8d0665964b33017495347f91accba"),
         (200.0, 1e-4, -8.0, "dc0f107837e4603e06cf1fac0459ae93c4e5176096145d32dd86bca234daae77"),
+        (2.0, 1e-6, 0.0, "1d3d6bde1d6828c2b5448028b2854767ac6675db71f02120e419f64d291755fc"),
     ],
 )
 def test_pd_poisson_bytes_pinned(beta, eps, b, expected):
-    assert _entries_digest(sample_pd_poisson, (beta, b, eps), POISSON_STREAM) == expected
+    count = 4 if eps == 1e-6 else 24
+    assert _entries_digest(sample_pd_poisson, (beta, b, eps), POISSON_STREAM, count) == expected
 
 
 @pytest.mark.parametrize(

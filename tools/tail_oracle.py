@@ -14,6 +14,14 @@ y) = 2 min(u, 1-u)`` for the exact magnitude ``y`` of the energy of
 ``u``, and computes the exact tail ``P(E > y')`` of the double ``y'``
 nearest it.
 
+Intervals: for each shape in ``INTERVAL_ALPHAS`` and size in
+``INTERVAL_SIZES``, and each per-site interval of ``intervals(alpha)``
+(in the tail on either side, across 0, and at the rate edge
+``(alpha log 2)**(1/alpha)``, the energy per site whose tail is about
+``2**-n``), this computes the exact probability ``P(a < E < b)`` of the
+doubles ``a = n * low`` and ``b = n * high``, with the exact sum ``T(|a|)
++ T(|b|)`` of the two tails it combines.
+
 Everything is computed with mpmath at 40 digits and rounded to the
 nearest double.  The rows become ``tests/tail_oracle_values.py``, which
 ``tests/test_environment.py`` reads, so the tests never import mpmath.
@@ -26,6 +34,7 @@ not be), rewriting ``tests/tail_oracle_values.py``:
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import mpmath
@@ -33,8 +42,10 @@ import mpmath
 ALPHAS = (30.0, 40.0, 60.0, 100.0)
 SIZES = (1, 18, 30)
 STEPS = range(-24, -1)  # x = n * 10**(k/2)
-QUANTILE_ALPHAS = (1.5, 2.0, 3.0, 10.0, 100.0)
+QUANTILE_ALPHAS = (1.01, 1.2, 1.5, 2.0, 3.0, 7.3, 10.0, 60.0, 100.0)
 QUANTILE_N = 18
+INTERVAL_ALPHAS = (1.5, 2.0, 60.0)
+INTERVAL_SIZES = (18, 30)
 DIGITS = 40
 
 TARGET = Path(__file__).resolve().parent.parent / "tests" / "tail_oracle_values.py"
@@ -49,16 +60,21 @@ grid point and ``tail`` the exact ``P(E > x)``.
 ``QUANTILES`` rows are ``(alpha, n, u, magnitude, tail)``: ``magnitude``
 the exact ``|E|`` of the draw ``u``, whose sign is that of ``u - 1/2``,
 and ``tail`` the exact ``P(E > magnitude)`` of that double.
+
+``INTERVALS`` rows are ``(alpha, n, low, high, probability, tails)``:
+``probability`` the exact ``P(n * low < E < n * high)`` of the doubles
+``n * low`` and ``n * high``, and ``tails`` the exact sum of the tails
+beyond their magnitudes, ``T(|n * low|) + T(|n * high|)``.
 """
 
 '''
 
 
-def exact_tail(alpha: float, n: int, x: float) -> float:
-    """``P(E > x)`` for the double ``x >= 0``, rounded to the nearest double."""
+def tail(alpha: float, n: int, x: float):
+    """``P(E > x)`` for the double ``x >= 0``, an mpmath number."""
     alpha_, x_ = mpmath.mpf(alpha), mpmath.mpf(x)
     z = x_ ** alpha_ / (alpha_ * mpmath.mpf(n) ** (alpha_ - 1))
-    return float(mpmath.gammainc(1 / alpha_, z, mpmath.inf, regularized=True) / 2)
+    return mpmath.gammainc(1 / alpha_, z, mpmath.inf, regularized=True) / 2
 
 
 def exact_magnitude(alpha: float, n: int, u: float) -> float:
@@ -103,9 +119,27 @@ def uniforms() -> list:
     return deep + [1.0 - u for u in deep] + centre
 
 
+def intervals(alpha: float) -> list:
+    """Per-site intervals: in the tail, across 0, and next to the rate edge."""
+    edge = (alpha * math.log(2.0)) ** (1.0 / alpha)
+    return [
+        (0.3, 0.4),
+        (-0.9, -0.6),
+        (0.0, 1e-9),
+        (-0.2, 0.3),
+        (-1e-6, 1e-6),
+        (-edge, edge),
+        (edge - 0.01, edge),
+        (edge, edge + 0.01),
+        (edge * (1.0 - 1e-6), edge),
+        (-edge - 0.01, -edge),
+        (edge, 1.2 * edge),
+    ]
+
+
 def tail_rows() -> list:
     return [
-        (alpha, n, x, exact_tail(alpha, n, x))
+        (alpha, n, x, float(tail(alpha, n, x)))
         for alpha in ALPHAS
         for n in SIZES
         for x in (n * 10.0 ** (k / 2) for k in STEPS)
@@ -117,7 +151,24 @@ def quantile_rows() -> list:
     for alpha in QUANTILE_ALPHAS:
         for u in uniforms():
             y = exact_magnitude(alpha, QUANTILE_N, u)
-            rows.append((alpha, QUANTILE_N, u, y, exact_tail(alpha, QUANTILE_N, y)))
+            rows.append((alpha, QUANTILE_N, u, y, float(tail(alpha, QUANTILE_N, y))))
+    return rows
+
+
+def interval_rows() -> list:
+    rows = []
+    for alpha in INTERVAL_ALPHAS:
+        for n in INTERVAL_SIZES:
+            for low, high in intervals(alpha):
+                a, b = n * low, n * high
+                t_a, t_b = tail(alpha, n, abs(a)), tail(alpha, n, abs(b))
+                if a >= 0.0:
+                    p = t_a - t_b
+                elif b <= 0.0:
+                    p = t_b - t_a
+                else:
+                    p = 1 - t_a - t_b
+                rows.append((alpha, n, low, high, float(p), float(t_a + t_b)))
     return rows
 
 
@@ -127,8 +178,10 @@ def table(name: str, rows: list) -> str:
 
 def module_text() -> str:
     with mpmath.workdps(DIGITS):
-        tails, quantiles = tail_rows(), quantile_rows()
-    return HEADER.format(digits=DIGITS) + table("TAILS", tails) + "\n" + table("QUANTILES", quantiles)
+        tails, quantiles, spans = tail_rows(), quantile_rows(), interval_rows()
+    return HEADER.format(digits=DIGITS) + "\n".join(
+        [table("TAILS", tails), table("QUANTILES", quantiles), table("INTERVALS", spans)]
+    )
 
 
 def main() -> None:

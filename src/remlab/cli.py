@@ -92,9 +92,16 @@ def _cmd_verify(args) -> int:
                 file=sys.stderr,
             )
             return 2
+    root = Path(args.output_dir)
     try:
         workers = resolve_workers(args.workers)
-        Path(args.output_dir).mkdir(parents=True, exist_ok=True)
+        root.mkdir(parents=True, exist_ok=True)
+        for name in names or BUILTIN_NAMES:
+            (root / name).mkdir(exist_ok=True)
+            # a stale retry directory is removed before the run; anything else is kept
+            retry = root / f"{name}-retry"
+            if retry.is_symlink() or retry.exists() and not retry.is_dir():
+                raise NotADirectoryError(f"{retry} exists and is not a directory")
     except (ValueError, OSError) as exc:  # OSError: an output directory that cannot be made
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -238,12 +238,18 @@ def test_pd_poisson_matches_stick(verified):
     assert check.passed
 
 
-def _random_spec(rng, chunk):
+def _random_spec(rng, chunk, grid=False):
+    # a grid spec's betas are j * beta_1 for j = 1 .. m, m from 2 to 8, where
+    # the engine multiplies the factors at beta_1 instead of calling exp
     alpha = float(rng.choice([1.0, 1.0, 1.5, 2.0, 2.5, 3.0]))
     n = int(rng.integers(4, 13))
-    betas = list(np.round(rng.uniform(0.05, 2.5, rng.integers(1, 4)), 6))
-    if rng.random() < 0.2:
-        betas.append(0.0)
+    if grid:
+        step = float(np.round(rng.uniform(0.05, 0.5), 6))
+        betas = [j * step for j in range(1, int(rng.integers(2, 9)) + 1)]
+    else:
+        betas = list(np.round(rng.uniform(0.05, 2.5, rng.integers(1, 4)), 6))
+        if rng.random() < 0.2:
+            betas.append(0.0)
     intervals = []
     for _ in range(rng.integers(0, 3)):
         low = float(np.round(rng.uniform(-1.5, 1.2), 6))
@@ -284,6 +290,7 @@ def test_engine_matches_naive_oracle_random_specs(monkeypatch):
     # them, so the per-beta sums are folded across chunk boundaries.  Each
     # spec also runs through the task map at workers=2, where a replica of
     # several chunks is split into one task per chunk and folded here.
+    # Every fifth spec has grid betas.
     monkeypatch.setattr(remlab.experiments, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(remlab.experiments, "POOL_MIN_CONFIGS", 1)
     for chunk in (1 << 20, 64, 7):
@@ -291,8 +298,8 @@ def test_engine_matches_naive_oracle_random_specs(monkeypatch):
         rng = np.random.default_rng(424242)
         worst = 0.0
         split = 0
-        for _ in range(50):
-            spec = _random_spec(rng, chunk)
+        for i in range(50):
+            spec = _random_spec(rng, chunk, grid=i % 5 == 4)
             InlinePool.tasks = []
             (from_tasks,), _ = _map_tasks([spec], [], 2)
             # a replica of one chunk is one task: it stays in this process
@@ -321,7 +328,7 @@ def test_engine_matches_naive_oracle_random_specs(monkeypatch):
         announce(
             "engine vs naive oracle",
             True,
-            f"CHUNK={chunk}, 50 random specs ({split} split into chunk tasks), "
+            f"CHUNK={chunk}, 50 random specs (10 on a beta grid, {split} split into chunk tasks), "
             f"worst |diff|={worst:.2e}",
         )
 

@@ -549,40 +549,86 @@ def test_summarize_matches_whole_chunk_reductions(monkeypatch, n, chunk, k):
     # Block-wise reductions give what one pass over the whole chunk gives,
     # bit for bit: the per-beta sums as one np.sum, the marginals as
     # bincount, also for chunks that are no multiple of the block or of
-    # the pattern count.
+    # the pattern count.  Off a grid each beta's factors are one exp; on
+    # the grid (0.25, 0.5, 0.75), given unsorted, those at j * 0.25 are
+    # the factors at 0.25 multiplied in j times.
     monkeypatch.setattr(engine, "CHUNK", chunk)
+    for betas in ((0.6, 2.2), (0.75, 0.25, 0.5)):
+        spec = make_spec(
+            env=Environment(1.0, n),
+            betas=betas,
+            k_marginal=k,
+            top_m=32,
+            intervals=((-0.5, 0.2), (0.1, 0.9)),
+            b_levels=(-1.0, 0.5),
+            master_seed=5,
+        )
+        shift = shift_constant(n)
+        for lo in chunks(spec):
+            summary = summarize(spec, lo)
+            hi = min(lo + chunk, spec.size)
+            e = energy_block(spec, lo, hi)
+            chunk_min = e.min()
+            assert summary.min_energy == chunk_min
+            assert summary.hits == tuple(
+                int(np.count_nonzero((e > a * n) & (e < b * n))) for a, b in spec.intervals
+            )
+            extremes = -(e + shift)
+            for level, pos in zip(spec.b_levels, summary.positions):
+                assert np.array_equal(pos, extremes[extremes >= level])
+            assert np.array_equal(np.sort(summary.best), np.sort(e)[:32])
+            if betas == (0.6, 2.2):
+                factors = {beta: np.exp((e - chunk_min) * -beta) for beta in betas}
+            else:
+                g1 = np.exp((e - chunk_min) * -0.25)
+                factors = {0.25: g1, 0.5: g1 * g1, 0.75: g1 * g1 * g1}
+            for beta, g in factors.items():
+                assert summary.z[beta] == g.sum()
+                want = (
+                    np.bincount(np.arange(lo, hi) & ((1 << k) - 1), weights=g, minlength=1 << k)
+                    if k
+                    else np.full(1, g.sum())
+                )
+                assert np.array_equal(summary.y[beta], want)
+
+
+def _exp_per_beta(spec, lo):
+    """Per beta, the chunk's Gibbs-factor sum and marginals from one exp each."""
+    e = energy_block(spec, lo, min(lo + CHUNK, spec.size))
+    pattern = np.arange(lo, lo + e.size) & ((1 << spec.k_marginal) - 1)
+    for beta in spec.betas:
+        g = np.exp((e - e.min()) * -beta)
+        yield beta, g.sum(), np.bincount(pattern, weights=g, minlength=1 << spec.k_marginal)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+@pytest.mark.parametrize("m,step", [(2, 1.0), (8, 0.25), (32, 0.0625)])
+def test_grid_sums_stay_within_m_ulp_of_one_exp_per_beta(alpha, m, step):
+    # The grid rule's stated bound: a chunk's sums and marginals at j * beta_1,
+    # built by j - 1 multiplications, stay within a relative m * 2^-52 of one
+    # exp per beta.
+    bound = m * np.finfo(np.float64).eps
     spec = make_spec(
-        env=Environment(1.0, n),
-        betas=(0.6, 2.2),
-        k_marginal=k,
-        top_m=32,
-        intervals=((-0.5, 0.2), (0.1, 0.9)),
-        b_levels=(-1.0, 0.5),
-        master_seed=5,
+        env=Environment(alpha, 18), betas=tuple(j * step for j in range(1, m + 1)), k_marginal=3
     )
-    shift = shift_constant(n)
     for lo in chunks(spec):
         summary = summarize(spec, lo)
-        hi = min(lo + chunk, spec.size)
-        e = energy_block(spec, lo, hi)
-        chunk_min = e.min()
-        assert summary.min_energy == chunk_min
-        assert summary.hits == tuple(
-            int(np.count_nonzero((e > a * n) & (e < b * n))) for a, b in spec.intervals
-        )
-        extremes = -(e + shift)
-        for level, pos in zip(spec.b_levels, summary.positions):
-            assert np.array_equal(pos, extremes[extremes >= level])
-        assert np.array_equal(np.sort(summary.best), np.sort(e)[:32])
-        for beta in spec.betas:
-            g = np.exp((e - chunk_min) * -beta)
-            assert summary.z[beta] == g.sum()
-            want = (
-                np.bincount(np.arange(lo, hi) & ((1 << k) - 1), weights=g, minlength=1 << k)
-                if k
-                else np.full(1, g.sum())
-            )
-            assert np.array_equal(summary.y[beta], want)
+        for beta, z, y in _exp_per_beta(spec, lo):
+            assert abs(summary.z[beta] - z) <= bound * z
+            assert np.all(np.abs(summary.y[beta] - y) <= bound * y)
+
+
+@pytest.mark.parametrize("betas", [(0.6, 2.2), (0.5, 2.0), (0.1, 0.2, 0.3), (0.0, 0.5, 1.0)])
+def test_betas_off_a_grid_get_one_exp_each(betas):
+    # 2 * 0.5 != 2.0, 3 * 0.1 != 0.3 in floating point, and a beta of 0
+    # starts no grid: each of these betas' sums and marginals is one exp's,
+    # bit for bit.
+    spec = make_spec(env=Environment(1.0, 18), betas=betas, k_marginal=3)
+    for lo in chunks(spec):
+        summary = summarize(spec, lo)
+        for beta, z, y in _exp_per_beta(spec, lo):
+            assert summary.z[beta] == z
+            assert np.array_equal(summary.y[beta], y)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 100.0])

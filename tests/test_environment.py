@@ -271,22 +271,23 @@ def test_tail_probability_matches_the_exact_table():
 
 
 def test_quantile_matches_the_exact_table():
-    # Exact energies at n = 18 and alpha 1.01 to 100 (tools/tail_oracle.py):
+    # Exact energies at alpha 1.01 to 100 and n 1, 18 and 30 (tools/tail_oracle.py):
     # deep tails u = 1.2345678 2**-k for k 2..53, their mirrors, and u = (1 +-
-    # 10**-j) / 2 for j 2..12, next to zero energy.  The quantile is within
-    # its stated relative 1e-13, the tail within its 1e-12, and each energy's
+    # 10**-j) / 2 for j 2..12, next to zero energy.  The scale alpha n**(alpha-1)
+    # moves the energies, not the table's draws.  The quantile is within its
+    # stated relative 1e-13, the tail within its 1e-12, and each energy's
     # window holds the draw whose exact energy it is.
-    for alpha, group in itertools.groupby(QUANTILES, key=lambda row: row[0]):
-        n, u, magnitude, tail = np.array(list(group))[:, 1:].T
-        env = Environment(alpha, int(n[0]))
+    for (alpha, n), group in itertools.groupby(QUANTILES, key=lambda row: row[:2]):
+        u, magnitude, tail = np.array(list(group))[:, 2:].T
+        env = Environment(alpha, n)
         want = np.copysign(magnitude, u - 0.5)
         got = env.quantile(u)
-        assert np.max(np.abs(got / want - 1.0)) <= 1e-13, alpha
-        assert np.max(np.abs(env.tail_probability(magnitude) / tail - 1.0)) <= 1e-12, alpha
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-13, (alpha, n)
+        assert np.max(np.abs(env.tail_probability(magnitude) / tail - 1.0)) <= 1e-12, (alpha, n)
         for x, m in zip(want.tolist(), tail.tolist()):
             lo, hi = env.uniform_window(x)
             crossing = Fraction(m) if x <= 0 else 1 - Fraction(m)
-            assert Fraction(lo) <= crossing <= Fraction(hi), (alpha, x)
+            assert Fraction(lo) <= crossing <= Fraction(hi), (alpha, n, x)
 
 
 def test_interval_probability_matches_the_exact_table():

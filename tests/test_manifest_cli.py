@@ -1341,6 +1341,21 @@ def test_cli_unusable_output_dir_exit_code(tmp_path, capsys, monkeypatch):
     assert all(str(blocker) in line for line in err)
 
 
+@pytest.mark.parametrize("blocked", ["marginals_laplace", "marginals_laplace-retry"])
+def test_cli_verify_unusable_run_dir_exit_code(tmp_path, capsys, monkeypatch, blocked):
+    # a file where a built-in's run directory or its retry directory goes
+    # is bad input, found before any replica runs; the file is kept
+    def broken(spec):
+        raise AssertionError("a replica ran")
+
+    monkeypatch.setattr(remlab.experiments, "run_replica", broken)
+    (tmp_path / blocked).write_text("kept", encoding="utf-8")
+    assert main(["verify", "--only", "marginals_laplace", "--output-dir", str(tmp_path)]) == 2
+    assert (tmp_path / blocked).read_text(encoding="utf-8") == "kept"
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(tmp_path / blocked) in err[0]
+
+
 def test_verify_duration_includes_the_retry(tmp_path, monkeypatch):
     # each stubbed run advances the verify clock by 5 s; the first fails
     clock = [0.0]

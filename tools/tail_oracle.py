@@ -6,13 +6,14 @@ Tails near zero energy: for each shape ``alpha`` in ``ALPHAS``, size
 lost its precision), this computes ``P(E > x) = Q(1/alpha, x**alpha /
 (alpha n**(alpha-1))) / 2`` of the double ``x``.
 
-Quantiles: for each shape in ``QUANTILE_ALPHAS`` at ``n = QUANTILE_N``
-and each double ``u`` of ``uniforms()`` (deep tails ``1.2345678 *
-2**-k``, ``k`` from 2 to 53, their mirrors ``1 - u``, and ``(1 ± 10**-j)
-/ 2``, ``j`` from 2 to 12, next to zero energy), this solves ``P(|E| >
-y) = 2 min(u, 1-u)`` for the exact magnitude ``y`` of the energy of
-``u``, and computes the exact tail ``P(E > y')`` of the double ``y'``
-nearest it.
+Quantiles: for each shape in ``QUANTILE_ALPHAS``, size ``n`` in
+``QUANTILE_SIZES`` (the scale ``alpha n**(alpha-1)`` moves the
+energies, not the draws) and each double ``u`` of ``uniforms()`` (deep
+tails ``1.2345678 * 2**-k``, ``k`` from 2 to 53, their mirrors ``1 -
+u``, and ``(1 ± 10**-j) / 2``, ``j`` from 2 to 12, next to zero
+energy), this solves ``P(|E| > y) = 2 min(u, 1-u)`` for the exact
+magnitude ``y`` of the energy of ``u``, and computes the exact tail
+``P(E > y')`` of the double ``y'`` nearest it.
 
 Intervals: for each shape in ``INTERVAL_ALPHAS`` and size in
 ``INTERVAL_SIZES``, and each per-site interval of ``intervals(alpha)``
@@ -27,7 +28,8 @@ nearest double.  The rows become ``tests/tail_oracle_values.py``, which
 ``tests/test_environment.py`` reads, so the tests never import mpmath.
 
 Usage, from the repository root (mpmath must be installed; remlab need
-not be), rewriting ``tests/tail_oracle_values.py``:
+not be), rewriting ``tests/tail_oracle_values.py`` (about 11 minutes on
+one core of a 2-vCPU Xeon):
 
     python tools/tail_oracle.py
 """
@@ -43,7 +45,7 @@ ALPHAS = (30.0, 40.0, 60.0, 100.0)
 SIZES = (1, 18, 30)
 STEPS = range(-24, -1)  # x = n * 10**(k/2)
 QUANTILE_ALPHAS = (1.01, 1.2, 1.5, 2.0, 3.0, 7.3, 10.0, 60.0, 100.0)
-QUANTILE_N = 18
+QUANTILE_SIZES = (1, 18, 30)
 INTERVAL_ALPHAS = (1.5, 2.0, 60.0)
 INTERVAL_SIZES = (18, 30)
 DIGITS = 40
@@ -149,9 +151,10 @@ def tail_rows() -> list:
 def quantile_rows() -> list:
     rows = []
     for alpha in QUANTILE_ALPHAS:
-        for u in uniforms():
-            y = exact_magnitude(alpha, QUANTILE_N, u)
-            rows.append((alpha, QUANTILE_N, u, y, float(tail(alpha, QUANTILE_N, y))))
+        for n in QUANTILE_SIZES:
+            for u in uniforms():
+                y = exact_magnitude(alpha, n, u)
+                rows.append((alpha, n, u, y, float(tail(alpha, n, y))))
     return rows
 
 
